@@ -2,7 +2,8 @@
 
 State and symbol names are strings; internally every state gets a dense
 integer id in declaration order, so all iteration is deterministic.  All
-values are immutable after construction and every operation is pure.
+values are immutable after construction and every operation is pure; the
+lookup tables that only membership queries use are built on first use.
 """
 
 from dataclasses import dataclass
@@ -49,7 +50,10 @@ class Lasso:
 
 def _symbols(part: str) -> tuple[str, ...]:
     part = part.strip()
-    return tuple(part.split(".")) if part else ()
+    symbols = tuple(part.split(".")) if part else ()
+    if "" in symbols:
+        raise ValueError(f"lasso part {part!r} has an empty symbol")
+    return symbols
 
 
 class NBW:
@@ -60,7 +64,7 @@ class NBW:
     """
 
     __slots__ = ("alphabet", "states", "initial", "accepting", "edges",
-                 "_sym_id", "_state_id", "_succ", "_pred", "_acc")
+                 "_sym_id", "_state_id", "_succ", "_pred", "_acc", "_masks")
 
     def __init__(self, alphabet, states, initial, accepting, edges):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
@@ -93,6 +97,7 @@ class NBW:
         self._succ = tuple(tuple(tuple(row) for row in per) for per in succ)
         self._pred = tuple(tuple(tuple(row) for row in per) for per in pred)
         self._acc = frozenset(self.accepting)
+        self._masks = None
 
     @classmethod
     def build(cls, alphabet: Sequence[str], states: Sequence[str],
@@ -146,6 +151,20 @@ class NBW:
     def needs_normalization(self) -> bool:
         return bool(set(self.initial) & self._acc)
 
+    def _mask_tables(self):
+        """``(post, pre, initial, accepting)`` for bitmask state sets.
+
+        ``post[s][c][m]`` is the mask of s-successors of the states 4c..4c+3
+        selected by the 4-bit mask m; ``pre`` is the same for predecessors.
+        Built on first use, since only membership queries need them.
+        """
+        if self._masks is None:
+            self._masks = (_nibble_tables(self._succ, len(self.alphabet)),
+                           _nibble_tables(self._pred, len(self.alphabet)),
+                           sum(1 << q for q in self.initial),
+                           sum(1 << q for q in self.accepting))
+        return self._masks
+
     def __eq__(self, other):
         return (isinstance(other, NBW)
                 and self.alphabet == other.alphabet and self.states == other.states
@@ -190,57 +209,108 @@ def normalize(a: NBW) -> NBW:
 # -- lasso membership ---------------------------------------------------------
 
 
+def _sym_ids(ids: dict, symbols) -> list[int]:
+    try:
+        return [ids[s] for s in symbols]
+    except KeyError as err:
+        raise ValueError(f"symbol {err.args[0]!r} not in alphabet") from None
+
+
+def _nibble_tables(adj, k: int) -> tuple:
+    """Per symbol and per chunk of 4 states, the union of the `adj` rows of
+    every subset of the chunk, as bitmasks (see :meth:`NBW._mask_tables`)."""
+    n = len(adj)
+    tables = []
+    for s in range(k):
+        rows = [sum(1 << t for t in adj[q][s]) for q in range(n)]
+        rows += [0] * (-n % 4)
+        chunks = []
+        for base in range(0, n, 4):
+            row = [0] * 16
+            for m in range(1, 16):
+                low = m & -m
+                row[m] = row[m ^ low] | rows[base + low.bit_length() - 1]
+            chunks.append(tuple(row))
+        tables.append(tuple(chunks))
+    return tuple(tables)
+
+
+def _image(chunks, m: int) -> int:
+    """Union of the table rows selected by the state mask `m`."""
+    out = 0
+    for row in chunks:
+        if not m:
+            break
+        out |= row[m & 15]
+        m >>= 4
+    return out
+
+
 def nbw_member(a: NBW, w: Lasso) -> bool:
     """Decide whether the automaton accepts ``u . v^w``.
 
-    Runs the prefix, then looks for a reachable cycle through an accepting
-    node in the finite graph over (state, position mod |v|) pairs.  Cycle
-    detection is exact, never a step-capped heuristic.
+    Runs the prefix, then works on the finite product over (state, position
+    mod |v|) pairs, one bitmask of states per position.  The reachable part
+    is computed to a fixpoint; the Emerson-Lei greatest fixpoint
+    Z := Z ∩ pre⁺(Z ∩ Acc) then keeps exactly the nodes that lie on or lead
+    to a cycle through an accepting node, and the word is accepted iff it
+    keeps any.  Exact, never a step-capped heuristic.
     """
-    u = [a.sym_id(s) for s in w.prefix]
-    v = [a.sym_id(s) for s in w.period]
-    reach = set(a.initial)
+    u = _sym_ids(a._sym_id, w.prefix)
+    v = _sym_ids(a._sym_id, w.period)
+    post, pre, reach, acc = a._mask_tables()
     for s in u:
-        reach = a.succ_set(reach, s)
+        reach = _image(post[s], reach)
         if not reach:
             return False
     lv = len(v)
-    # product nodes encoded as q * lv + i, adjacency as bitmasks
-    succ = a._succ
-    adj: dict[int, int] = {}
-    frontier = [q * lv for q in reach]
-    seen = set(frontier)
-    while frontier:
-        node = frontier.pop()
-        q, i = divmod(node, lv)
-        mask = 0
-        ni = (i + 1) % lv
-        for q2 in succ[q][v[i]]:
-            nxt = q2 * lv + ni
-            mask |= 1 << nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        adj[node] = mask
-    acc = a._acc
-    for node in seen:
-        if node // lv in acc:
-            # does node reach itself through at least one step?
-            target = 1 << node
-            visited = 0
-            layer = adj[node]
-            while layer:
-                if layer & target:
-                    return True
-                visited |= layer
-                nxt = 0
-                m = layer
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    nxt |= adj[bit.bit_length() - 1]
-                layer = nxt & ~visited
-    return False
+    last = lv - 1
+    # z[i]: reachable states at period position i.  todo[i] holds the states
+    # of z[i] whose successors are not yet in z[i + 1]; the sweep goes round
+    # the period until lv positions in a row have nothing to push.
+    z = [0] * lv
+    todo = [0] * lv
+    z[0] = todo[0] = reach
+    i = idle = 0
+    while idle < lv:
+        j = i + 1 if i < last else 0
+        f = todo[i]
+        if f:
+            todo[i] = 0
+            new = _image(post[v[i]], f) & ~z[j]
+            if new:
+                z[j] |= new
+                todo[j] |= new
+            idle = 0
+        else:
+            idle += 1
+        i = j
+    while True:
+        t = [x & acc for x in z]
+        if not any(t):
+            return False
+        # b[i]: nodes of z with a path of one or more steps inside z to t,
+        # closed by the same sweep run backwards.
+        b = [0] * lv
+        todo = t[:]
+        i, idle = last, 0
+        while idle < lv:
+            j = i + 1 if i < last else 0
+            f = todo[j]
+            if f:
+                todo[j] = 0
+                new = z[i] & _image(pre[v[i]], f) & ~b[i]
+                if new:
+                    b[i] |= new
+                    todo[i] |= new & ~t[i]
+                idle = 0
+            else:
+                idle += 1
+            i = i - 1 if i else last
+        # every accepting node reaches another: an accepting cycle exists
+        if all(x & y == x for x, y in zip(t, b)):
+            return True
+        z = b
 
 
 # -- deterministic Rabin automata ---------------------------------------------
@@ -288,36 +358,58 @@ class DRW:
             if any(not 0 <= q < n for q in g | b):
                 raise ValueError("acceptance pair references unknown state")
 
+        # not fields, so equality, hashing and repr stay those of the fields
+        object.__setattr__(self, "_sym_id", {s: i for i, s in enumerate(self.alphabet)})
+        object.__setattr__(self, "_marks", None)
+
     def sym_id(self, symbol: str) -> int:
         try:
-            return self.alphabet.index(symbol)
-        except ValueError:
+            return self._sym_id[symbol]
+        except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
+
+    def _pair_marks(self) -> tuple[int, ...]:
+        """Per state, a bitmask with bit j set if it is in B_j and bit
+        k + j if it is in G_j, for k pairs.  Built on first use."""
+        if self._marks is None:
+            k = len(self.acceptance)
+            marks = [0] * len(self.states)
+            for j, (g, b) in enumerate(self.acceptance):
+                for q in b:
+                    marks[q] |= 1 << j
+                for q in g:
+                    marks[q] |= 1 << (k + j)
+            object.__setattr__(self, "_marks", tuple(marks))
+        return self._marks
 
 
 def drw_run_eval(d: DRW, w: Lasso) -> bool:
     """Evaluate the unique run of a DRW on ``u . v^w``.
 
-    Follows the prefix, then iterates the period until a (state, position)
-    pair repeats; accepts iff some Rabin pair has G visited and B avoided on
-    the detected cycle.
+    Follows the prefix, then runs whole periods until the state at a period
+    start repeats.  The periods from that state on form the run's cycle; one
+    more pass over them collects the pair marks of its states.  Accepts iff
+    some Rabin pair has G visited and B avoided on the cycle.
     """
-    u = [d.sym_id(s) for s in w.prefix]
-    v = [d.sym_id(s) for s in w.period]
+    u = _sym_ids(d._sym_id, w.prefix)
+    v = _sym_ids(d._sym_id, w.period)
+    trans = d.trans
     q = d.initial
     for s in u:
-        q = d.trans[q][s]
-    lv = len(v)
-    seen_at: dict[tuple[int, int], int] = {}
-    trace: list[int] = []
-    pos = 0
-    while (q, pos) not in seen_at:
-        seen_at[(q, pos)] = len(trace)
-        trace.append(q)
-        q = d.trans[q][v[pos]]
-        pos = (pos + 1) % lv
-    cycle = set(trace[seen_at[(q, pos)]:])
-    return any(cycle & g and not cycle & b for g, b in d.acceptance)
+        q = trans[q][s]
+    starts: dict[int, int] = {}
+    while q not in starts:
+        starts[q] = len(starts)
+        for s in v:
+            q = trans[q][s]
+    marks = d._pair_marks()
+    seen = 0
+    for p in list(starts)[starts[q]:]:
+        for s in v:
+            seen |= marks[p]
+            p = trans[p][s]
+    # some pair with a G bit seen and its B bit not seen
+    return bool((seen >> len(d.acceptance)) & ~seen)
 
 
 # -- native text format --------------------------------------------------------

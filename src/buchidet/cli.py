@@ -94,6 +94,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     spec = GenSpec(args.states, args.alphabet, args.density, args.acc, args.seed)
     report = cross_check(spec, args.max_u, args.max_v, args.count,
                          max_states=args.max_states, sweep_depth=args.sweep_depth)

@@ -9,6 +9,11 @@ is in B_j and 2j+1 when it is in G_j.
 from .automata import DRW
 
 
+def _quote(name: str) -> str:
+    """HOA string literal: backslash and double quote are escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def format_hoa(d: DRW) -> str:
     k = len(d.acceptance)
     if k:
@@ -20,7 +25,7 @@ def format_hoa(d: DRW) -> str:
         "HOA: v1",
         f"States: {len(d.states)}",
         f"Start: {d.initial}",
-        "AP: %d %s" % (len(d.alphabet), " ".join(f'"{s}"' for s in d.alphabet)),
+        "AP: %d %s" % (len(d.alphabet), " ".join(map(_quote, d.alphabet))),
         f"acc-name: Rabin {k}",
         acceptance,
         "properties: trans-labels explicit-labels state-acc deterministic complete",

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from buchidet import (DRW, Lasso, NBW, ParseError, RabinCondition,
                       drw_run_eval, format_drw, format_nbw, nbw_member,
                       normalize, parse_drw, parse_nbw)
+from buchidet.hoa import format_hoa
 from oracles import all_lassos, brute_member
 
 
@@ -21,6 +22,12 @@ def test_lasso_empty_period_rejected():
         Lasso.parse("a;")
     with pytest.raises(ValueError):
         Lasso.parse("ab")
+
+
+def test_lasso_empty_symbol_rejected():
+    for text in (";.", "a..b;c", "a;b.", ".a;b", "a; .b"):
+        with pytest.raises(ValueError, match="empty symbol"):
+            Lasso.parse(text)
 
 
 def test_lasso_unroll():
@@ -205,3 +212,17 @@ def test_drw_parse_requires_single_initial():
             "trans: d0 a d0\ntrans: d1 a d1\n")
     with pytest.raises(ParseError):
         parse_drw(text)
+
+
+def test_drw_identity_ignores_evaluation_tables():
+    d1 = _tiny_drw(((frozenset({0}), frozenset({1})),))
+    d2 = _tiny_drw(((frozenset({0}), frozenset({1})),))
+    drw_run_eval(d1, Lasso.parse("a;b"))
+    assert d1 == d2 and hash(d1) == hash(d2)
+    assert repr(d1) == repr(d2)
+    assert "_sym_id" not in repr(d1) and "_marks" not in repr(d1)
+
+
+def test_hoa_escapes_proposition_names():
+    d = DRW(('p"q', "r\\s", "t"), ("d0",), 0, ((0, 0, 0),), RabinCondition(()))
+    assert 'AP: 3 "p\\"q" "r\\\\s" "t"\n' in format_hoa(d)

@@ -71,6 +71,9 @@ def test_member_accept_and_reject(two_state_file, capsys):
 def test_member_bad_word_exit_code(two_state_file, capsys):
     assert main(["member", "--in", two_state_file, "--word", "z;z"]) == 2
     assert main(["member", "--in", two_state_file, "--word", "a;"]) == 2
+    assert main(["member", "--in", two_state_file, "--word", ";."]) == 2
+    assert main(["member", "--in", two_state_file, "--word", "a..b;a"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -143,3 +146,11 @@ def test_check_failure_exit_code(capsys):
                "--sweep-depth", "0"])
     assert rc == 1
     assert capsys.readouterr().out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_count_below_one_is_usage_error(count, capsys):
+    assert main(["check", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count" in captured.err

@@ -1,0 +1,106 @@
+"""Seeded differential tests of the lasso membership deciders.
+
+``nbw_member`` works on bitmasks with lookup tables over 4-state chunks, so
+the sizes below straddle the chunk boundaries.  ``brute_member`` decides by
+a period-step closure that shares no code with it.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from buchidet import (NBW, Lasso, determinize_profile, determinize_safra,
+                      drw_run_eval, nbw_member, normalize)
+from oracles import brute_member
+
+SIZES = (1, 3, 4, 5, 8, 9, 13)
+ALPHABET = ("a", "b")
+
+
+def random_nbw(rng: random.Random, n: int) -> NBW:
+    """Any initial and accepting sets, so some automata need normalizing."""
+    density = rng.choice((0.1, 0.2, 0.35, 0.6, 0.9))
+    acc_fraction = rng.choice((0.2, 0.5, 0.8))
+    edges = [(q, s, q2) for q in range(n) for s in range(len(ALPHABET))
+             for q2 in range(n) if rng.random() < density]
+    initial = rng.sample(range(n), rng.randint(1, min(2, n)))
+    accepting = [q for q in range(n) if rng.random() < acc_fraction]
+    return NBW(ALPHABET, [f"s{q}" for q in range(n)], initial, accepting, edges)
+
+
+def sample_lassos(rng: random.Random, count: int) -> list[Lasso]:
+    """Prefixes up to length 2 and periods up to length 6."""
+    out = []
+    for _ in range(count):
+        u = tuple(rng.choice(ALPHABET) for _ in range(rng.randint(0, 2)))
+        v = tuple(rng.choice(ALPHABET) for _ in range(rng.randint(1, 6)))
+        out.append(Lasso(u, v))
+    return out
+
+
+def same_word(w: Lasso) -> list[Lasso]:
+    """Other spellings of the word: a doubled period, and the period rotated
+    by one symbol into the prefix."""
+    u, v = w.prefix, w.period
+    return [Lasso(u, v + v), Lasso(u + v[:1], v[1:] + v[:1])]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_member_matches_brute_force(n):
+    rng = random.Random(1000 + n)
+    for _ in range(12):
+        a = random_nbw(rng, n)
+        for w in sample_lassos(rng, 25):
+            want = brute_member(a, w)
+            assert nbw_member(a, w) == want, (n, a.edges, str(w))
+            for alt in same_word(w):
+                assert nbw_member(a, alt) == want, (n, a.edges, str(alt))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_member_all_short_periods(n):
+    """Every period up to length 4, primitive or not, on one automaton."""
+    a = random_nbw(random.Random(2000 + n), n)
+    for lv in range(1, 5):
+        for v in itertools.product(ALPHABET, repeat=lv):
+            for u in ((), ("a",), ("b", "a")):
+                w = Lasso(u, v)
+                assert nbw_member(a, w) == brute_member(a, w), (n, str(w))
+
+
+def test_member_non_primitive_period():
+    # s0 -a-> s1 -b-> s0, with s1 accepting: (ab)^w and (abab)^w are one word
+    a = NBW(ALPHABET, ["s0", "s1"], [0], [1], [(0, 0, 1), (1, 1, 0)])
+    for text in (";a.b", ";a.b.a.b", "a;b.a", "a.b;a.b.a.b", "a.b.a;b.a"):
+        assert nbw_member(a, Lasso.parse(text)), text
+    for text in (";a", ";b.a.a", "b;a.b"):
+        assert not nbw_member(a, Lasso.parse(text)), text
+
+
+def test_unknown_symbol_raises_after_the_runs_die():
+    # no run survives the first "b", yet the unknown symbol after it and in
+    # the period must still be reported
+    a = NBW(ALPHABET, ["s0"], [0], [0], [(0, 0, 0)])
+    assert not nbw_member(a, Lasso.parse("b;a"))
+    for text in ("b.z;a", "b;z", "b;a.z"):
+        with pytest.raises(ValueError, match="'z'"):
+            nbw_member(a, Lasso.parse(text))
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 5))
+def test_drw_run_eval_matches_member(n):
+    rng = random.Random(3000 + n)
+    for _ in range(4):
+        a = normalize(random_nbw(rng, n))
+        drws = (determinize_safra(a, 10 ** 5), determinize_profile(a, 10 ** 5))
+        for w in sample_lassos(rng, 40):
+            want = nbw_member(a, w)
+            for d in drws:
+                assert drw_run_eval(d, w) == want, (n, a.edges, str(w))
+                for alt in same_word(w):
+                    assert drw_run_eval(d, alt) == want, (n, a.edges, str(alt))
+        for d in drws:
+            for text in ("z;a", "a;b.z"):
+                with pytest.raises(ValueError, match="'z'"):
+                    drw_run_eval(d, Lasso.parse(text))
