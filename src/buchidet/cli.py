@@ -112,6 +112,12 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+# tracemalloc, GenSpec(10, 2, 0.25, 0.3, 778): about 3.6 KiB per macrostate
+_MAX_STATES_HELP = ("most DRW states explored per automaton; a profile "
+                    "macrostate takes about 3.6 KiB, so the default of 10**6 "
+                    "can take about 3.5 GiB")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="buchidet",
@@ -126,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--format", choices=["native", "hoa"], default="native")
-    p.add_argument("--max-states", type=int, default=10 ** 6)
+    p.add_argument("--max-states", type=int, default=10 ** 6,
+                   help=_MAX_STATES_HELP)
     p.set_defaults(func=_cmd_determinize)
 
     p = sub.add_parser("member", help="decide membership of a lasso word")
@@ -159,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-u", type=int, default=3)
     p.add_argument("--max-v", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=10 ** 6)
+    p.add_argument("--max-states", type=int, default=10 ** 6,
+                   help=_MAX_STATES_HELP)
     p.add_argument("--sweep-depth", type=int, default=4)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_check)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .automata import DRW, NBW, RabinCondition
 from .explore import explore
-from .orders import LinearPreorder, PartialOrderOnClasses
 
 
 @dataclass(frozen=True)
@@ -32,23 +31,6 @@ class Macrostate:
     good: frozenset
     bad: frozenset
 
-    @property
-    def states(self) -> tuple[int, ...]:
-        return tuple(sorted(q for group in self.classes for q in group))
-
-    def rank_of(self, q: int) -> int:
-        for i, group in enumerate(self.classes):
-            if q in group:
-                return i
-        raise KeyError(q)
-
-    def label_of(self, q: int) -> int:
-        return self.labels[self.rank_of(q)]
-
-    def preorder(self) -> LinearPreorder:
-        ranks = {q: i for i, group in enumerate(self.classes) for q in group}
-        return LinearPreorder(self.states, ranks)
-
 
 def initial_macrostate(a: NBW) -> Macrostate:
     """All initial states in one class labeled 0, fully cousin-related."""
@@ -56,22 +38,6 @@ def initial_macrostate(a: NBW) -> Macrostate:
         raise ValueError("automaton must be normalized first")
     return Macrostate((tuple(sorted(a.initial)),), (0,),
                       frozenset({(0, 0)}), frozenset(), frozenset())
-
-
-def restricted_step(a: NBW, m: Macrostate, symbol: str) -> dict:
-    """Map each successor state to the class of its surviving predecessors.
-
-    When a state has several incoming transitions from the macrostate, only
-    those from the rank-maximal class survive; that class is unique.
-    """
-    sym = a.sym_id(symbol)
-    rank = {q: i for i, group in enumerate(m.classes) for q in group}
-    out = {}
-    for q in sorted(rank):
-        for q2 in a.succ(q, sym):
-            best = max(rank[p] for p in a.pred(q2, sym) if p in rank)
-            out[q2] = best
-    return out
 
 
 def _successor(a: NBW, m: Macrostate, sym: int) -> Macrostate:
@@ -203,10 +169,13 @@ def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:
             out.append(f"cousin pair ({x},{y}) out of range")
         elif x > y:
             out.append(f"cousin pair ({x},{y}) contradicts the class order")
-    po = PartialOrderOnClasses(tuple(range(k)),
-                               frozenset((x, y) for x, y in m.cousin
-                                         if 0 <= x < k and 0 <= y < k))
-    out.extend(f"cousin relation: {v}" for v in po.violations())
+    for x in range(k):
+        if (x, x) not in m.cousin:
+            out.append(f"cousin relation misses reflexive pair ({x},{x})")
+    for x, y in m.cousin:
+        for y2, z in m.cousin:
+            if y == y2 and (x, z) not in m.cousin:
+                out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
     for lab in m.good | m.bad:
         if not 0 <= lab <= 2 * a.n:
             out.append(f"event label {lab} outside the pool")

@@ -15,7 +15,6 @@ classes descend from the class where each label was born.
 from dataclasses import dataclass
 from typing import Sequence
 
-from .orders import LinearPreorder, minjection
 from .run_dag import ProfileLevel
 
 
@@ -92,8 +91,7 @@ def next_labeled(prev: LabeledLevel, level: ProfileLevel, n_states: int) -> Labe
     pool = set(range(2 * n_states + 1)) - set(prev.lbl)
     if len(fresh) > len(pool):
         raise AssertionError("free-label pool exhausted; state count is wrong")
-    fresh_order = LinearPreorder(tuple(fresh), {j: i for i, j in enumerate(fresh)})
-    for j, m in minjection(fresh_order, sorted(pool)).items():
+    for j, m in zip(fresh, sorted(pool)):
         lbl[j] = m
 
     prev_gl_at = {m: a for a, m in enumerate(prev.gl)}

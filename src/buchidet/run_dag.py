@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automata import NBW
-from .orders import LinearPreorder
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DagLevel:
     """One level of the pruned run DAG, node-granular."""
 
@@ -22,17 +21,6 @@ class DagLevel:
     ranks: dict
     parent_class: dict
     f_bits: dict
-
-    def __eq__(self, other):
-        if not isinstance(other, DagLevel):
-            return NotImplemented
-        return (self.index == other.index and self.nodes == other.nodes
-                and self.ranks == other.ranks
-                and self.parent_class == other.parent_class
-                and self.f_bits == other.f_bits)
-
-    def preorder(self) -> LinearPreorder:
-        return LinearPreorder(self.nodes, dict(self.ranks))
 
 
 @dataclass(frozen=True)

@@ -28,23 +28,6 @@ class SafraTree:
     good: tuple[int, ...]
     bad: tuple[int, ...]
 
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.labels)
-
-    def label_of(self, v: int) -> tuple[int, ...]:
-        return dict(self.labels)[v]
-
-    def children_of(self, v: int) -> tuple[int, ...]:
-        return dict(self.children)[v]
-
-    def parent_map(self) -> dict:
-        out = {}
-        for v, kids in self.children:
-            for c in kids:
-                out[c] = v
-        return out
-
 
 def _pack(root, kids: dict, labels: dict, good, bad) -> SafraTree:
     return SafraTree(root,

@@ -18,6 +18,16 @@ def test_version(capsys):
     assert capsys.readouterr().out.strip() == "buchidet 0.1.0"
 
 
+def test_public_names_resolve():
+    import buchidet
+    assert len(set(buchidet.__all__)) == len(buchidet.__all__)
+    for name in buchidet.__all__:
+        assert hasattr(buchidet, name), name
+    namespace: dict = {}
+    exec("from buchidet import *", namespace)
+    assert set(buchidet.__all__) <= set(namespace)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["determinize", "--bogus"]) == 2
     assert main(["nosuchcommand"]) == 2

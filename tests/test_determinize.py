@@ -3,10 +3,11 @@ import pytest
 from buchidet import (Lasso, NBW, drw_run_eval, format_drw, label_levels,
                       nbw_member, normalize, profile_tree)
 from buchidet.determinize import (Macrostate, determinize_profile,
-                                  initial_macrostate, restricted_step,
-                                  sigma_successor, validate_macrostate)
+                                  initial_macrostate, sigma_successor,
+                                  validate_macrostate)
 from buchidet.explore import StateLimitExceeded
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
+from buchidet.run_dag import initial_level, run_levels, step_level
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -56,24 +57,26 @@ def test_reference_macrostate_trace(two_state):
 
 
 def test_restricted_step_drops_dominated_transitions(two_state):
-    q1 = walk(two_state, "a")[1]
+    """The restricted step keeps, for each successor state, only the edges
+    from its rank-maximal predecessor class; `step_level` applies it."""
+    lv1 = run_levels(two_state, "a")[1]
     # on a, state q is reachable from both classes; only the step inside
     # {q} survives for q, while p keeps its own maximal source {p}
-    assert restricted_step(two_state, q1, "a") == {Q: 0, P: 1}
+    assert step_level(two_state, lv1, "a").parent_class == {Q: 0, P: 1}
     # on b everything funnels through p
-    assert restricted_step(two_state, q1, "b") == {Q: 1, P: 1}
+    assert step_level(two_state, lv1, "b").parent_class == {Q: 1, P: 1}
 
 
 def test_restricted_step_identity_on_deterministic_input():
     a = normalize(NBW.build(
         ["a", "b"], ["x", "y"], ["x"], ["y"],
         [("x", "a", "y"), ("x", "b", "x"), ("y", "a", "y"), ("y", "b", "x")]))
-    m = walk(a, "a")[1]
-    assert restricted_step(a, m, "a") == {a.states.index("y"): m.rank_of(1)}
+    lv1 = run_levels(a, "a")[1]
+    assert step_level(a, lv1, "a").parent_class == {a.states.index("y"): 0}
 
 
 def test_restricted_step_empty(two_state):
-    assert restricted_step(two_state, initial_macrostate(two_state), "b") == {}
+    assert step_level(two_state, initial_level(two_state), "b").parent_class == {}
 
 
 def test_selfloop_successor_is_quiet(det_chain):
@@ -143,6 +146,27 @@ def test_every_reachable_macrostate_is_valid():
         drw = determinize_profile(aut)
         for m in drw.payloads:
             assert validate_macrostate(aut, m) == []
+
+
+
+def test_validate_macrostate_flags_bad_cousin_relation():
+    a = NBW.build(["a"], ["x", "y", "z"], ["x"], [], [])
+
+    def faults(cousin):
+        m = Macrostate(((0,), (1,), (2,)), (0, 1, 2), frozenset(cousin),
+                       frozenset(), frozenset())
+        return validate_macrostate(a, m)
+
+    refl = {(0, 0), (1, 1), (2, 2)}
+    assert faults(refl | {(0, 1), (1, 2), (0, 2)}) == []
+    assert faults({(0, 0), (2, 2), (0, 2)}) == [
+        "cousin relation misses reflexive pair (1,1)"]
+    assert faults(refl | {(0, 1), (1, 2)}) == [
+        "cousin relation not transitive: (0,1),(1,2)"]
+    assert faults(refl | {(1, 0)}) == [
+        "cousin pair (1,0) contradicts the class order"]
+    assert faults(refl | {(0, 1), (1, 0)}) == [
+        "cousin pair (1,0) contradicts the class order"]
 
 
 def test_macrostate_matches_level_view():

@@ -1,10 +1,10 @@
 import pytest
 
 from buchidet import label_levels, labels_of_class, normalize, profile_tree
+from buchidet.determinize import Macrostate, validate_macrostate
 from buchidet.harness import GenSpec, gen_nbw
 from buchidet.labeling import descendant_ranks, first_classes, initial_labeled, \
     lpf_classes, lsf_classes
-from buchidet.orders import PartialOrderOnClasses
 
 
 def fig_labeled(two_state, word=("a", "b", "b")):
@@ -86,9 +86,8 @@ def test_label_laws_on_random_corpus():
                 assert len(set(ll.gl)) == len(ll.gl)
                 assert len(set(ll.lbl)) == len(ll.lbl)
                 assert all(0 <= m <= 2 * aut.n for m in ll.lbl)
-                po = PartialOrderOnClasses(tuple(range(len(ll.base.classes))),
-                                           ll.cousin)
-                assert po.violations() == []
+                assert validate_macrostate(aut, Macrostate(
+                    ll.base.classes, ll.lbl, ll.cousin, ll.good, ll.bad)) == []
                 # a label present away from its birth level was present on
                 # the previous level too
                 for m in ll.gl:
