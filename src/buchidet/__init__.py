@@ -17,13 +17,13 @@ from .explore import StateLimitExceeded
 from .harness import CheckReport, GenSpec, check_automaton, cross_check, \
     enumerate_lassos, gen_nbw, sweep_invariants
 from .labeling import LabeledLevel, label_levels, labels_of_class
-from .run_dag import DagLevel, ProfileLevel, check_level_invariants, \
-    initial_level, profile_strings, profile_tree, step_level
+from .run_dag import ProfileLevel, check_level_invariants, initial_level, \
+    profile_strings, profile_tree, step_level
 from .safra import SafraTree, determinize_safra, safra_initial, safra_successor
 
 __all__ = [
     "DRW", "NBW", "Lasso", "ParseError", "RabinCondition", "Macrostate",
-    "SafraTree", "LabeledLevel", "DagLevel", "ProfileLevel", "GenSpec",
+    "SafraTree", "LabeledLevel", "ProfileLevel", "GenSpec",
     "CheckReport", "StateLimitExceeded", "parse_nbw", "parse_drw", "format_nbw",
     "format_drw", "normalize", "nbw_member", "drw_run_eval", "initial_level",
     "step_level", "profile_tree", "profile_strings", "check_level_invariants",

@@ -69,8 +69,8 @@ class NBW:
     def __init__(self, alphabet, states, initial, accepting, edges):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
         self.states: tuple[str, ...] = tuple(states)
-        self.initial: tuple[int, ...] = tuple(sorted(initial))
-        self.accepting: tuple[int, ...] = tuple(sorted(accepting))
+        self.initial: tuple[int, ...] = tuple(sorted(set(initial)))
+        self.accepting: tuple[int, ...] = tuple(sorted(set(accepting)))
         self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(set(edges)))
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet symbol")
@@ -517,7 +517,9 @@ def parse_drw(text: str) -> DRW:
     if single["accepting:"] is not None:
         raise ParseError("accepting: is not allowed in a drw document",
                          single["accepting:"][0])
-    _, alphabet = single["alphabet:"]
+    lineno, alphabet = single["alphabet:"]
+    if not alphabet or len(set(alphabet)) != len(alphabet):
+        raise ParseError("alphabet must list distinct symbols", lineno)
     lineno, states = single["states:"]
     if not states or len(set(states)) != len(states):
         raise ParseError("states must list distinct names", lineno)

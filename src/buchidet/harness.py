@@ -15,8 +15,7 @@ from .determinize import determinize_profile, initial_macrostate, sigma_successo
     validate_macrostate
 from .explore import StateLimitExceeded
 from .labeling import initial_labeled, lsf_classes, next_labeled
-from .run_dag import check_level_invariants, initial_level, step_level, \
-    to_profile_level
+from .run_dag import check_level_invariants, initial_level, step_level
 from .safra import determinize_safra, validate_safra_tree
 
 
@@ -70,6 +69,8 @@ def _words(alphabet, lengths):
 
 def enumerate_lassos(alphabet, max_u: int, max_v: int) -> list[Lasso]:
     """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first."""
+    if max_u < 0:
+        raise ValueError("max_u must be at least 0")
     if max_v < 1:
         raise ValueError("max_v must be at least 1")
     syms = tuple(alphabet)
@@ -91,14 +92,15 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
     equivalence), and that the macrostate equals the independently computed
     level view, field by field.
     """
+    if depth < 0:
+        raise ValueError("sweep depth must be at least 0")
     out = []
     syms = range(len(a.alphabet))
 
     def note(word, msg):
         out.append(f"word={'.'.join(word) or '<empty>'}: {msg}")
 
-    lv0 = initial_level(a)
-    pl0 = to_profile_level(lv0)
+    pl0 = initial_level(a)
     lab0 = initial_labeled(pl0)
     m0 = initial_macrostate(a)
     desc0 = {0: frozenset({0})}
@@ -121,12 +123,11 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
 
     compare((), pl0, lab0, m0)
 
-    def extend(word, lv, levels, lab, m, desc, budget):
+    def extend(word, levels, lab, m, desc, budget):
         for s in syms:
             symbol = a.alphabet[s]
             word2 = word + (symbol,)
-            lv2 = step_level(a, lv, symbol)
-            pl2 = to_profile_level(lv2)
+            pl2 = step_level(a, levels[-1], symbol)
             lab2 = next_labeled(lab, pl2, a.n)
             m2 = sigma_successor(a, m, symbol)
             k2 = len(pl2.classes)
@@ -163,13 +164,13 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
             compare(word2, pl2, lab2, m2)
             levels2 = levels + [pl2]
             if budget > 1:
-                extend(word2, lv2, levels2, lab2, m2, desc2, budget - 1)
+                extend(word2, levels2, lab2, m2, desc2, budget - 1)
             else:
                 for msg in check_level_invariants(levels2, a.n):
                     note(word2, msg)
 
     if depth > 0:
-        extend((), lv0, [pl0], lab0, m0, desc0, depth)
+        extend((), [pl0], lab0, m0, desc0, depth)
     return out
 
 
@@ -195,6 +196,7 @@ def check_automaton(a: NBW, max_u: int, max_v: int, max_states: int = 10 ** 6,
     the mutation tests.  Every explored construction state is validated.
     """
     res = AutomatonCheck()
+    lassos = enumerate_lassos(a.alphabet, max_u, max_v)
     try:
         if drw_profile is None:
             drw_profile = determinize_profile(a, max_states)
@@ -213,7 +215,7 @@ def check_automaton(a: NBW, max_u: int, max_v: int, max_states: int = 10 ** 6,
         for i, t in enumerate(drw_safra.payloads):
             for msg in validate_safra_tree(a, t):
                 res.violations.append(f"safra tree {i}: {msg}")
-    for w in enumerate_lassos(a.alphabet, max_u, max_v):
+    for w in lassos:
         res.lassos += 1
         verdicts = {"nbw": nbw_member(a, w),
                     "profile": drw_run_eval(drw_profile, w),

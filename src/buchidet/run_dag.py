@@ -1,26 +1,15 @@
 """Levels of the run DAG of an NBW on a finite word prefix.
 
-Each level keeps only what the next level needs: which states are alive,
-their acceptance bits, the linear preorder induced by acceptance histories,
-and for every node the class of its surviving parents.  Equivalent nodes are
-grouped into classes; a class is identified by its rank within its level.
+Nodes of a level with the same acceptance history form one class, so each
+level is kept as its profile-tree slice: the classes in rank order, the rank
+of each class's parent on the previous level, and each class's acceptance
+bit.  A node's rank is the rank of its class.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automata import NBW
-
-
-@dataclass(frozen=True)
-class DagLevel:
-    """One level of the pruned run DAG, node-granular."""
-
-    index: int
-    nodes: tuple[int, ...]
-    ranks: dict
-    parent_class: dict
-    f_bits: dict
 
 
 @dataclass(frozen=True)
@@ -31,72 +20,39 @@ class ProfileLevel:
     parents: tuple
     f_class: tuple[int, ...]
 
-    @property
-    def width(self) -> int:
-        return len(self.classes)
 
-
-def initial_level(a: NBW) -> DagLevel:
+def initial_level(a: NBW) -> ProfileLevel:
     """Level 0: the initial states form a single all-non-accepting class."""
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
-    nodes = tuple(sorted(a.initial))
-    return DagLevel(0, nodes,
-                    {q: 0 for q in nodes},
-                    {q: None for q in nodes},
-                    {q: 0 for q in nodes})
+    return ProfileLevel((tuple(sorted(a.initial)),), (None,), (0,))
 
 
-def step_level(a: NBW, prev: DagLevel, symbol: str) -> DagLevel:
+def step_level(a: NBW, prev: ProfileLevel, symbol: str) -> ProfileLevel:
     """Successor level on `symbol`.
 
     A node keeps only the edges from its rank-maximal predecessors; the new
-    rank order is lexicographic on (parent class rank, acceptance bit), which
-    extends each parent's history by one bit.  The result may be empty.
+    classes are ordered lexicographically by (parent class rank, acceptance
+    bit), which extends each parent's history by one bit.  The result may be
+    empty.
     """
     sym = a.sym_id(symbol)
-    alive = prev.ranks
-    nodes = sorted({q2 for q in prev.nodes for q2 in a.succ(q, sym)})
-    key = {}
-    for q2 in nodes:
-        parent = max(alive[p] for p in a.pred(q2, sym) if p in alive)
-        key[q2] = (parent, 1 if a.is_accepting(q2) else 0)
-    order = {k: i for i, k in enumerate(sorted(set(key.values())))}
-    return DagLevel(prev.index + 1, tuple(nodes),
-                    {q2: order[key[q2]] for q2 in nodes},
-                    {q2: key[q2][0] for q2 in nodes},
-                    {q2: key[q2][1] for q2 in nodes})
-
-
-def to_profile_level(lv: DagLevel) -> ProfileLevel:
-    """Group a node-granular level into its rank-ordered classes."""
-    width = 1 + max(lv.ranks.values()) if lv.nodes else 0
-    members: list[list[int]] = [[] for _ in range(width)]
-    for q in lv.nodes:
-        members[lv.ranks[q]].append(q)
-    parents = []
-    f_class = []
-    for group in members:
-        ps = {lv.parent_class[q] for q in group}
-        fs = {lv.f_bits[q] for q in group}
-        if len(ps) != 1 or len(fs) != 1:
-            raise AssertionError("class members disagree on parent or acceptance")
-        parents.append(ps.pop())
-        f_class.append(fs.pop())
-    return ProfileLevel(tuple(tuple(g) for g in members),
-                        tuple(parents), tuple(f_class))
-
-
-def run_levels(a: NBW, prefix: Iterable[str]) -> list[DagLevel]:
-    levels = [initial_level(a)]
-    for symbol in prefix:
-        levels.append(step_level(a, levels[-1], symbol))
-    return levels
+    rank = {q: j for j, group in enumerate(prev.classes) for q in group}
+    members: dict[tuple[int, int], list[int]] = {}
+    for q2 in sorted({q2 for q in rank for q2 in a.succ(q, sym)}):
+        parent = max(rank[p] for p in a.pred(q2, sym) if p in rank)
+        members.setdefault((parent, int(a.is_accepting(q2))), []).append(q2)
+    keys = sorted(members)
+    return ProfileLevel(tuple(tuple(members[k]) for k in keys),
+                        tuple(p for p, _ in keys), tuple(f for _, f in keys))
 
 
 def profile_tree(a: NBW, prefix: Iterable[str]) -> list[ProfileLevel]:
     """Class-granular levels 0..len(prefix), parent-linked and rank-ordered."""
-    return [to_profile_level(lv) for lv in run_levels(a, prefix)]
+    levels = [initial_level(a)]
+    for symbol in prefix:
+        levels.append(step_level(a, levels[-1], symbol))
+    return levels
 
 
 def profile_strings(levels: Sequence[ProfileLevel]) -> list[tuple[str, ...]]:
@@ -131,21 +87,22 @@ def check_level_invariants(levels: Sequence[ProfileLevel],
             if seen & set(group):
                 out.append(f"{where} rank={j}: classes overlap")
             seen |= set(group)
-        if n_states is not None and pl.width > n_states:
-            out.append(f"{where}: width {pl.width} exceeds {n_states}")
+        width = len(pl.classes)
+        if n_states is not None and width > n_states:
+            out.append(f"{where}: width {width} exceeds {n_states}")
         if not (len(pl.parents) == len(pl.classes) == len(pl.f_class)):
             out.append(f"{where}: ragged level data")
             continue
         if i == 0:
-            if pl.width > 1:
+            if width > 1:
                 out.append(f"{where}: more than one root class")
             if any(p is not None for p in pl.parents):
                 out.append(f"{where}: root class with a parent")
             continue
-        prev_width = levels[i - 1].width
+        prev_width = len(levels[i - 1].classes)
         keys = []
         children: dict[tuple[int, int], int] = {}
-        for j in range(pl.width):
+        for j in range(width):
             p = pl.parents[j]
             if p is None or not 0 <= p < prev_width:
                 out.append(f"{where} rank={j}: parent {p} not a class of level {i-1}")

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buchidet import (DRW, Lasso, NBW, ParseError, RabinCondition,
-                      drw_run_eval, format_drw, format_nbw, nbw_member,
-                      normalize, parse_drw, parse_nbw)
+                      determinize_profile, determinize_safra, drw_run_eval,
+                      format_drw, format_nbw, nbw_member, normalize,
+                      parse_drw, parse_nbw)
 from buchidet.hoa import format_hoa
 from oracles import all_lassos, brute_member
 
@@ -112,6 +113,21 @@ def test_normalize_preserves_membership_exhaustive_two_symbols():
         assert nbw_member(b, w) == brute_member(a, w), str(w)
 
 
+def test_states_listed_twice_count_once():
+    a = parse_nbw("nbw\nalphabet: a\nstates: q p\ninitial: q q\n"
+                  "accepting: p p\ntrans: q a p\ntrans: p a p\n")
+    assert a.initial == (0,) and a.accepting == (1,)
+    text = format_nbw(a)
+    assert "initial: q\n" in text and "accepting: p\n" in text
+    assert nbw_member(a, Lasso.parse(";a"))
+    drws = (determinize_profile(a), determinize_safra(a))
+    for w in all_lassos(a.alphabet, 2, 3):
+        want = brute_member(a, w)
+        assert nbw_member(a, w) == want, str(w)
+        for d in drws:
+            assert drw_run_eval(d, w) == want, str(w)
+
+
 # -- membership ----------------------------------------------------------------
 
 def test_member_reference_values(two_state):
@@ -212,6 +228,15 @@ def test_drw_parse_requires_single_initial():
             "trans: d0 a d0\ntrans: d1 a d1\n")
     with pytest.raises(ParseError):
         parse_drw(text)
+
+
+def test_drw_parse_validates_alphabet_line():
+    for alphabet in ("", " a a"):
+        text = (f"drw\nalphabet:{alphabet}\nstates: d0\ninitial: d0\n"
+                "trans: d0 a d0\n")
+        with pytest.raises(ParseError, match="alphabet") as err:
+            parse_drw(text)
+        assert err.value.line == 2
 
 
 def test_drw_identity_ignores_evaluation_tables():

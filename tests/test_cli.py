@@ -115,6 +115,42 @@ def test_trace_reference_lines(two_state_file, capsys):
     assert len(lines) == 2 + 3 * 3
 
 
+GOLDEN_TRACE_SEED7 = """\
+level=0 rank=0 f=0 parent=- states={s0} gl=0 lbl=0 good={} bad={} succ={}
+macro level=0 classes=[{s0}^0] cousin=[(0,0)] G={} B={}
+level=1 rank=0 f=0 parent=0 states={s0,s1} gl=0 lbl=0 good={} bad={} succ={}
+level=1 rank=1 f=1 parent=0 states={s3} gl=1 lbl=1 good={} bad={} succ={}
+macro level=1 classes=[{s0,s1}^0,{s3}^1] cousin=[(0,0),(0,1),(1,1)] G={} B={}
+level=2 rank=0 f=0 parent=0 states={s1} gl=0 lbl=0 good={} bad={} succ={}
+level=2 rank=1 f=1 parent=0 states={s2} gl=2 lbl=2 good={} bad={} succ={}
+level=2 rank=2 f=0 parent=1 states={s0} gl=1 lbl=1 good={} bad={} succ={}
+level=2 rank=3 f=1 parent=1 states={s3} gl=3 lbl=3 good={} bad={} succ={}
+macro level=2 classes=[{s1}^0,{s2}^2,{s0}^1,{s3}^3] cousin=[(0,0),(0,1),(0,2),(0,3),(1,1),(2,2),(2,3),(3,3)] G={} B={}
+level=3 rank=0 f=1 parent=2 states={s3} gl=0 lbl=0 good={0} bad={1,2} succ={0}
+level=3 rank=1 f=0 parent=3 states={s0,s1} gl=3 lbl=3 good={0} bad={1,2} succ={0}
+level=3 rank=2 f=1 parent=3 states={s2} gl=4 lbl=4 good={0} bad={1,2} succ={0}
+macro level=3 classes=[{s3}^0,{s0,s1}^3,{s2}^4] cousin=[(0,0),(0,1),(0,2),(1,1),(1,2),(2,2)] G={0} B={1,2}
+level=4 rank=0 f=0 parent=1 states={s0} gl=0 lbl=0 good={0} bad={3} succ={0}
+level=4 rank=1 f=1 parent=1 states={s2} gl=5 lbl=1 good={0} bad={3} succ={0}
+level=4 rank=2 f=0 parent=2 states={s1} gl=4 lbl=4 good={0} bad={3} succ={0}
+level=4 rank=3 f=1 parent=2 states={s3} gl=6 lbl=2 good={0} bad={3} succ={0}
+macro level=4 classes=[{s0}^0,{s2}^1,{s1}^4,{s3}^2] cousin=[(0,0),(0,1),(0,2),(0,3),(1,1),(2,2),(2,3),(3,3)] G={0} B={3}
+level=5 rank=0 f=1 parent=2 states={s3} gl=0 lbl=0 good={0} bad={1,4} succ={0}
+level=5 rank=1 f=0 parent=3 states={s0,s1} gl=6 lbl=2 good={0} bad={1,4} succ={0}
+level=5 rank=2 f=1 parent=3 states={s2} gl=7 lbl=3 good={0} bad={1,4} succ={0}
+macro level=5 classes=[{s3}^0,{s0,s1}^2,{s2}^3] cousin=[(0,0),(0,1),(0,2),(1,1),(1,2),(2,2)] G={0} B={1,4}
+"""
+
+
+def test_trace_golden_up_to_four_classes(tmp_path, capsys):
+    path = str(tmp_path / "seed7.nbw")
+    assert main(["gen", "--states", "4", "--density", "0.5", "--seed", "7",
+                 "--out", path]) == 0
+    assert main(["trace", "--in", path, "--word", "a;b.a", "--levels", "6",
+                 "--labels"]) == 0
+    assert capsys.readouterr().out == GOLDEN_TRACE_SEED7
+
+
 def test_trace_without_labels(two_state_file, capsys):
     assert main(["trace", "--in", two_state_file, "--word", "a;b",
                  "--levels", "2"]) == 0
@@ -156,6 +192,15 @@ def test_check_failure_exit_code(capsys):
                "--sweep-depth", "0"])
     assert rc == 1
     assert capsys.readouterr().out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize("flag, name", [("--max-u", "max_u"),
+                                        ("--sweep-depth", "depth")])
+def test_check_negative_bound_is_usage_error(flag, name, capsys):
+    assert main(["check", "--count", "1", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -7,7 +7,7 @@ from buchidet.determinize import (Macrostate, determinize_profile,
                                   validate_macrostate)
 from buchidet.explore import StateLimitExceeded
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
-from buchidet.run_dag import initial_level, run_levels, step_level
+from buchidet.run_dag import initial_level, step_level
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -18,6 +18,11 @@ def walk(aut, word):
     for symbol in word:
         out.append(sigma_successor(aut, out[-1], symbol))
     return out
+
+
+def parent_of(pl):
+    """Node -> rank of the parent class its class descends from."""
+    return {q: pl.parents[j] for j, g in enumerate(pl.classes) for q in g}
 
 
 def test_initial_macrostate(two_state):
@@ -59,24 +64,24 @@ def test_reference_macrostate_trace(two_state):
 def test_restricted_step_drops_dominated_transitions(two_state):
     """The restricted step keeps, for each successor state, only the edges
     from its rank-maximal predecessor class; `step_level` applies it."""
-    lv1 = run_levels(two_state, "a")[1]
+    pl1 = profile_tree(two_state, "a")[1]
     # on a, state q is reachable from both classes; only the step inside
     # {q} survives for q, while p keeps its own maximal source {p}
-    assert step_level(two_state, lv1, "a").parent_class == {Q: 0, P: 1}
+    assert parent_of(step_level(two_state, pl1, "a")) == {Q: 0, P: 1}
     # on b everything funnels through p
-    assert step_level(two_state, lv1, "b").parent_class == {Q: 1, P: 1}
+    assert parent_of(step_level(two_state, pl1, "b")) == {Q: 1, P: 1}
 
 
 def test_restricted_step_identity_on_deterministic_input():
     a = normalize(NBW.build(
         ["a", "b"], ["x", "y"], ["x"], ["y"],
         [("x", "a", "y"), ("x", "b", "x"), ("y", "a", "y"), ("y", "b", "x")]))
-    lv1 = run_levels(a, "a")[1]
-    assert step_level(a, lv1, "a").parent_class == {a.states.index("y"): 0}
+    pl1 = profile_tree(a, "a")[1]
+    assert parent_of(step_level(a, pl1, "a")) == {a.states.index("y"): 0}
 
 
 def test_restricted_step_empty(two_state):
-    assert step_level(two_state, initial_level(two_state), "b").parent_class == {}
+    assert parent_of(step_level(two_state, initial_level(two_state), "b")) == {}
 
 
 def test_selfloop_successor_is_quiet(det_chain):

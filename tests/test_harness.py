@@ -70,6 +70,16 @@ def test_enumerate_lassos_counts():
     assert len(enumerate_lassos(["a", "b"], 3, 4)) == 15 * 30
 
 
+def test_enumerate_lassos_rejects_negative_bounds(two_state):
+    with pytest.raises(ValueError, match="max_u"):
+        enumerate_lassos(["a"], -1, 1)
+    with pytest.raises(ValueError, match="max_v"):
+        enumerate_lassos(["a"], 0, 0)
+    # bounds are checked before determinizing, which would hit the cap here
+    with pytest.raises(ValueError, match="max_u"):
+        check_automaton(two_state, -1, 4, max_states=1)
+
+
 def test_enumerate_lassos_stable_order():
     one = [str(w) for w in enumerate_lassos(["a", "b"], 2, 2)]
     two = [str(w) for w in enumerate_lassos(["a", "b"], 2, 2)]
@@ -79,6 +89,12 @@ def test_enumerate_lassos_stable_order():
 
 def test_sweep_fig_clean(two_state):
     assert sweep_invariants(two_state, 5) == []
+
+
+def test_sweep_rejects_negative_depth(two_state):
+    assert sweep_invariants(two_state, 0) == []
+    with pytest.raises(ValueError, match="depth"):
+        sweep_invariants(two_state, -1)
 
 
 def test_check_automaton_fig(two_state):

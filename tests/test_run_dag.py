@@ -3,50 +3,52 @@ import pytest
 from buchidet import NBW, check_level_invariants, normalize, profile_strings, \
     profile_tree
 from buchidet.harness import GenSpec, gen_nbw
-from buchidet.run_dag import ProfileLevel, initial_level, run_levels, step_level, \
-    to_profile_level
+from buchidet.run_dag import ProfileLevel, initial_level, step_level
 from oracles import brute_ranks
 
 
+def node_ranks(pl):
+    return {q: j for j, g in enumerate(pl.classes) for q in g}
+
+
 def test_initial_level(two_state):
-    lv = initial_level(two_state)
-    assert lv.nodes == (0,)
-    assert lv.ranks == {0: 0}
-    assert lv.f_bits == {0: 0}
-    assert lv.parent_class == {0: None}
+    pl = initial_level(two_state)
+    assert pl.classes == ((0,),)
+    assert pl.f_class == (0,)
+    assert pl.parents == (None,)
 
 
 def test_initial_level_two_states():
     a = NBW.build(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
-    lv = initial_level(a)
-    assert lv.nodes == (0, 1)
-    assert lv.ranks == {0: 0, 1: 0}
+    pl = initial_level(a)
+    assert pl.classes == ((0, 1),)
+    assert node_ranks(pl) == {0: 0, 1: 0}
 
 
 def test_initial_level_requires_normalization(selfloop_accepting):
     with pytest.raises(ValueError):
         initial_level(selfloop_accepting)
-    lv = initial_level(normalize(selfloop_accepting))
-    assert set(lv.f_bits.values()) == {0}
+    pl = initial_level(normalize(selfloop_accepting))
+    assert pl.f_class == (0,)
 
 
 def test_step_level_fig(two_state):
-    lv0 = initial_level(two_state)
-    lv1 = step_level(two_state, lv0, "a")
-    assert lv1.nodes == (0, 1)
-    assert lv1.ranks == {0: 0, 1: 1}          # q before p
-    assert lv1.parent_class == {0: 0, 1: 0}
-    lv2 = step_level(two_state, lv1, "b")
-    assert lv2.ranks == {0: 0, 1: 1}
-    assert lv2.parent_class == {0: 1, 1: 1}   # both reached only from p
+    pl0 = initial_level(two_state)
+    pl1 = step_level(two_state, pl0, "a")
+    assert pl1.classes == ((0,), (1,))        # q before p
+    assert pl1.parents == (0, 0)
+    assert pl1.f_class == (0, 1)
+    pl2 = step_level(two_state, pl1, "b")
+    assert pl2.classes == ((0,), (1,))
+    assert pl2.parents == (1, 1)              # both reached only from p
 
 
 def test_step_level_empty(two_state):
-    lv0 = initial_level(two_state)
-    dead = step_level(two_state, lv0, "b")          # q has no b-transition
-    assert dead.nodes == ()
+    pl0 = initial_level(two_state)
+    dead = step_level(two_state, pl0, "b")          # q has no b-transition
+    assert dead == ProfileLevel((), (), ())
     deader = step_level(two_state, dead, "a")
-    assert deader.nodes == ()
+    assert deader == ProfileLevel((), (), ())
 
 
 def test_profile_tree_fig_matches_reference_trace(two_state):
@@ -103,13 +105,14 @@ def test_f_purity_and_width(two_state):
 
 def test_pruning_keeps_maximal_parents(two_state):
     word = ["a", "a", "b", "b", "a"]
-    levels = run_levels(two_state, word)
+    levels = profile_tree(two_state, word)
     for i in range(1, len(levels)):
-        prev, cur = levels[i - 1], levels[i]
+        prev, cur = node_ranks(levels[i - 1]), levels[i]
         sym = two_state.sym_id(word[i - 1])
-        for q in cur.nodes:
-            preds = [prev.ranks[p] for p in two_state.pred(q, sym) if p in prev.ranks]
-            assert cur.parent_class[q] == max(preds)
+        for j, group in enumerate(cur.classes):
+            for q in group:
+                preds = [prev[p] for p in two_state.pred(q, sym) if p in prev]
+                assert cur.parents[j] == max(preds)
 
 
 def test_ranks_match_brute_force_profiles(two_state):
@@ -120,6 +123,7 @@ def test_ranks_match_brute_force_profiles(two_state):
     for aut in corpus:
         for word in words:
             expected = brute_ranks(aut, word)
-            got = run_levels(aut, word)
-            for lv, exp in zip(got, expected):
-                assert lv.ranks == exp, (aut, word, lv.index)
+            got = profile_tree(aut, word)
+            assert len(got) == len(expected)
+            for i, (pl, exp) in enumerate(zip(got, expected)):
+                assert node_ranks(pl) == exp, (aut, word, i)
