@@ -94,8 +94,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
+    bounds = (("--count", args.count, 1), ("--max-u", args.max_u, 0),
+              ("--max-v", args.max_v, 1), ("--sweep-depth", args.sweep_depth, 0))
+    for flag, value, low in bounds:
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}")
     spec = GenSpec(args.states, args.alphabet, args.density, args.acc, args.seed)
     report = cross_check(spec, args.max_u, args.max_v, args.count,
                          max_states=args.max_states, sweep_depth=args.sweep_depth)

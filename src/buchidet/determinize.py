@@ -2,10 +2,12 @@
 
 A macrostate carries the set of currently alive states, the linear preorder
 induced by their acceptance histories (stored as rank-ordered classes), one
-label per class from the pool {0..2n}, a second "cousin" preorder recording
-which classes descend from each label's birth class, and the good/bad label
-events that feed the Rabin condition.  Successors are defined declaratively
-from these orders; no tree surgery is involved.
+label per class from the pool {0..2n}, a second "cousin" preorder whose row x
+holds the classes that descend from the birth class of x's label, and the
+good/bad label events that feed the Rabin condition.  Successors are defined
+declaratively from the rows: a new class inherits the label of its minimal
+uncle, whose heir it is, and the events follow from the heirs.  No tree
+surgery is involved.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,9 @@ class Macrostate:
 
     `classes` lists the preorder's equivalence classes smallest-first, each a
     sorted tuple of state ids; `labels` gives the class labels in the same
-    order; `cousin` holds rank pairs (a, b) meaning class b descends from the
-    birth class of class a's label.  Two macrostates are equal iff these
-    canonical fields are equal.
+    order; `cousin` holds rank pairs (x, b), and row x = {b : (x, b) in
+    cousin} holds the classes that descend from the birth class of x's label.
+    Two macrostates are equal iff these canonical fields are equal.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -42,9 +44,7 @@ def initial_macrostate(a: NBW) -> Macrostate:
 
 def _successor(a: NBW, m: Macrostate, sym: int) -> Macrostate:
     rank = {q: i for i, group in enumerate(m.classes) for q in group}
-    succ = a._succ
-    pred = a._pred
-    acc = a._acc
+    succ, pred, acc = a._succ, a._pred, a._acc
 
     new_states = sorted({q2 for q in rank for q2 in succ[q][sym]})
     key = {}
@@ -55,58 +55,36 @@ def _successor(a: NBW, m: Macrostate, sym: int) -> Macrostate:
     classes2 = tuple(tuple(q2 for q2 in new_states if key[q2] == kk) for kk in order)
     parent2 = [kk[0] for kk in order]
     f2 = [kk[1] for kk in order]
-    k2 = len(classes2)
 
-    # nephews: per old class, the minimal new class fed by any of its cousins
-    k = len(m.classes)
-    cousin = m.cousin
-    neph = []
-    for a_idx in range(k):
-        cousins = {b for (x, b) in cousin if x == a_idx}
-        best = None
-        for j in range(k2):
-            if parent2[j] in cousins:
-                best = j
+    # row x: the old classes that descend from the birth class of x's label.
+    # The nephew of x is the first new class whose parent lies in row x, and
+    # the uncles of j are the old classes whose nephew is j.  j inherits the
+    # label of its minimal uncle, whose heir it is, and its cousins are the
+    # classes whose parent lies in the row of any of its uncles.
+    rows = [set() for _ in m.classes]
+    for x, b in m.cousin:
+        rows[x].add(b)
+    uncle: dict[int, int] = {}  # heir -> its minimal uncle
+    reach = [set() for _ in classes2]
+    for x, row in enumerate(rows):
+        for j, p in enumerate(parent2):
+            if p in row:
+                uncle.setdefault(j, x)
+                reach[j] |= row
                 break
-        neph.append(best)
-    uncles: list[list[int]] = [[] for _ in range(k2)]
-    for a_idx, j in enumerate(neph):
-        if j is not None:
-            uncles[j].append(a_idx)
-
-    # labels: inherit from the minimal uncle, else draw fresh ones in rank
-    # order from the labels the current macrostate leaves free
-    labels2: list = [None] * k2
-    for j in range(k2):
-        if uncles[j]:
-            labels2[j] = m.labels[uncles[j][0]]
     free = sorted(set(range(2 * a.n + 1)) - set(m.labels))
-    fresh = [j for j in range(k2) if not uncles[j]]
-    if len(fresh) > len(free):
+    if len(classes2) - len(uncle) > len(free):
         raise AssertionError("free-label pool exhausted; state count is wrong")
-    for pos, j in enumerate(fresh):
-        labels2[j] = free[pos]
-
-    pairs = {(j, j) for j in range(k2)}
-    for j in range(k2):
-        for j2 in range(k2):
-            if j2 != j and any((u, parent2[j2]) in cousin for u in uncles[j]):
-                pairs.add((j, j2))
-
-    # label events: a surviving label is good when its class turned accepting
-    # or moved off its old branch; a vanished label is bad
-    at2 = {lab: j for j, lab in enumerate(labels2)}
-    good = set()
-    bad = set()
-    for a_idx in range(k):
-        lab = m.labels[a_idx]
-        j = at2.get(lab)
-        if j is None:
-            bad.add(lab)
-        elif parent2[j] != a_idx or f2[j] == 1:
-            good.add(lab)
-    return Macrostate(classes2, tuple(labels2), frozenset(pairs),
-                      frozenset(good), frozenset(bad))
+    fresh = iter(free)  # drawn in rank order
+    labels2 = tuple(m.labels[uncle[j]] if j in uncle else next(fresh)
+                    for j in range(len(classes2)))
+    pairs = frozenset((j, j2) for j, row in enumerate(reach)
+                      for j2, p in enumerate(parent2) if j2 == j or p in row)
+    # good: labels whose heir changed parent or turned accepting; bad: labels
+    # that vanished
+    good = frozenset(m.labels[x] for j, x in uncle.items() if parent2[j] != x or f2[j])
+    return Macrostate(classes2, labels2, pairs, good,
+                      frozenset(m.labels) - frozenset(labels2))
 
 
 def sigma_successor(a: NBW, m: Macrostate, symbol: str) -> Macrostate:
@@ -172,10 +150,12 @@ def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:
     for x in range(k):
         if (x, x) not in m.cousin:
             out.append(f"cousin relation misses reflexive pair ({x},{x})")
+    rows: dict[int, set] = {}
     for x, y in m.cousin:
-        for y2, z in m.cousin:
-            if y == y2 and (x, z) not in m.cousin:
-                out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
+        rows.setdefault(x, set()).add(y)
+    for x, y in m.cousin:
+        for z in sorted(rows.get(y, set()) - rows[x]):
+            out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
     for lab in m.good | m.bad:
         if not 0 <= lab <= 2 * a.n:
             out.append(f"event label {lab} outside the pool")

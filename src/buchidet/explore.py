@@ -21,6 +21,8 @@ def explore(initial: T, step: Callable[[T, int], T], n_symbols: int,
     order) defines their indices, so the result is deterministic.  Returns
     the state list and the dense transition table.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be at least 1")
     states: list[T] = [initial]
     index: dict[T, int] = {initial: 0}
     table: list[list[int]] = []

@@ -40,14 +40,16 @@ class GenSpec:
             raise ValueError("accepting_fraction must be in [0, 1]")
 
 
+def _alphabet(size: int) -> list[str]:
+    return [string.ascii_lowercase[i] if i < 26 else f"x{i}" for i in range(size)]
+
+
 def gen_nbw(spec: GenSpec) -> NBW:
     """Seeded random NBW: state s0 is initial, every transition is drawn
     independently with the given density, and accepting states are sampled
     from the non-initial states only."""
     rng = random.Random(spec.seed)
     states = [f"s{i}" for i in range(spec.n_states)]
-    alphabet = [string.ascii_lowercase[i] if i < 26 else f"x{i}"
-                for i in range(spec.alphabet_size)]
     edges = []
     for q in range(spec.n_states):
         for s in range(spec.alphabet_size):
@@ -56,7 +58,7 @@ def gen_nbw(spec: GenSpec) -> NBW:
                     edges.append((q, s, q2))
     accepting = [q for q in range(1, spec.n_states)
                  if rng.random() < spec.accepting_fraction]
-    return NBW(alphabet, states, [0], accepting, edges)
+    return NBW(_alphabet(spec.alphabet_size), states, [0], accepting, edges)
 
 
 def _words(alphabet, lengths):
@@ -188,20 +190,19 @@ class AutomatonCheck:
     safra_states: int = 0
 
 
-def check_automaton(a: NBW, max_u: int, max_v: int, max_states: int = 10 ** 6,
-                    drw_profile=None, drw_safra=None) -> AutomatonCheck:
-    """Compare the NBW oracle with both determinizations on all bounded lassos.
+def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
+                    drw_profile=None) -> AutomatonCheck:
+    """Compare the NBW oracle with both determinizations on the given lassos.
 
-    Prebuilt DRWs may be injected, which is also the corruption hook used by
-    the mutation tests.  Every explored construction state is validated.
+    A prebuilt profile DRW may be injected, which is also the corruption hook
+    used by the mutation tests.  Every explored construction state is
+    validated.
     """
     res = AutomatonCheck()
-    lassos = enumerate_lassos(a.alphabet, max_u, max_v)
     try:
         if drw_profile is None:
             drw_profile = determinize_profile(a, max_states)
-        if drw_safra is None:
-            drw_safra = determinize_safra(a, max_states)
+        drw_safra = determinize_safra(a, max_states)
     except StateLimitExceeded as err:
         res.violations.append(f"determinization aborted: {err}")
         return res
@@ -277,13 +278,14 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
         "max_u": max_u, "max_v": max_v,
         "max_states": max_states, "sweep_depth": sweep_depth,
     })
+    lassos = enumerate_lassos(_alphabet(spec.alphabet_size), max_u, max_v)
     for i in range(count):
         sub = replace(spec, seed=spec.seed + i)
         aut = normalize(gen_nbw(sub))
         report.automata += 1
         for msg in sweep_invariants(aut, sweep_depth):
             report.violations.append(f"seed={sub.seed}: {msg}")
-        chk = check_automaton(aut, max_u, max_v, max_states)
+        chk = check_automaton(aut, lassos, max_states)
         report.lassos += chk.lassos
         report.max_profile_states = max(report.max_profile_states, chk.profile_states)
         report.max_safra_states = max(report.max_safra_states, chk.safra_states)

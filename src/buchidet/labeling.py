@@ -7,12 +7,14 @@ pool ``{0..2n}`` and drives the Rabin condition: a label is *good* at a level
 when the class carrying it entered an accepting class or jumped branches, and
 *bad* when it fell out of use.
 
-Both labelings are computed level-locally: each level needs only its
-predecessor level together with the cousin relation, which records which
-classes descend from the class where each label was born.
+Both labelings are computed level-locally from the predecessor level and its
+cousin rows: row x holds the classes that descend from the birth class of x's
+label, a class inherits both labels from its minimal uncle, whose heir it is,
+and the events follow from the heirs.
 """
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from .run_dag import ProfileLevel
@@ -45,80 +47,63 @@ def initial_labeled(level0: ProfileLevel) -> LabeledLevel:
                         frozenset(), frozenset(), frozenset(), 1)
 
 
+def _cousin_rows(ll: LabeledLevel) -> list[set]:
+    rows = [set() for _ in ll.base.classes]
+    for x, b in ll.cousin:
+        rows[x].add(b)
+    return rows
+
+
+def _nephews(rows: list[set], level: ProfileLevel) -> tuple:
+    return tuple(next((j for j, p in enumerate(level.parents) if p in row), None)
+                 for row in rows)
+
+
 def lsf_classes(prev: LabeledLevel, level: ProfileLevel) -> tuple:
-    """For each class of the previous level, the minimal next-level class
-    among children of its cousins; None when all of them died out."""
-    k = len(level.classes)
-    out = []
-    for a in range(len(prev.base.classes)):
-        cousins = {b for (x, b) in prev.cousin if x == a}
-        js = [j for j in range(k) if level.parents[j] in cousins]
-        out.append(min(js) if js else None)
-    return tuple(out)
+    """For each class x of the previous level, its nephew: the minimal
+    next-level class whose parent lies in cousin row x; None when every class
+    of the row died out."""
+    return _nephews(_cousin_rows(prev), level)
 
 
 def lpf_classes(prev: LabeledLevel, level: ProfileLevel) -> tuple:
     """Inverse of :func:`lsf_classes`: per new class, its sorted uncle ranks."""
     uncles: list[list[int]] = [[] for _ in level.classes]
-    for a, j in enumerate(lsf_classes(prev, level)):
+    for x, j in enumerate(lsf_classes(prev, level)):
         if j is not None:
-            uncles[j].append(a)
+            uncles[j].append(x)
     return tuple(tuple(u) for u in uncles)
 
 
 def next_labeled(prev: LabeledLevel, level: ProfileLevel, n_states: int) -> LabeledLevel:
     """Label one more level from its predecessor.
 
-    A class with uncles inherits both labels of its minimal uncle; the rest
-    get fresh labels in rank order, global ones from the watermark and
-    bounded ones from the pool left free by the previous level.
+    A class inherits both labels of its minimal uncle, whose heir it is, and
+    its cousins are the classes whose parent lies in that uncle's row.  The
+    other classes get fresh labels in rank order, global ones from the
+    watermark and bounded ones from the pool left free by the previous level.
     """
+    rows = _cousin_rows(prev)
+    uncle: dict[int, int] = {}  # heir -> its minimal uncle
+    for x, j in enumerate(_nephews(rows, level)):
+        if j is not None:
+            uncle.setdefault(j, x)
     k = len(level.classes)
-    uncles = lpf_classes(prev, level)
-    gl: list = [None] * k
-    lbl: list = [None] * k
-    watermark = prev.gl_watermark
-    fresh = []
-    for j in range(k):
-        if uncles[j]:
-            a = uncles[j][0]
-            gl[j] = prev.gl[a]
-            lbl[j] = prev.lbl[a]
-        else:
-            gl[j] = watermark
-            watermark += 1
-            fresh.append(j)
-    pool = set(range(2 * n_states + 1)) - set(prev.lbl)
-    if len(fresh) > len(pool):
+    pool = sorted(set(range(2 * n_states + 1)) - set(prev.lbl))
+    if k - len(uncle) > len(pool):
         raise AssertionError("free-label pool exhausted; state count is wrong")
-    for j, m in zip(fresh, sorted(pool)):
-        lbl[j] = m
-
-    prev_gl_at = {m: a for a, m in enumerate(prev.gl)}
-    pairs = {(j, j) for j in range(k)}
-    for j in range(k):
-        a = prev_gl_at.get(gl[j])
-        if a is None:
-            continue
-        for j2 in range(k):
-            if j2 != j and (a, level.parents[j2]) in prev.cousin:
-                pairs.add((j, j2))
-
-    gl_at = {m: j for j, m in enumerate(gl)}
-    lbl_at = {m: j for j, m in enumerate(lbl)}
-    successful = set()
-    good = set()
-    for a in range(len(prev.base.classes)):
-        j = gl_at.get(prev.gl[a])
-        if j is not None and (level.parents[j] != a or level.f_class[j] == 1):
-            successful.add(prev.gl[a])
-        j = lbl_at.get(prev.lbl[a])
-        if j is not None and (level.parents[j] != a or level.f_class[j] == 1):
-            good.add(prev.lbl[a])
-    bad = set(prev.lbl) - set(lbl)
-    return LabeledLevel(level, tuple(gl), tuple(lbl), frozenset(pairs),
-                        frozenset(good), frozenset(bad), frozenset(successful),
-                        watermark)
+    fresh_gl, fresh_lbl = count(prev.gl_watermark), iter(pool)
+    gl = tuple(prev.gl[uncle[j]] if j in uncle else next(fresh_gl) for j in range(k))
+    lbl = tuple(prev.lbl[uncle[j]] if j in uncle else next(fresh_lbl) for j in range(k))
+    pairs = {(j, j2) for j in range(k) for j2, p in enumerate(level.parents)
+             if j2 == j or (j in uncle and p in rows[uncle[j]])}
+    moved = [x for j, x in uncle.items()
+             if level.parents[j] != x or level.f_class[j] == 1]
+    return LabeledLevel(level, gl, lbl, frozenset(pairs),
+                        frozenset(prev.lbl[x] for x in moved),
+                        frozenset(prev.lbl) - frozenset(lbl),
+                        frozenset(prev.gl[x] for x in moved),
+                        prev.gl_watermark + k - len(uncle))
 
 
 def label_levels(levels: Sequence[ProfileLevel], n_states: int) -> list[LabeledLevel]:

@@ -71,6 +71,16 @@ def test_determinize_state_cap_exit_code(two_state_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_determinize_max_states_below_one_is_usage_error(tmp_path, capsys):
+    path, out = tmp_path / "loop.nbw", tmp_path / "loop.drw"
+    path.write_text("nbw\nalphabet: a\nstates: q\ninitial: q\naccepting:\n"
+                    "trans: q a q\n", encoding="utf-8")
+    assert main(["determinize", "--in", str(path), "--out", str(out),
+                 "--max-states", "0"]) == 2
+    assert "max_states must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_member_accept_and_reject(two_state_file, capsys):
     assert main(["member", "--in", two_state_file, "--word", "a;b"]) == 0
     assert capsys.readouterr().out == "accept\n"
@@ -194,13 +204,22 @@ def test_check_failure_exit_code(capsys):
     assert capsys.readouterr().out.endswith("FAIL\n")
 
 
-@pytest.mark.parametrize("flag, name", [("--max-u", "max_u"),
-                                        ("--sweep-depth", "depth")])
-def test_check_negative_bound_is_usage_error(flag, name, capsys):
-    assert main(["check", "--count", "1", flag, "-1"]) == 2
+@pytest.mark.parametrize("flag, value", [("--max-u", "-1"), ("--max-v", "0"),
+                                         ("--sweep-depth", "-1")])
+def test_check_negative_bound_is_usage_error(flag, value, capsys):
+    assert main(["check", "--count", "1", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert name in captured.err
+    assert captured.err.startswith(f"error: {flag} must be at least ")
+
+
+def test_check_max_states_below_one_is_usage_error(capsys):
+    assert main(["check", "--count", "1", "--max-states", "-3", "--states", "1",
+                 "--density", "1", "--acc", "0", "--max-u", "0", "--max-v", "1",
+                 "--sweep-depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_states must be at least 1" in captured.err
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

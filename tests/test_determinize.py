@@ -1,3 +1,7 @@
+import ast
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from buchidet import (Lasso, NBW, drw_run_eval, format_drw, label_levels,
@@ -8,6 +12,7 @@ from buchidet.determinize import (Macrostate, determinize_profile,
 from buchidet.explore import StateLimitExceeded
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.run_dag import initial_level, step_level
+from buchidet.safra import determinize_safra
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -209,3 +214,44 @@ def test_rabin_pairs_indexed_by_label(two_state):
         assert g  # empty-G pairs are dropped
     labels_good = {m for st in drw.payloads for m in st.good}
     assert len(drw.acceptance) == len(labels_good)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_whole_drw_golden_digest():
+    """Pins both DRWs of one 8-state automaton byte for byte, and the profile
+    macrostates field by field, so a change in state identity (a different
+    cousin set, say) shows even where the language stays the same."""
+    a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
+    profile, safra = determinize_profile(a), determinize_safra(a)
+    assert (len(profile.states), len(safra.states)) == (2460, 23)
+    assert _sha256(format_drw(profile)) == \
+        "671a20f5acdf09144b91e8c4800c20c9e1f0df4c2fa2604f2b25c3315a22f310"
+    assert _sha256(format_drw(safra)) == \
+        "a8b1827600c9c8992f289185ea30d02742847e6bebe83aaf1846fdbf54299b18"
+    fields = "".join(repr((m.classes, m.labels, sorted(m.cousin), sorted(m.good),
+                           sorted(m.bad))) for m in profile.payloads)
+    assert _sha256(fields) == \
+        "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
+
+
+def _imported_modules(name: str) -> set:
+    path = Path(__file__).parents[1] / "src" / "buchidet" / f"{name}.py"
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add((node.module or "").rsplit(".", 1)[-1])
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_macrostate_and_level_views_stay_independent():
+    """The sweep compares the macrostate step with the run-DAG and labeling
+    step; that check only means something while neither uses the other."""
+    assert not _imported_modules("determinize") & {"labeling", "run_dag"}
+    assert "determinize" not in _imported_modules("labeling")
+    assert "determinize" not in _imported_modules("run_dag")

@@ -70,14 +70,16 @@ def test_enumerate_lassos_counts():
     assert len(enumerate_lassos(["a", "b"], 3, 4)) == 15 * 30
 
 
-def test_enumerate_lassos_rejects_negative_bounds(two_state):
+def test_enumerate_lassos_rejects_negative_bounds():
     with pytest.raises(ValueError, match="max_u"):
         enumerate_lassos(["a"], -1, 1)
     with pytest.raises(ValueError, match="max_v"):
         enumerate_lassos(["a"], 0, 0)
-    # bounds are checked before determinizing, which would hit the cap here
+    # cross_check rejects bad bounds before any work: the sweep would raise
+    # on its depth, and determinizing would hit the cap
     with pytest.raises(ValueError, match="max_u"):
-        check_automaton(two_state, -1, 4, max_states=1)
+        cross_check(GenSpec(3, 2, 0.5, 0.3, 0), -1, 4, 1, max_states=1,
+                    sweep_depth=-1)
 
 
 def test_enumerate_lassos_stable_order():
@@ -98,7 +100,7 @@ def test_sweep_rejects_negative_depth(two_state):
 
 
 def test_check_automaton_fig(two_state):
-    res = check_automaton(two_state, 3, 4)
+    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4))
     assert res.disagreements == []
     assert res.violations == []
     assert res.lassos == 450
@@ -113,7 +115,8 @@ def test_check_detects_corrupted_determinization(two_state):
     swapped = DRW(drw.alphabet, drw.states, drw.initial, drw.trans,
                   RabinCondition(tuple((b, g) for g, b in drw.acceptance)),
                   drw.payloads)
-    res = check_automaton(two_state, 3, 4, drw_profile=swapped)
+    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
+                          drw_profile=swapped)
     assert res.disagreements
 
 
