@@ -64,7 +64,7 @@ class NBW:
     """
 
     __slots__ = ("alphabet", "states", "initial", "accepting", "edges",
-                 "_sym_id", "_state_id", "_succ", "_pred", "_acc", "_masks")
+                 "_sym_id", "_succ", "_pred", "_acc", "_masks")
 
     def __init__(self, alphabet, states, initial, accepting, edges):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
@@ -88,7 +88,6 @@ class NBW:
             if not (0 <= src < n and 0 <= dst < n and 0 <= sym < k):
                 raise ValueError(f"transition ({src},{sym},{dst}) out of range")
         self._sym_id = {s: i for i, s in enumerate(self.alphabet)}
-        self._state_id = {s: i for i, s in enumerate(self.states)}
         succ = [[[] for _ in range(k)] for _ in range(n)]
         pred = [[[] for _ in range(k)] for _ in range(n)]
         for src, sym, dst in self.edges:

@@ -38,6 +38,8 @@ def _read_nbw(path: str):
 
 
 def _cmd_determinize(args) -> int:
+    if args.max_states < 1:
+        raise ValueError("--max-states must be at least 1")
     aut = _read_nbw(args.infile)
     if args.method == "profile":
         drw = determinize_profile(aut, args.max_states)
@@ -95,7 +97,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     bounds = (("--count", args.count, 1), ("--max-u", args.max_u, 0),
-              ("--max-v", args.max_v, 1), ("--sweep-depth", args.sweep_depth, 0))
+              ("--max-v", args.max_v, 1), ("--max-states", args.max_states, 1),
+              ("--sweep-depth", args.sweep_depth, 0))
     for flag, value, low in bounds:
         if value < low:
             raise ValueError(f"{flag} must be at least {low}")

@@ -9,12 +9,13 @@ lassos is evidence, not proof; every report records the bounds it used.
 import random
 import string
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .automata import NBW, Lasso, drw_run_eval, format_nbw, nbw_member, normalize
 from .determinize import determinize_profile, initial_macrostate, sigma_successor, \
     validate_macrostate
 from .explore import StateLimitExceeded
-from .labeling import initial_labeled, lsf_classes, next_labeled
+from .labeling import initial_labeled, next_labeled
 from .run_dag import check_level_invariants, initial_level, step_level
 from .safra import determinize_safra, validate_safra_tree
 
@@ -61,14 +62,6 @@ def gen_nbw(spec: GenSpec) -> NBW:
     return NBW(_alphabet(spec.alphabet_size), states, [0], accepting, edges)
 
 
-def _words(alphabet, lengths):
-    for length in lengths:
-        stack = [()]
-        for _ in range(length):
-            stack = [w + (s,) for w in stack for s in alphabet]
-        yield from stack
-
-
 def enumerate_lassos(alphabet, max_u: int, max_v: int) -> list[Lasso]:
     """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first."""
     if max_u < 0:
@@ -76,8 +69,8 @@ def enumerate_lassos(alphabet, max_u: int, max_v: int) -> list[Lasso]:
     if max_v < 1:
         raise ValueError("max_v must be at least 1")
     syms = tuple(alphabet)
-    prefixes = list(_words(syms, range(max_u + 1)))
-    periods = list(_words(syms, range(1, max_v + 1)))
+    prefixes = [w for n in range(max_u + 1) for w in product(syms, repeat=n)]
+    periods = [w for n in range(1, max_v + 1) for w in product(syms, repeat=n)]
     return [Lasso(u, v) for u in prefixes for v in periods]
 
 
@@ -88,11 +81,13 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
     """Walk every word up to `depth` and cross-check all three views.
 
     Along each word the run-DAG levels, the labeled levels, and the
-    macrostate sequence are extended in lockstep.  The sweep checks the level
-    structure, the label laws (per-level injectivity, persistence, the
-    nephew shortcut against a brute-force descendant walk, the empty-labels
-    equivalence), and that the macrostate equals the independently computed
-    level view, field by field.
+    macrostate sequence are extended in lockstep, together with an explicit
+    walk of the classes descending from each label's birth class.  The sweep
+    checks the level structure, the label laws (per-level injectivity,
+    persistence, each inherited label on the minimal class of its walk, the
+    empty-labels equivalence), the whole cousin order against the walk, and
+    that the macrostate equals the independently computed level view, field
+    by field.
     """
     if depth < 0:
         raise ValueError("sweep depth must be at least 0")
@@ -144,24 +139,27 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
             for g in lab2.gl:
                 if g < lab.gl_watermark and g not in lab.gl:
                     note(word2, f"label {g} reappeared after vanishing")
-            # nephew shortcut vs the explicit descendant walk
-            lsf = lsf_classes(lab, pl2)
-            for a_idx, g in enumerate(lab.gl):
-                ranks = desc2.get(g, frozenset())
-                expect = min(ranks) if ranks else None
-                if lsf[a_idx] != expect:
-                    note(word2, f"nephew of class {a_idx} is {lsf[a_idx]}, "
-                                f"descendant walk says {expect}")
-            # a class has valid labels iff it has uncles
+            # an inherited label sits on the minimal class of its walk
+            for j, g in enumerate(lab2.gl):
+                lowest = min(desc2.get(g, ()), default=None)
+                if g < lab.gl_watermark and lowest != j:
+                    note(word2, f"label {g} sits on class {j}, descendant walk "
+                                f"says {lowest}")
+            # a class has inherited labels iff it is some walk's minimum
             lmd_hits = {min(r) for r in desc2.values() if r}
-            uncle_hits = {j for j in lsf if j is not None}
-            if lmd_hits != uncle_hits:
+            inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
+            if lmd_hits != inherited:
                 note(word2, f"label-carrying classes {sorted(lmd_hits)} != "
-                            f"uncle-backed classes {sorted(uncle_hits)}")
+                            f"classes with inherited labels {sorted(inherited)}")
 
             for g in lab2.gl:
                 if g >= lab.gl_watermark:
                     desc2[g] = frozenset({lab2.gl.index(g)})
+            # the whole cousin order is the descendant walk of each label
+            walk = {(j, b) for j, g in enumerate(lab2.gl) for b in desc2.get(g, ())}
+            if walk != lab2.cousin:
+                note(word2, f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
+                            "from the descendant walk")
 
             compare(word2, pl2, lab2, m2)
             levels2 = levels + [pl2]

@@ -47,45 +47,22 @@ def initial_labeled(level0: ProfileLevel) -> LabeledLevel:
                         frozenset(), frozenset(), frozenset(), 1)
 
 
-def _cousin_rows(ll: LabeledLevel) -> list[set]:
-    rows = [set() for _ in ll.base.classes]
-    for x, b in ll.cousin:
-        rows[x].add(b)
-    return rows
-
-
-def _nephews(rows: list[set], level: ProfileLevel) -> tuple:
-    return tuple(next((j for j, p in enumerate(level.parents) if p in row), None)
-                 for row in rows)
-
-
-def lsf_classes(prev: LabeledLevel, level: ProfileLevel) -> tuple:
-    """For each class x of the previous level, its nephew: the minimal
-    next-level class whose parent lies in cousin row x; None when every class
-    of the row died out."""
-    return _nephews(_cousin_rows(prev), level)
-
-
-def lpf_classes(prev: LabeledLevel, level: ProfileLevel) -> tuple:
-    """Inverse of :func:`lsf_classes`: per new class, its sorted uncle ranks."""
-    uncles: list[list[int]] = [[] for _ in level.classes]
-    for x, j in enumerate(lsf_classes(prev, level)):
-        if j is not None:
-            uncles[j].append(x)
-    return tuple(tuple(u) for u in uncles)
-
-
 def next_labeled(prev: LabeledLevel, level: ProfileLevel, n_states: int) -> LabeledLevel:
     """Label one more level from its predecessor.
 
-    A class inherits both labels of its minimal uncle, whose heir it is, and
-    its cousins are the classes whose parent lies in that uncle's row.  The
-    other classes get fresh labels in rank order, global ones from the
-    watermark and bounded ones from the pool left free by the previous level.
+    The nephew of an old class x is the first new class whose parent lies in
+    row x; x is an uncle of its nephew.  A class inherits both labels of its
+    minimal uncle, whose heir it is, and its cousins are the classes whose
+    parent lies in that uncle's row.  The other classes get fresh labels in
+    rank order, global ones from the watermark and bounded ones from the pool
+    left free by the previous level.
     """
-    rows = _cousin_rows(prev)
+    rows = [set() for _ in prev.base.classes]
+    for x, b in prev.cousin:
+        rows[x].add(b)
     uncle: dict[int, int] = {}  # heir -> its minimal uncle
-    for x, j in enumerate(_nephews(rows, level)):
+    for x, row in enumerate(rows):
+        j = next((j for j, p in enumerate(level.parents) if p in row), None)
         if j is not None:
             uncle.setdefault(j, x)
     k = len(level.classes)

@@ -77,7 +77,7 @@ def test_determinize_max_states_below_one_is_usage_error(tmp_path, capsys):
                     "trans: q a q\n", encoding="utf-8")
     assert main(["determinize", "--in", str(path), "--out", str(out),
                  "--max-states", "0"]) == 2
-    assert "max_states must be at least 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --max-states must be at least 1")
     assert not out.exists()
 
 
@@ -219,7 +219,16 @@ def test_check_max_states_below_one_is_usage_error(capsys):
                  "--sweep-depth", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "max_states must be at least 1" in captured.err
+    assert captured.err.startswith("error: --max-states must be at least 1")
+
+
+def test_check_rejects_max_states_before_any_work(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("cross_check ran before the bound was checked")
+
+    monkeypatch.setattr("buchidet.cli.cross_check", fail)
+    assert main(["check", "--count", "1", "--max-states", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --max-states must be at least 1")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -237,15 +237,32 @@ def test_whole_drw_golden_digest():
         "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
 
 
-def _imported_modules(name: str) -> set:
+def _parse(name: str) -> ast.AST:
     path = Path(__file__).parents[1] / "src" / "buchidet" / f"{name}.py"
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imported_modules(name: str) -> set:
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(_parse(name)):
         if isinstance(node, ast.Import):
             out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             out.add((node.module or "").rsplit(".", 1)[-1])
             out.update(alias.name for alias in node.names)
+    return out
+
+
+def _imported_from(name: str, module: str) -> set:
+    """Names `name` imports from `module`; importing the module itself is `*`."""
+    out = set()
+    for node in ast.walk(_parse(name)):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").rsplit(".", 1)[-1] == module:
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update("*" for alias in node.names
+                       if alias.name.rsplit(".", 1)[-1] == module)
     return out
 
 
@@ -255,3 +272,7 @@ def test_macrostate_and_level_views_stay_independent():
     assert not _imported_modules("determinize") & {"labeling", "run_dag"}
     assert "determinize" not in _imported_modules("labeling")
     assert "determinize" not in _imported_modules("run_dag")
+    # the sweep checks the label step against its own descendant walk, so it
+    # takes nothing else from labeling
+    assert _imported_from("harness", "labeling") <= {"initial_labeled",
+                                                     "next_labeled"}

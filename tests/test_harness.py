@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -97,6 +98,27 @@ def test_sweep_rejects_negative_depth(two_state):
     assert sweep_invariants(two_state, 0) == []
     with pytest.raises(ValueError, match="depth"):
         sweep_invariants(two_state, -1)
+
+
+def test_sweep_flags_consistent_cousin_corruption(two_state, monkeypatch):
+    """Negative control: both views cut the cousin order to its reflexive
+    pairs in the same way, so only the descendant walk can notice."""
+    from buchidet import harness
+
+    def reflexive(step):
+        def cut(*args):
+            out = step(*args)
+            return replace(out, cousin=frozenset((x, y) for x, y in out.cousin
+                                                 if x == y))
+        return cut
+
+    monkeypatch.setattr(harness, "next_labeled", reflexive(harness.next_labeled))
+    monkeypatch.setattr(harness, "sigma_successor",
+                        reflexive(harness.sigma_successor))
+    out = sweep_invariants(two_state, 3)
+    assert any(msg.startswith("word=a: ") and "descendant walk" in msg
+               for msg in out)
+    assert not any("macrostate cousin order" in msg for msg in out)
 
 
 def test_check_automaton_fig(two_state):

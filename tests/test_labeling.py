@@ -3,8 +3,7 @@ import pytest
 from buchidet import label_levels, labels_of_class, normalize, profile_tree
 from buchidet.determinize import Macrostate, validate_macrostate
 from buchidet.harness import GenSpec, gen_nbw
-from buchidet.labeling import descendant_ranks, first_classes, initial_labeled, \
-    lpf_classes, lsf_classes
+from buchidet.labeling import descendant_ranks, first_classes, initial_labeled
 
 
 def fig_labeled(two_state, word=("a", "b", "b")):
@@ -99,19 +98,19 @@ def test_label_laws_on_random_corpus():
 
 
 def test_nephew_shortcut_matches_descendant_walk():
-    """The level-local nephew computation equals the explicit minimal
-    descendant from the stored tree, for every label in use."""
+    """Every label's full cousin row equals the explicit descendant walk from
+    its birth class over the stored tree, and the label sits on the row's
+    minimum."""
     for aut in _corpus(count=15):
         for word in [("a", "b", "a", "b", "a", "b", "a", "b"),
                      ("b", "b", "a", "a", "b", "a", "b", "b")]:
             levels = profile_tree(aut, word)
             lab = label_levels(levels, aut.n)
-            for i in range(len(lab) - 1):
-                lsf = lsf_classes(lab[i], levels[i + 1])
-                for a_idx, m in enumerate(lab[i].gl):
-                    ranks = descendant_ranks(lab, m, i + 1)
-                    expect = min(ranks) if ranks else None
-                    assert lsf[a_idx] == expect
+            for i, ll in enumerate(lab):
+                for j, m in enumerate(ll.gl):
+                    ranks = descendant_ranks(lab, m, i)
+                    assert {b for x, b in ll.cousin if x == j} == ranks
+                    assert min(ranks) == j
 
 
 def test_empty_labels_iff_no_uncles():
@@ -121,10 +120,8 @@ def test_empty_labels_iff_no_uncles():
             levels = profile_tree(aut, word)
             lab = label_levels(levels, aut.n)
             for i in range(1, len(lab)):
-                uncles = lpf_classes(lab[i - 1], levels[i])
-                for j in range(len(levels[i].classes)):
-                    has_labels = bool(labels_of_class(lab, i, j))
-                    assert has_labels == bool(uncles[j])
+                for j, m in enumerate(lab[i].gl):
+                    assert bool(labels_of_class(lab, i, j)) == (m in lab[i - 1].gl)
 
 
 def test_bounded_and_global_labels_partition_alike():
