@@ -535,8 +535,9 @@ def parse_drw(text: str) -> DRW:
         if len(rest) != 3:
             raise ParseError("trans expects exactly: source symbol target", lineno)
         src, sym, dst = rest
-        if src not in sid or dst not in sid:
-            raise ParseError(f"undeclared state in transition", lineno)
+        for name in (src, dst):
+            if name not in sid:
+                raise ParseError(f"undeclared state {name!r}", lineno)
         if sym not in aid:
             raise ParseError(f"undeclared symbol {sym!r}", lineno)
         if table[sid[src]][aid[sym]] is not None:

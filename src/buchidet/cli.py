@@ -59,10 +59,10 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    aut = _read_nbw(args.infile)
-    word = Lasso.parse(args.word)
     if args.levels < 1:
         raise ValueError("--levels must be at least 1")
+    aut = _read_nbw(args.infile)
+    word = Lasso.parse(args.word)
     prefix = word.unroll(args.levels - 1)
     levels = profile_tree(aut, prefix)
     labeled = label_levels(levels, aut.n) if args.labels else None

@@ -128,9 +128,10 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
             lab2 = next_labeled(lab, pl2, a.n)
             m2 = sigma_successor(a, m, symbol)
             k2 = len(pl2.classes)
-            desc2 = {lab_id: frozenset(j for j in range(k2)
-                                       if pl2.parents[j] in ranks)
-                     for lab_id, ranks in desc.items()}
+            # a label's walk that has emptied stays empty: drop its entry
+            desc2 = {lab_id: row for lab_id, ranks in desc.items()
+                     if (row := frozenset(j for j in range(k2)
+                                          if pl2.parents[j] in ranks))}
 
             # per-level injectivity of the global labeling
             if len(set(lab2.gl)) != len(lab2.gl):
@@ -146,7 +147,7 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
                     note(word2, f"label {g} sits on class {j}, descendant walk "
                                 f"says {lowest}")
             # a class has inherited labels iff it is some walk's minimum
-            lmd_hits = {min(r) for r in desc2.values() if r}
+            lmd_hits = {min(r) for r in desc2.values()}
             inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
             if lmd_hits != inherited:
                 note(word2, f"label-carrying classes {sorted(lmd_hits)} != "

@@ -4,6 +4,11 @@ A state of the determinized automaton is a tree of state sets: every node's
 label strictly contains the union of its children's labels, sibling labels
 are disjoint, and siblings are ordered by age.  Node names come from the
 fixed pool {0..n-1}; the good/bad name marks feed the Rabin condition.
+
+One step is one recursive pass from the root: each child, oldest first,
+keeps its image minus what older siblings took, the accepting states left
+over sprout as a youngest child, and a node whose children cover its states
+sheds them and turns good.  Sprouts then take the smallest free names.
 """
 
 from dataclasses import dataclass
@@ -44,92 +49,54 @@ def safra_initial(a: NBW) -> SafraTree:
 
 
 def _successor(a: NBW, t: SafraTree, sym: int) -> SafraTree:
+    """`grow(v, states)` builds v's subtree from v's image less what older
+    siblings of v and of its ancestors took: child c keeps succ(label_c) &
+    states - seen, empty children drop out, `states & Acc - seen` sprouts
+    unnamed as the youngest child, and a node its children cover sheds them
+    ungrown and turns good.  A preorder walk gives the sprouts the smallest
+    free names; every name not kept, fresh ones included, is bad."""
     n = a.n
-    if t.root is None:
+    old_kids, old_labels = dict(t.children), dict(t.labels)
+    states = a.succ_set(old_labels[t.root], sym) if t.root is not None else None
+    if not states:
         # dead tree: nothing grows, every name stays bad
         return _pack(None, {}, {}, (), range(n))
-    kids = {v: list(c) for v, c in t.children}
-    labels = {v: a.succ_set(lab, sym) for v, lab in t.labels}
+    good, kept = set(), set()
 
-    # sprout: each node whose label meets the accepting set gets a youngest
-    # child holding exactly that intersection; temporary names start at n
-    acc = a._acc
-    temp = n
-    for v in sorted(kids):
-        hit = labels[v] & acc
-        if hit:
-            kids[v].append(temp)
-            kids[temp] = []
-            labels[temp] = set(hit)
-            temp += 1
-
-    def drop_states(v, states):
-        labels[v] -= states
-        for c in kids[v]:
-            drop_states(c, states)
-
-    # horizontal merge: a state stays with the oldest sibling that tracks it
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        seen: set[int] = set()
-        for c in kids[v]:
-            dup = labels[c] & seen
-            if dup:
-                drop_states(c, dup)
-            seen |= labels[c]
-            stack.append(c)
-
-    # drop empty nodes (emptiness is inherited downward)
-    def prune(v):
-        kids[v] = [c for c in kids[v] if labels[c]]
-        for c in kids[v]:
-            prune(c)
-
-    def _subtree(v):
-        out = [v]
-        for c in kids[v]:
-            out.extend(_subtree(c))
-        return out
-
-    if not labels[t.root]:
-        return _pack(None, {}, {}, (), range(n))
-    prune(t.root)
-    live = set(_subtree(t.root))
-    kids = {v: kids[v] for v in live}
-    labels = {v: labels[v] for v in live}
-
-    # vertical merge, root first: a node fully covered by its children sheds
-    # them and turns good; a shed node is never itself marked good
-    good: set[int] = set()
-
-    def merge(v):
-        if kids[v] and labels[v] == set().union(*(labels[c] for c in kids[v])):
-            for c in list(kids[v]):
-                for x in _subtree(c):
-                    del labels[x], kids[x]
-            kids[v] = []
+    def grow(v, states):
+        kept.add(v)
+        parts, seen = [], set()
+        for c in old_kids[v]:
+            mine = a.succ_set(old_labels[c], sym) & states - seen
+            if mine:
+                parts.append((c, mine))
+                seen |= mine
+        sprout = states & a._acc - seen
+        if sprout:
+            parts.append((None, sprout))
+            seen |= sprout
+        if parts and seen == states:
             good.add(v)
-        else:
-            for c in kids[v]:
-                merge(c)
+            return v, states, []
+        return v, states, [(None, s, []) if c is None else grow(c, s)
+                           for c, s in parts]
 
-    merge(t.root)
+    tree = grow(t.root, states)
+    fresh = iter(sorted(set(range(n)) - kept))
+    kids, labels = {}, {}
 
-    survivors = {v for v in labels if v < n}
-    bad = set(range(n)) - survivors
+    def name(node):
+        v, lab, children = node
+        if v is None:
+            v = next(fresh, None)
+            if v is None:
+                raise AssertionError("node pool exhausted; tree invariants broken")
+        labels[v] = lab
+        kids[v] = [name(c) for c in children]
+        return v
 
-    # rename temporaries to the smallest free pool names, in tree order
-    free = sorted(set(range(n)) - survivors)
-    order = [v for v in _subtree(t.root) if v >= n]
-    if len(order) > len(free):
-        raise AssertionError("node pool exhausted; tree invariants broken")
-    rename = {v: free[i] for i, v in enumerate(order)}
-    if rename:
-        kids = {rename.get(v, v): [rename.get(c, c) for c in cs]
-                for v, cs in kids.items()}
-        labels = {rename.get(v, v): lab for v, lab in labels.items()}
-    return _pack(t.root, kids, labels, good, bad)
+    name(tree)
+    return _pack(t.root, kids, labels, good, set(range(n)) - kept)
 
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:

@@ -230,6 +230,13 @@ def test_drw_parse_requires_single_initial():
         parse_drw(text)
 
 
+def test_drw_parse_names_undeclared_transition_state():
+    text = "drw\nalphabet: a\nstates: d0\ninitial: d0\ntrans: d0 a zz\n"
+    with pytest.raises(ParseError, match="zz") as err:
+        parse_drw(text)
+    assert err.value.line == 5
+
+
 def test_drw_parse_validates_alphabet_line():
     for alphabet in ("", " a a"):
         text = (f"drw\nalphabet:{alphabet}\nstates: d0\ninitial: d0\n"

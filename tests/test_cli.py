@@ -169,6 +169,16 @@ def test_trace_without_labels(two_state_file, capsys):
     assert all("gl=" not in line for line in lines)
 
 
+def test_trace_rejects_levels_before_reading_input(monkeypatch, capsys):
+    def fail(path):
+        raise AssertionError("the input was read before --levels was checked")
+
+    monkeypatch.setattr("buchidet.cli._read_nbw", fail)
+    assert main(["trace", "--in", "missing.nbw", "--word", "a;b",
+                 "--levels", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --levels must be at least 1")
+
+
 def test_gen_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "g1.nbw", tmp_path / "g2.nbw"
     args = ["gen", "--states", "3", "--alphabet", "2", "--density", "0.5",

@@ -221,9 +221,11 @@ def _sha256(text: str) -> str:
 
 
 def test_whole_drw_golden_digest():
-    """Pins both DRWs of one 8-state automaton byte for byte, and the profile
-    macrostates field by field, so a change in state identity (a different
-    cousin set, say) shows even where the language stays the same."""
+    """Pins both DRWs of one 8-state automaton byte for byte, the profile
+    macrostates field by field and the Safra trees whole, so a change in
+    state identity (a different cousin set or node name, say) shows even
+    where the language stays the same.  A larger Safra-only input (3,413
+    trees) covers deeper trees and name reuse."""
     a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
     profile, safra = determinize_profile(a), determinize_safra(a)
     assert (len(profile.states), len(safra.states)) == (2460, 23)
@@ -235,6 +237,15 @@ def test_whole_drw_golden_digest():
                            sorted(m.bad))) for m in profile.payloads)
     assert _sha256(fields) == \
         "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
+    assert _sha256(repr(safra.payloads)) == \
+        "61432dd3ddddb9bc935795dbaa86555e4a52c8a0ba3cb827c047681a7348039c"
+
+    big = determinize_safra(normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777))))
+    assert len(big.states) == 3413
+    assert _sha256(format_drw(big)) == \
+        "f4946380a67f1b2068fcbc0ecff6b1b603e3a0481716aaa2851df72ee5a70919"
+    assert _sha256(repr(big.payloads)) == \
+        "84b0e3d23aa8e5e69ce441ffb2d74a3651f355cc4ce8bf963e7d2d9869f7eced"
 
 
 def _parse(name: str) -> ast.AST:
@@ -276,3 +287,8 @@ def test_macrostate_and_level_views_stay_independent():
     # takes nothing else from labeling
     assert _imported_from("harness", "labeling") <= {"initial_labeled",
                                                      "next_labeled"}
+    # Safra is the baseline that judges the profile construction, so it
+    # takes from the package only the automaton model and the explorer
+    src = Path(__file__).parents[1] / "src" / "buchidet"
+    package = {p.stem for p in src.glob("*.py")} | {"buchidet"}
+    assert _imported_modules("safra") & package <= {"automata", "explore"}
