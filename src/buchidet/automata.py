@@ -126,10 +126,7 @@ class NBW:
         return len(self.states)
 
     def sym_id(self, symbol: str) -> int:
-        try:
-            return self._sym_id[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
+        return _sym_ids(self._sym_id, (symbol,))[0]
 
     def succ(self, q: int, sym: int) -> tuple[int, ...]:
         return self._succ[q][sym]
@@ -362,10 +359,7 @@ class DRW:
         object.__setattr__(self, "_marks", None)
 
     def sym_id(self, symbol: str) -> int:
-        try:
-            return self._sym_id[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet") from None
+        return _sym_ids(self._sym_id, (symbol,))[0]
 
     def _pair_marks(self) -> tuple[int, ...]:
         """Per state, a bitmask with bit j set if it is in B_j and bit
@@ -422,6 +416,17 @@ def _content_lines(text: str):
 
 
 def _parse_sections(text: str, kind: str):
+    """Check the grammar both native formats share: the header, the
+    sections, the alphabet, the state names and the ``trans:`` lines.
+
+    Returns ``(alphabet, states, single, trans, pairs, state_ids)``: the
+    declared symbols and state names; ``single`` maps ``initial:`` and
+    ``accepting:`` to their ``(lineno, names)``, or to None when absent;
+    every ``trans:`` line as ``(lineno, src, sym, dst)`` ids; every
+    ``pair:`` line as ``(lineno, tokens)``; and ``state_ids(names,
+    lineno)``, the ids of declared state names, which raises
+    :class:`ParseError` naming the first undeclared one.
+    """
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty document")
@@ -429,7 +434,7 @@ def _parse_sections(text: str, kind: str):
     if tokens != [kind]:
         raise ParseError(f"expected header {kind!r}", lineno)
     single = {"alphabet:": None, "states:": None, "initial:": None, "accepting:": None}
-    trans: list[tuple[int, list[str]]] = []
+    trans_lines: list[tuple[int, list[str]]] = []
     pairs: list[tuple[int, list[str]]] = []
     for lineno, tokens in lines[1:]:
         key, rest = tokens[0], tokens[1:]
@@ -438,12 +443,45 @@ def _parse_sections(text: str, kind: str):
                 raise ParseError(f"duplicate {key[:-1]} section", lineno)
             single[key] = (lineno, rest)
         elif key == "trans:":
-            trans.append((lineno, rest))
+            trans_lines.append((lineno, rest))
         elif key == "pair:":
             pairs.append((lineno, rest))
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-    return single, trans, pairs
+    for key in ("alphabet:", "states:", "initial:"):
+        if single[key] is None:
+            raise ParseError(f"missing {key[:-1]} section")
+    lineno, alphabet = single.pop("alphabet:")
+    if not alphabet:
+        raise ParseError("alphabet must list at least one symbol", lineno)
+    if len(set(alphabet)) != len(alphabet):
+        raise ParseError("duplicate alphabet symbol", lineno)
+    lineno, states = single.pop("states:")
+    if not states:
+        raise ParseError("states must list at least one name", lineno)
+    if len(set(states)) != len(states):
+        raise ParseError("duplicate state name", lineno)
+    sid = {s: i for i, s in enumerate(states)}
+    aid = {s: i for i, s in enumerate(alphabet)}
+
+    def state_ids(names, lineno):
+        try:
+            return [sid[s] for s in names]
+        except KeyError as err:
+            raise ParseError(f"undeclared state {err.args[0]!r}", lineno) from None
+
+    trans = []
+    for lineno, rest in trans_lines:
+        if len(rest) != 3:
+            raise ParseError("trans expects exactly: source symbol target", lineno)
+        src, sym, dst = rest
+        if sym not in aid:
+            raise ParseError(f"undeclared symbol {sym!r}", lineno)
+        try:
+            trans.append((lineno, sid[src], aid[sym], sid[dst]))
+        except KeyError:
+            state_ids((src, dst), lineno)  # raises, naming the undeclared state
+    return alphabet, states, single, trans, pairs, state_ids
 
 
 def parse_nbw(text: str) -> NBW:
@@ -452,48 +490,16 @@ def parse_nbw(text: str) -> NBW:
     The result may still have initial accepting states; callers that need the
     disjointness guarantee run :func:`normalize`.
     """
-    single, trans, pairs = _parse_sections(text, "nbw")
+    alphabet, states, single, trans, pairs, state_ids = _parse_sections(text, "nbw")
     if pairs:
         raise ParseError("pair: lines are not allowed in an nbw document", pairs[0][0])
-    for key in ("alphabet:", "states:", "initial:"):
-        if single[key] is None:
-            raise ParseError(f"missing {key[:-1]} section")
-    lineno, alphabet = single["alphabet:"]
-    if not alphabet:
-        raise ParseError("alphabet must list at least one symbol", lineno)
-    lineno, states = single["states:"]
-    if not states:
-        raise ParseError("states must list at least one name", lineno)
-    if len(set(states)) != len(states):
-        raise ParseError("duplicate state name", lineno)
-    if len(set(alphabet)) != len(alphabet):
-        raise ParseError("duplicate alphabet symbol", single["alphabet:"][0])
-    sid = {s: i for i, s in enumerate(states)}
-    aid = {s: i for i, s in enumerate(alphabet)}
-
-    def state(name, lineno):
-        if name not in sid:
-            raise ParseError(f"undeclared state {name!r}", lineno)
-        return sid[name]
-
-    lineno, init_names = single["initial:"]
-    if not init_names:
+    lineno, names = single["initial:"]
+    if not names:
         raise ParseError("initial set must be nonempty", lineno)
-    initial = [state(s, lineno) for s in init_names]
-    if single["accepting:"] is None:
-        accepting = []
-    else:
-        lineno, acc_names = single["accepting:"]
-        accepting = [state(s, lineno) for s in acc_names]
-    edges = []
-    for lineno, rest in trans:
-        if len(rest) != 3:
-            raise ParseError("trans expects exactly: source symbol target", lineno)
-        src, sym, dst = rest
-        if sym not in aid:
-            raise ParseError(f"undeclared symbol {sym!r}", lineno)
-        edges.append((state(src, lineno), aid[sym], state(dst, lineno)))
-    return NBW(alphabet, states, initial, accepting, edges)
+    initial = state_ids(names, lineno)
+    lineno, names = single["accepting:"] or (None, [])
+    accepting = state_ids(names, lineno)
+    return NBW(alphabet, states, initial, accepting, [t[1:] for t in trans])
 
 
 def format_nbw(a: NBW) -> str:
@@ -509,40 +515,20 @@ def format_nbw(a: NBW) -> str:
 
 def parse_drw(text: str) -> DRW:
     """Parse the native DRW format (single initial state, total transitions)."""
-    single, trans, pair_lines = _parse_sections(text, "drw")
-    for key in ("alphabet:", "states:", "initial:"):
-        if single[key] is None:
-            raise ParseError(f"missing {key[:-1]} section")
+    alphabet, states, single, trans, pair_lines, state_ids = _parse_sections(text, "drw")
     if single["accepting:"] is not None:
         raise ParseError("accepting: is not allowed in a drw document",
                          single["accepting:"][0])
-    lineno, alphabet = single["alphabet:"]
-    if not alphabet or len(set(alphabet)) != len(alphabet):
-        raise ParseError("alphabet must list distinct symbols", lineno)
-    lineno, states = single["states:"]
-    if not states or len(set(states)) != len(states):
-        raise ParseError("states must list distinct names", lineno)
-    sid = {s: i for i, s in enumerate(states)}
-    aid = {s: i for i, s in enumerate(alphabet)}
-    lineno, init_names = single["initial:"]
-    if len(init_names) != 1:
+    lineno, names = single["initial:"]
+    if len(names) != 1:
         raise ParseError("drw requires exactly one initial state", lineno)
-    if init_names[0] not in sid:
-        raise ParseError(f"undeclared state {init_names[0]!r}", lineno)
-    initial = sid[init_names[0]]
+    initial = state_ids(names, lineno)[0]
     table: list[list[int | None]] = [[None] * len(alphabet) for _ in states]
-    for lineno, rest in trans:
-        if len(rest) != 3:
-            raise ParseError("trans expects exactly: source symbol target", lineno)
-        src, sym, dst = rest
-        for name in (src, dst):
-            if name not in sid:
-                raise ParseError(f"undeclared state {name!r}", lineno)
-        if sym not in aid:
-            raise ParseError(f"undeclared symbol {sym!r}", lineno)
-        if table[sid[src]][aid[sym]] is not None:
-            raise ParseError(f"duplicate transition for {src} {sym}", lineno)
-        table[sid[src]][aid[sym]] = sid[dst]
+    for lineno, src, sym, dst in trans:
+        if table[src][sym] is not None:
+            raise ParseError(
+                f"duplicate transition for {states[src]} {alphabet[sym]}", lineno)
+        table[src][sym] = dst
     for qi, row in enumerate(table):
         for si, dst in enumerate(row):
             if dst is None:
@@ -550,7 +536,8 @@ def parse_drw(text: str) -> DRW:
                     f"missing transition for {states[qi]} {alphabet[si]}")
     by_idx = {}
     for lineno, rest in pair_lines:
-        if len(rest) < 3 or rest[1] != "G" or "|" not in rest:
+        bar = rest.index("|") if "|" in rest else len(rest)
+        if len(rest) < 3 or rest[1] != "G" or rest[bar + 1:bar + 2] != ["B"]:
             raise ParseError("pair expects: <idx> G <state>* | B <state>*", lineno)
         try:
             idx = int(rest[0])
@@ -558,15 +545,8 @@ def parse_drw(text: str) -> DRW:
             raise ParseError(f"pair index {rest[0]!r} is not an integer", lineno)
         if idx in by_idx:
             raise ParseError(f"duplicate pair index {idx}", lineno)
-        bar = rest.index("|")
-        if bar + 1 >= len(rest) or rest[bar + 1] != "B":
-            raise ParseError("pair expects: <idx> G <state>* | B <state>*", lineno)
-        g_names, b_names = rest[2:bar], rest[bar + 2:]
-        for name in g_names + b_names:
-            if name not in sid:
-                raise ParseError(f"undeclared state {name!r}", lineno)
-        by_idx[idx] = (frozenset(sid[s] for s in g_names),
-                       frozenset(sid[s] for s in b_names))
+        by_idx[idx] = (frozenset(state_ids(rest[2:bar], lineno)),
+                       frozenset(state_ids(rest[bar + 2:], lineno)))
     if set(by_idx) != set(range(len(by_idx))):
         raise ParseError("pair indices must be contiguous from 0")
     pairs = tuple(by_idx[i] for i in range(len(by_idx)))

@@ -9,8 +9,8 @@ import json
 import sys
 
 from . import __version__
-from .automata import Lasso, ParseError, format_drw, format_nbw, nbw_member, \
-    normalize, parse_nbw
+from .automata import Lasso, format_drw, format_nbw, nbw_member, normalize, \
+    parse_nbw
 from .determinize import determinize_profile, initial_macrostate, sigma_successor
 from .explore import StateLimitExceeded
 from .harness import GenSpec, cross_check, gen_nbw
@@ -188,16 +188,10 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except StateLimitExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

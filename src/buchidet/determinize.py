@@ -103,8 +103,6 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     One Rabin pair per label in {0..2n} is generated; pairs whose G side is
     empty can never fire and are dropped.
     """
-    if a.needs_normalization:
-        raise ValueError("automaton must be normalized first")
     states, table = explore(initial_macrostate(a),
                             lambda m, s: _successor(a, m, s),
                             len(a.alphabet), max_states)

@@ -34,13 +34,13 @@ def format_hoa(d: DRW) -> str:
     n_ap = len(d.alphabet)
     letters = ["&".join(("" if t == s else "!") + str(t) for t in range(n_ap))
                for s in range(n_ap)]
-    for i in range(len(d.states)):
-        marks = sorted([2 * j for j, (_, b) in enumerate(d.acceptance) if i in b]
-                       + [2 * j + 1 for j, (g, _) in enumerate(d.acceptance) if i in g])
-        head = f"State: {i}"
-        if marks:
-            head += " {" + " ".join(map(str, marks)) + "}"
-        lines.append(head)
+    heads = {}  # pair mask -> its marks as HOA text; few masks recur often
+    for i, m in enumerate(d._pair_marks()):
+        if m not in heads:
+            # bit j of m (B_j) gives mark 2j, bit k + j (G_j) gives 2j + 1
+            marks = [2 * j + g for j in range(k) for g in (0, 1) if m >> (g * k + j) & 1]
+            heads[m] = " {" + " ".join(map(str, marks)) + "}" if marks else ""
+        lines.append(f"State: {i}{heads[m]}")
         for s in range(n_ap):
             lines.append(f"[{letters[s]}] {d.trans[i][s]}")
     lines.append("--END--")

@@ -106,8 +106,6 @@ def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     """Explore all reachable Safra trees; one Rabin pair per pool name."""
-    if a.needs_normalization:
-        raise ValueError("automaton must be normalized first")
     states, table = explore(safra_initial(a),
                             lambda t, s: _successor(a, t, s),
                             len(a.alphabet), max_states)

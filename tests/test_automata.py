@@ -246,6 +246,101 @@ def test_drw_parse_validates_alphabet_line():
         assert err.value.line == 2
 
 
+_DRW_ONE_STATE = "drw\nalphabet: a\nstates: x\ninitial: x\ntrans: x a x\n"
+
+
+def test_drw_parse_rejects_duplicate_transition():
+    with pytest.raises(ParseError) as err:
+        parse_drw(_DRW_ONE_STATE + "trans: x a x\n")
+    assert str(err.value) == "line 6: duplicate transition for x a"
+    assert err.value.line == 6
+
+
+def test_drw_parse_rejects_accepting_section():
+    text = "drw\nalphabet: a\nstates: x\ninitial: x\naccepting: x\ntrans: x a x\n"
+    with pytest.raises(ParseError) as err:
+        parse_drw(text)
+    assert str(err.value) == "line 5: accepting: is not allowed in a drw document"
+    assert err.value.line == 5
+
+
+def test_nbw_parse_rejects_pair_lines():
+    text = "nbw\nalphabet: a\nstates: x\ninitial: x\ntrans: x a x\npair: 0 G x | B\n"
+    with pytest.raises(ParseError) as err:
+        parse_nbw(text)
+    assert str(err.value) == "line 6: pair: lines are not allowed in an nbw document"
+    assert err.value.line == 6
+
+
+def test_drw_parse_rejects_duplicate_pair_index():
+    with pytest.raises(ParseError) as err:
+        parse_drw(_DRW_ONE_STATE + "pair: 0 G x | B\npair: 0 G | B x\n")
+    assert str(err.value) == "line 7: duplicate pair index 0"
+    assert err.value.line == 7
+
+
+def test_drw_parse_requires_contiguous_pair_indices():
+    with pytest.raises(ParseError) as err:
+        parse_drw(_DRW_ONE_STATE + "pair: 1 G x | B\n")
+    assert str(err.value) == "pair indices must be contiguous from 0"
+    assert err.value.line is None
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("0 G x B", "pair expects: <idx> G <state>* | B <state>*"),
+    ("z G x | B", "pair index 'z' is not an integer"),
+    ("0 G x | X", "pair expects: <idx> G <state>* | B <state>*"),
+], ids=["no-bar", "non-integer-index", "X-for-B"])
+def test_drw_parse_checks_pair_syntax(pair, message):
+    with pytest.raises(ParseError) as err:
+        parse_drw(_DRW_ONE_STATE + f"pair: {pair}\n")
+    assert str(err.value) == f"line 6: {message}"
+    assert err.value.line == 6
+
+
+# Each document has one fault in the grammar both kinds share; "{}" is the
+# header.  The expected message and line are those of parse_nbw.
+_SHARED_FAULTS = {
+    "empty-document": ("# {}\n", "empty document", None),
+    "unknown-directive": (
+        "{}\nalphabet: a\nstates: x\ninitial: x\nbogus: 1\ntrans: x a x\n",
+        "unknown directive 'bogus:'", 5),
+    "duplicate-section": (
+        "{}\nalphabet: a\nalphabet: a\nstates: x\ninitial: x\ntrans: x a x\n",
+        "duplicate alphabet section", 3),
+    "missing-section": ("{}\nalphabet: a\ninitial: x\ntrans: x a x\n",
+                        "missing states section", None),
+    "empty-alphabet": ("{}\nalphabet:\nstates: x\ninitial: x\n",
+                       "alphabet must list at least one symbol", 2),
+    "repeated-alphabet": ("{}\nalphabet: a a\nstates: x\ninitial: x\ntrans: x a x\n",
+                          "duplicate alphabet symbol", 2),
+    "empty-states": ("{}\nalphabet: a\nstates:\ninitial: x\n",
+                     "states must list at least one name", 3),
+    "repeated-states": ("{}\nalphabet: a\nstates: x x\ninitial: x\ntrans: x a x\n",
+                        "duplicate state name", 3),
+    "trans-arity": ("{}\nalphabet: a\nstates: x\ninitial: x\ntrans: x a\n",
+                    "trans expects exactly: source symbol target", 5),
+    "undeclared-symbol": ("{}\nalphabet: a\nstates: x\ninitial: x\ntrans: x z x\n",
+                          "undeclared symbol 'z'", 5),
+    "undeclared-source": ("{}\nalphabet: a\nstates: x\ninitial: x\ntrans: zz a x\n",
+                          "undeclared state 'zz'", 5),
+    "undeclared-target": ("{}\nalphabet: a\nstates: x\ninitial: x\ntrans: x a zz\n",
+                          "undeclared state 'zz'", 5),
+    "undeclared-initial": ("{}\nalphabet: a\nstates: x\ninitial: zz\ntrans: x a x\n",
+                           "undeclared state 'zz'", 4),
+}
+
+
+@pytest.mark.parametrize("template, message, line", _SHARED_FAULTS.values(),
+                         ids=_SHARED_FAULTS.keys())
+def test_both_parsers_report_shared_faults_alike(template, message, line):
+    want = message if line is None else f"line {line}: {message}"
+    for kind, parse in (("nbw", parse_nbw), ("drw", parse_drw)):
+        with pytest.raises(ParseError) as err:
+            parse(template.format(kind))
+        assert (str(err.value), err.value.line) == (want, line), kind
+
+
 def test_drw_identity_ignores_evaluation_tables():
     d1 = _tiny_drw(((frozenset({0}), frozenset({1})),))
     d2 = _tiny_drw(((frozenset({0}), frozenset({1})),))

@@ -11,6 +11,7 @@ from buchidet.determinize import (Macrostate, determinize_profile,
                                   validate_macrostate)
 from buchidet.explore import StateLimitExceeded
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
+from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
 from buchidet.safra import determinize_safra
 
@@ -47,6 +48,8 @@ def test_initial_macrostate_two_states():
 def test_initial_macrostate_requires_normalization(selfloop_accepting):
     with pytest.raises(ValueError):
         initial_macrostate(selfloop_accepting)
+    with pytest.raises(ValueError, match="automaton must be normalized first"):
+        determinize_profile(selfloop_accepting)
 
 
 def test_reference_macrostate_trace(two_state):
@@ -221,11 +224,11 @@ def _sha256(text: str) -> str:
 
 
 def test_whole_drw_golden_digest():
-    """Pins both DRWs of one 8-state automaton byte for byte, the profile
-    macrostates field by field and the Safra trees whole, so a change in
-    state identity (a different cousin set or node name, say) shows even
-    where the language stays the same.  A larger Safra-only input (3,413
-    trees) covers deeper trees and name reuse."""
+    """Pins both DRWs of one 8-state automaton byte for byte, native and
+    HOA, the profile macrostates field by field and the Safra trees whole,
+    so a change in state identity (a different cousin set or node name,
+    say) shows even where the language stays the same.  A larger
+    Safra-only input (3,413 trees) covers deeper trees and name reuse."""
     a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
     profile, safra = determinize_profile(a), determinize_safra(a)
     assert (len(profile.states), len(safra.states)) == (2460, 23)
@@ -239,6 +242,10 @@ def test_whole_drw_golden_digest():
         "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
     assert _sha256(repr(safra.payloads)) == \
         "61432dd3ddddb9bc935795dbaa86555e4a52c8a0ba3cb827c047681a7348039c"
+    assert _sha256(format_hoa(profile)) == \
+        "a4d18f816b884617371a3218360f286f1a6970e70cbaf52f6d45281d1367dbb7"
+    assert _sha256(format_hoa(safra)) == \
+        "a0afa9a1333c461fae6b7acd9bdc109e385511f500132a01fa1a560512993649"
 
     big = determinize_safra(normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777))))
     assert len(big.states) == 3413

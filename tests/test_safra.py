@@ -27,6 +27,8 @@ def test_initial_tree_two_initial():
 def test_initial_requires_normalization(selfloop_accepting):
     with pytest.raises(ValueError):
         safra_initial(selfloop_accepting)
+    with pytest.raises(ValueError, match="automaton must be normalized first"):
+        determinize_safra(selfloop_accepting)
 
 
 def test_successor_sprouts_accepting_child(two_state):
