@@ -7,7 +7,7 @@ lookup tables that only membership queries use are built on first use.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -97,27 +97,6 @@ class NBW:
         self._pred = tuple(tuple(tuple(row) for row in per) for per in pred)
         self._acc = frozenset(self.accepting)
         self._masks = None
-
-    @classmethod
-    def build(cls, alphabet: Sequence[str], states: Sequence[str],
-              initial: Iterable[str], accepting: Iterable[str],
-              transitions: Iterable[tuple[str, str, str]]) -> "NBW":
-        """Construct from names; transitions are (src, symbol, dst) triples."""
-        sid = {s: i for i, s in enumerate(states)}
-        aid = {a: i for i, a in enumerate(alphabet)}
-
-        def state(name):
-            if name not in sid:
-                raise ValueError(f"undeclared state {name!r}")
-            return sid[name]
-
-        edges = []
-        for src, sym, dst in transitions:
-            if sym not in aid:
-                raise ValueError(f"undeclared symbol {sym!r}")
-            edges.append((state(src), aid[sym], state(dst)))
-        return cls(alphabet, states, [state(s) for s in initial],
-                   [state(s) for s in accepting], edges)
 
     # -- queries ------------------------------------------------------------
 

@@ -8,6 +8,12 @@ good/bad label events that feed the Rabin condition.  Successors are defined
 declaratively from the rows: a new class inherits the label of its minimal
 uncle, whose heir it is, and the events follow from the heirs.  No tree
 surgery is involved.
+
+The label-free part of a step (the new classes and cousin order, each new
+class's inheriting uncle, the uncles whose labels turn good) depends only on
+(classes, cousin, symbol).  `determinize_profile` computes it once per such
+triple in one exploration and puts each macrostate's labels on it;
+`sigma_successor` computes every step afresh.
 """
 
 from dataclasses import dataclass
@@ -42,8 +48,14 @@ def initial_macrostate(a: NBW) -> Macrostate:
                       frozenset({(0, 0)}), frozenset(), frozenset())
 
 
-def _successor(a: NBW, m: Macrostate, sym: int) -> Macrostate:
-    rank = {q: i for i, group in enumerate(m.classes) for q in group}
+def _shape(a: NBW, classes, cousin, sym: int):
+    """The label-free part of a step, a function of (classes, cousin, sym).
+
+    Returns the new classes, the new cousin pairs, for each new class the
+    old rank of the uncle it inherits its label from (None for a fresh
+    label), and the old ranks whose labels turn good.
+    """
+    rank = {q: i for i, group in enumerate(classes) for q in group}
     succ, pred, acc = a._succ, a._pred, a._acc
 
     new_states = sorted({q2 for q in rank for q2 in succ[q][sym]})
@@ -61,8 +73,8 @@ def _successor(a: NBW, m: Macrostate, sym: int) -> Macrostate:
     # the uncles of j are the old classes whose nephew is j.  j inherits the
     # label of its minimal uncle, whose heir it is, and its cousins are the
     # classes whose parent lies in the row of any of its uncles.
-    rows = [set() for _ in m.classes]
-    for x, b in m.cousin:
+    rows = [set() for _ in classes]
+    for x, b in cousin:
         rows[x].add(b)
     uncle: dict[int, int] = {}  # heir -> its minimal uncle
     reach = [set() for _ in classes2]
@@ -72,18 +84,26 @@ def _successor(a: NBW, m: Macrostate, sym: int) -> Macrostate:
                 uncle.setdefault(j, x)
                 reach[j] |= row
                 break
-    free = sorted(set(range(2 * a.n + 1)) - set(m.labels))
-    if len(classes2) - len(uncle) > len(free):
-        raise AssertionError("free-label pool exhausted; state count is wrong")
-    fresh = iter(free)  # drawn in rank order
-    labels2 = tuple(m.labels[uncle[j]] if j in uncle else next(fresh)
-                    for j in range(len(classes2)))
     pairs = frozenset((j, j2) for j, row in enumerate(reach)
                       for j2, p in enumerate(parent2) if j2 == j or p in row)
-    # good: labels whose heir changed parent or turned accepting; bad: labels
-    # that vanished
-    good = frozenset(m.labels[x] for j, x in uncle.items() if parent2[j] != x or f2[j])
-    return Macrostate(classes2, labels2, pairs, good,
+    # good: the uncles whose heir changed parent or turned accepting
+    good = tuple(x for j, x in uncle.items() if parent2[j] != x or f2[j])
+    return (classes2, pairs, tuple(uncle.get(j) for j in range(len(classes2))),
+            good)
+
+
+def _apply_labels(a: NBW, m: Macrostate, shape) -> Macrostate:
+    """Put `m`'s labels on a step's shape: heirs keep their uncle's label,
+    fresh classes draw from the sorted free pool in rank order, and the
+    labels that vanished are bad."""
+    classes2, pairs, heirs, good = shape
+    free = sorted(set(range(2 * a.n + 1)) - set(m.labels))
+    if heirs.count(None) > len(free):
+        raise AssertionError("free-label pool exhausted; state count is wrong")
+    fresh = iter(free)
+    labels2 = tuple(next(fresh) if x is None else m.labels[x] for x in heirs)
+    return Macrostate(classes2, labels2, pairs,
+                      frozenset(m.labels[x] for x in good),
                       frozenset(m.labels) - frozenset(labels2))
 
 
@@ -94,27 +114,39 @@ def sigma_successor(a: NBW, m: Macrostate, symbol: str) -> Macrostate:
     names all labels alive before; the empty macrostate loops on itself with
     no further events, acting as the rejecting sink.
     """
-    return _successor(a, m, a.sym_id(symbol))
+    return _apply_labels(a, m, _shape(a, m.classes, m.cousin, a.sym_id(symbol)))
 
 
 def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     """Explore the full macrostate automaton and package it as a DRW.
 
-    One Rabin pair per label in {0..2n} is generated; pairs whose G side is
+    Each step's shape is computed once per (classes, cousin, symbol) in this
+    exploration and shared by every macrostate with those preorders.  One
+    Rabin pair per label in {0..2n} is generated; pairs whose G side is
     empty can never fire and are dropped.
     """
-    states, table = explore(initial_macrostate(a),
-                            lambda m, s: _successor(a, m, s),
-                            len(a.alphabet), max_states)
-    pairs = []
-    for lab in range(2 * a.n + 1):
-        g = frozenset(i for i, st in enumerate(states) if lab in st.good)
-        if g:
-            b = frozenset(i for i, st in enumerate(states) if lab in st.bad)
-            pairs.append((g, b))
+    shapes: dict = {}
+
+    def step(m: Macrostate, sym: int) -> Macrostate:
+        key = (m.classes, m.cousin, sym)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _shape(a, m.classes, m.cousin, sym)
+        return _apply_labels(a, m, shape)
+
+    states, table = explore(initial_macrostate(a), step, len(a.alphabet),
+                            max_states)
+    good = [[] for _ in range(2 * a.n + 1)]
+    bad = [[] for _ in range(2 * a.n + 1)]
+    for i, st in enumerate(states):
+        for lab in st.good:
+            good[lab].append(i)
+        for lab in st.bad:
+            bad[lab].append(i)
+    pairs = tuple((frozenset(g), frozenset(b)) for g, b in zip(good, bad) if g)
     return DRW(a.alphabet, tuple(f"m{i}" for i in range(len(states))), 0,
                tuple(tuple(row) for row in table),
-               RabinCondition(tuple(pairs)), tuple(states))
+               RabinCondition(pairs), tuple(states))
 
 
 def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:

@@ -109,14 +109,17 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     states, table = explore(safra_initial(a),
                             lambda t, s: _successor(a, t, s),
                             len(a.alphabet), max_states)
-    pairs = []
-    for name in range(a.n):
-        g = frozenset(i for i, t in enumerate(states) if name in t.good)
-        b = frozenset(i for i, t in enumerate(states) if name in t.bad)
-        pairs.append((g, b))
+    good = [[] for _ in range(a.n)]
+    bad = [[] for _ in range(a.n)]
+    for i, t in enumerate(states):
+        for name in t.good:
+            good[name].append(i)
+        for name in t.bad:
+            bad[name].append(i)
+    pairs = tuple((frozenset(g), frozenset(b)) for g, b in zip(good, bad))
     return DRW(a.alphabet, tuple(f"t{i}" for i in range(len(states))), 0,
                tuple(tuple(row) for row in table),
-               RabinCondition(tuple(pairs)), tuple(states))
+               RabinCondition(pairs), tuple(states))
 
 
 def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:

@@ -1,6 +1,7 @@
 import pytest
 
-from buchidet import NBW, normalize, parse_nbw
+from buchidet import normalize, parse_nbw
+from oracles import nbw
 
 TWO_STATE_TEXT = """\
 nbw
@@ -32,10 +33,10 @@ def two_state():
 @pytest.fixture
 def selfloop_accepting():
     """One accepting initial state looping on a; needs normalization."""
-    return NBW.build(["a"], ["q"], ["q"], ["q"], [("q", "a", "q")])
+    return nbw(["a"], ["q"], ["q"], ["q"], [("q", "a", "q")])
 
 
 @pytest.fixture
 def det_chain():
     """Deterministic non-accepting a-loop (single run, never accepting)."""
-    return NBW.build(["a"], ["x"], ["x"], [], [("x", "a", "x")])
+    return nbw(["a"], ["x"], ["x"], [], [("x", "a", "x")])

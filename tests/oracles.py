@@ -1,8 +1,19 @@
-"""Brute-force reference implementations used only to check the real ones."""
+"""Brute-force reference implementations used only to check the real ones,
+and a helper that builds test automata from names."""
 
 import itertools
 
-from buchidet import NBW, Lasso
+from buchidet import NBW, Lasso, parse_nbw
+
+
+def nbw(alphabet, states, initial, accepting, transitions) -> NBW:
+    """An NBW from names, transitions as (src, symbol, dst) triples, read
+    through the native format so names resolve where documents resolve."""
+    lines = ["nbw", "alphabet: " + " ".join(alphabet),
+             "states: " + " ".join(states), "initial: " + " ".join(initial),
+             "accepting: " + " ".join(accepting)]
+    lines += [f"trans: {src} {sym} {dst}" for src, sym, dst in transitions]
+    return parse_nbw("\n".join(lines) + "\n")
 
 
 def all_initial_paths(a: NBW, prefix) -> list[tuple[int, ...]]:

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buchidet import (DRW, Lasso, NBW, ParseError, RabinCondition,
+from buchidet import (DRW, Lasso, ParseError, RabinCondition,
                       determinize_profile, determinize_safra, drw_run_eval,
                       format_drw, format_nbw, nbw_member, normalize,
                       parse_drw, parse_nbw)
 from buchidet.hoa import format_hoa
-from oracles import all_lassos, brute_member
+from oracles import all_lassos, brute_member, nbw
 
 
 # -- lasso syntax --------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_normalize_preserves_membership(selfloop_accepting):
 
 
 def test_normalize_preserves_membership_exhaustive_two_symbols():
-    a = NBW.build(["a", "b"], ["x", "y"], ["x", "y"], ["x"],
+    a = nbw(["a", "b"], ["x", "y"], ["x", "y"], ["x"],
                   [("x", "a", "y"), ("y", "b", "x"), ("y", "a", "y"),
                    ("x", "b", "x")])
     assert a.needs_normalization
@@ -169,7 +169,7 @@ def small_nbws(draw):
                     edges.append((states[q], alphabet[s], states[q2]))
     initial = [states[0]]
     accepting = [states[i] for i in range(n) if draw(st.booleans())]
-    return NBW.build(alphabet, states, initial, accepting, edges)
+    return nbw(alphabet, states, initial, accepting, edges)
 
 
 @settings(max_examples=60, deadline=None)

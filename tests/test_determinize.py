@@ -4,16 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from buchidet import (Lasso, NBW, drw_run_eval, format_drw, label_levels,
+from buchidet import (Lasso, determinize, drw_run_eval, format_drw, label_levels,
                       nbw_member, normalize, profile_tree)
 from buchidet.determinize import (Macrostate, determinize_profile,
                                   initial_macrostate, sigma_successor,
                                   validate_macrostate)
-from buchidet.explore import StateLimitExceeded
+from buchidet.explore import StateLimitExceeded, explore
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
 from buchidet.safra import determinize_safra
+from oracles import nbw
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -38,7 +39,7 @@ def test_initial_macrostate(two_state):
 
 
 def test_initial_macrostate_two_states():
-    a = NBW.build(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "y")])
+    a = nbw(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "y")])
     m = initial_macrostate(a)
     assert m.classes == ((0, 1),)
     assert m.labels == (0,)
@@ -81,7 +82,7 @@ def test_restricted_step_drops_dominated_transitions(two_state):
 
 
 def test_restricted_step_identity_on_deterministic_input():
-    a = normalize(NBW.build(
+    a = normalize(nbw(
         ["a", "b"], ["x", "y"], ["x"], ["y"],
         [("x", "a", "y"), ("x", "b", "x"), ("y", "a", "y"), ("y", "b", "x")]))
     pl1 = profile_tree(a, "a")[1]
@@ -127,7 +128,7 @@ def test_determinize_profile_language(two_state):
 
 
 def test_empty_accepting_means_empty_language():
-    a = normalize(NBW.build(["a", "b"], ["x", "y"], ["x"], [],
+    a = normalize(nbw(["a", "b"], ["x", "y"], ["x"], [],
                             [("x", "a", "y"), ("y", "b", "x"), ("y", "a", "y")]))
     drw = determinize_profile(a)
     for w in enumerate_lassos(a.alphabet, 3, 3):
@@ -143,7 +144,7 @@ def test_accepting_selfloop_language(selfloop_accepting):
 
 
 def test_multiple_initial_states_language():
-    a = normalize(NBW.build(
+    a = normalize(nbw(
         ["a", "b"], ["x", "y", "z"], ["x", "y"], ["y"],
         [("x", "a", "x"), ("x", "b", "z"), ("y", "a", "y"),
          ("z", "b", "z"), ("z", "a", "y")]))
@@ -163,7 +164,7 @@ def test_every_reachable_macrostate_is_valid():
 
 
 def test_validate_macrostate_flags_bad_cousin_relation():
-    a = NBW.build(["a"], ["x", "y", "z"], ["x"], [], [])
+    a = nbw(["a"], ["x", "y", "z"], ["x"], [], [])
 
     def faults(cousin):
         m = Macrostate(((0,), (1,), (2,)), (0, 1, 2), frozenset(cousin),
@@ -217,6 +218,46 @@ def test_rabin_pairs_indexed_by_label(two_state):
         assert g  # empty-G pairs are dropped
     labels_good = {m for st in drw.payloads for m in st.good}
     assert len(drw.acceptance) == len(labels_good)
+
+
+def _replayed(a):
+    """The profile exploration with every step computed afresh."""
+    return explore(initial_macrostate(a),
+                   lambda m, s: sigma_successor(a, m, a.alphabet[s]),
+                   len(a.alphabet))
+
+
+def test_profile_payloads_match_sigma_successor_replay():
+    """`determinize_profile` reuses each step's label-free part across
+    macrostates with the same classes and cousin order; stepping every
+    macrostate afresh must give the same states in the same order."""
+    corpus = [normalize(gen_nbw(GenSpec(n, 2, 0.5, 0.3, 70_000 + 1000 * n + i)))
+              for n in range(2, 6) for i in range(40)]
+    corpus.append(normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777))))
+    for a in corpus:
+        states, table = _replayed(a)
+        d = determinize_profile(a)
+        assert d.payloads == tuple(states)
+        assert d.trans == tuple(tuple(row) for row in table)
+
+
+def test_profile_shape_computed_once_per_classes_cousin_and_symbol(monkeypatch):
+    """The label-free part of a step depends on the classes, the cousin
+    order and the symbol only, so one exploration computes it once for each
+    such triple; a cache keyed on the labels too would be correct but
+    useless."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shape(*args)
+
+    shape = determinize._shape
+    monkeypatch.setattr(determinize, "_shape", counted)
+    a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
+    d = determinize_profile(a)
+    preorders = {(m.classes, m.cousin) for m in d.payloads}
+    assert len(calls) == len(preorders) * len(a.alphabet) < len(d.states)
 
 
 def _sha256(text: str) -> str:

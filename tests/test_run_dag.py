@@ -1,10 +1,10 @@
 import pytest
 
-from buchidet import NBW, check_level_invariants, normalize, profile_strings, \
+from buchidet import check_level_invariants, normalize, profile_strings, \
     profile_tree
 from buchidet.harness import GenSpec, gen_nbw
 from buchidet.run_dag import ProfileLevel, initial_level, step_level
-from oracles import brute_ranks
+from oracles import brute_ranks, nbw
 
 
 def node_ranks(pl):
@@ -19,7 +19,7 @@ def test_initial_level(two_state):
 
 
 def test_initial_level_two_states():
-    a = NBW.build(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
+    a = nbw(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
     pl = initial_level(a)
     assert pl.classes == ((0, 1),)
     assert node_ranks(pl) == {0: 0, 1: 0}

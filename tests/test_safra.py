@@ -1,11 +1,11 @@
 import pytest
 
-from buchidet import NBW, drw_run_eval, format_drw, nbw_member, normalize
+from buchidet import drw_run_eval, format_drw, nbw_member, normalize
 from buchidet.explore import StateLimitExceeded
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.safra import (SafraTree, determinize_safra, safra_initial,
                             safra_successor, validate_safra_tree)
-from oracles import brute_member
+from oracles import brute_member, nbw
 
 
 def test_initial_tree(two_state):
@@ -20,7 +20,7 @@ def test_initial_tree_single_state(det_chain):
 
 
 def test_initial_tree_two_initial():
-    a = NBW.build(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
+    a = nbw(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
     assert safra_initial(a).labels == ((0, (0, 1)),)
 
 
@@ -50,7 +50,7 @@ def test_successor_dead_tree_is_sink(two_state):
 
 
 def test_vertical_merge_marks_good():
-    a = normalize(NBW.build(["a"], ["x", "f"], ["x"], ["f"],
+    a = normalize(nbw(["a"], ["x", "f"], ["x"], ["f"],
                             [("x", "a", "f"), ("f", "a", "f")]))
     t1 = safra_successor(a, safra_initial(a), "a")
     # the sprout covers the whole parent label, so the parent sheds it
@@ -88,7 +88,7 @@ def test_determinize_safra_language(two_state):
 
 
 def test_safra_empty_accepting_language():
-    a = normalize(NBW.build(["a", "b"], ["x", "y"], ["x"], [],
+    a = normalize(nbw(["a", "b"], ["x", "y"], ["x"], [],
                             [("x", "a", "y"), ("y", "b", "x"), ("y", "a", "y")]))
     drw = determinize_safra(a)
     for w in enumerate_lassos(a.alphabet, 3, 3):
@@ -96,7 +96,7 @@ def test_safra_empty_accepting_language():
 
 
 def test_safra_on_deterministic_input():
-    a = normalize(NBW.build(
+    a = normalize(nbw(
         ["a", "b"], ["x", "y"], ["x"], ["y"],
         [("x", "a", "y"), ("x", "b", "x"), ("y", "a", "y"), ("y", "b", "x")]))
     drw = determinize_safra(a)
