@@ -6,8 +6,8 @@ values are immutable after construction and every operation is pure; the
 lookup tables that only membership queries use are built on first use.
 """
 
+import re
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -60,11 +60,13 @@ class NBW:
     """Nondeterministic Buchi word automaton.
 
     The transition relation may be partial: a state may have no successor
-    on some symbol, in which case runs through it die.
+    on some symbol, in which case runs through it die.  ``succ[q][sym]`` and
+    ``pred[q][sym]`` are the tuples of successor and predecessor ids, and
+    ``acc`` is the accepting set.
     """
 
     __slots__ = ("alphabet", "states", "initial", "accepting", "edges",
-                 "_sym_id", "_succ", "_pred", "_acc", "_masks")
+                 "succ", "pred", "acc", "_sym_id", "_masks")
 
     def __init__(self, alphabet, states, initial, accepting, edges):
         self.alphabet: tuple[str, ...] = tuple(alphabet)
@@ -93,9 +95,9 @@ class NBW:
         for src, sym, dst in self.edges:
             succ[src][sym].append(dst)
             pred[dst][sym].append(src)
-        self._succ = tuple(tuple(tuple(row) for row in per) for per in succ)
-        self._pred = tuple(tuple(tuple(row) for row in per) for per in pred)
-        self._acc = frozenset(self.accepting)
+        self.succ = tuple(tuple(tuple(row) for row in per) for per in succ)
+        self.pred = tuple(tuple(tuple(row) for row in per) for per in pred)
+        self.acc = frozenset(self.accepting)
         self._masks = None
 
     # -- queries ------------------------------------------------------------
@@ -107,24 +109,9 @@ class NBW:
     def sym_id(self, symbol: str) -> int:
         return _sym_ids(self._sym_id, (symbol,))[0]
 
-    def succ(self, q: int, sym: int) -> tuple[int, ...]:
-        return self._succ[q][sym]
-
-    def pred(self, q: int, sym: int) -> tuple[int, ...]:
-        return self._pred[q][sym]
-
-    def succ_set(self, qs: Iterable[int], sym: int) -> set[int]:
-        out = set()
-        for q in qs:
-            out.update(self._succ[q][sym])
-        return out
-
-    def is_accepting(self, q: int) -> bool:
-        return q in self._acc
-
     @property
     def needs_normalization(self) -> bool:
-        return bool(set(self.initial) & self._acc)
+        return bool(set(self.initial) & self.acc)
 
     def _mask_tables(self):
         """``(post, pre, initial, accepting)`` for bitmask state sets.
@@ -134,8 +121,8 @@ class NBW:
         Built on first use, since only membership queries need them.
         """
         if self._masks is None:
-            self._masks = (_nibble_tables(self._succ, len(self.alphabet)),
-                           _nibble_tables(self._pred, len(self.alphabet)),
+            self._masks = (_nibble_tables(self.succ, len(self.alphabet)),
+                           _nibble_tables(self.pred, len(self.alphabet)),
                            sum(1 << q for q in self.initial),
                            sum(1 << q for q in self.accepting))
         return self._masks
@@ -340,7 +327,7 @@ class DRW:
     def sym_id(self, symbol: str) -> int:
         return _sym_ids(self._sym_id, (symbol,))[0]
 
-    def _pair_marks(self) -> tuple[int, ...]:
+    def pair_marks(self) -> tuple[int, ...]:
         """Per state, a bitmask with bit j set if it is in B_j and bit
         k + j if it is in G_j, for k pairs.  Built on first use."""
         if self._marks is None:
@@ -374,7 +361,7 @@ def drw_run_eval(d: DRW, w: Lasso) -> bool:
         starts[q] = len(starts)
         for s in v:
             q = trans[q][s]
-    marks = d._pair_marks()
+    marks = d.pair_marks()
     seen = 0
     for p in list(starts)[starts[q]:]:
         for s in v:
@@ -463,6 +450,18 @@ def _parse_sections(text: str, kind: str):
     return alphabet, states, single, trans, pairs, state_ids
 
 
+_UNWRITABLE = re.compile(r"[\s#]")
+
+
+def _check_writable(names: tuple[str, ...]):
+    """Raise ValueError naming the first name the native formats would not
+    read back as itself: an empty one, or one with whitespace or ``#``."""
+    if "" in names or _UNWRITABLE.search("".join(names)):
+        bad = next(s for s in names if not s or _UNWRITABLE.search(s))
+        raise ValueError(f"name {bad!r} cannot be written: names must be "
+                         "nonempty and contain no whitespace or '#'")
+
+
 def parse_nbw(text: str) -> NBW:
     """Parse the native NBW format.
 
@@ -482,6 +481,7 @@ def parse_nbw(text: str) -> NBW:
 
 
 def format_nbw(a: NBW) -> str:
+    _check_writable((*a.alphabet, *a.states))
     lines = ["nbw",
              "alphabet: " + " ".join(a.alphabet),
              "states: " + " ".join(a.states),
@@ -534,6 +534,7 @@ def parse_drw(text: str) -> DRW:
 
 
 def format_drw(d: DRW) -> str:
+    _check_writable((*d.alphabet, *d.states))
     lines = ["drw",
              "alphabet: " + " ".join(d.alphabet),
              "states: " + " ".join(d.states),

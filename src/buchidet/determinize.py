@@ -56,7 +56,7 @@ def _shape(a: NBW, classes, cousin, sym: int):
     label), and the old ranks whose labels turn good.
     """
     rank = {q: i for i, group in enumerate(classes) for q in group}
-    succ, pred, acc = a._succ, a._pred, a._acc
+    succ, pred, acc = a.succ, a.pred, a.acc
 
     new_states = sorted({q2 for q in rank for q2 in succ[q][sym]})
     key = {}

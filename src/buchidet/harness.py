@@ -8,7 +8,7 @@ lassos is evidence, not proof; every report records the bounds it used.
 
 import random
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 from .automata import NBW, Lasso, drw_run_eval, format_nbw, nbw_member, normalize
@@ -114,7 +114,7 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
         if m.bad != lab.bad:
             note(word, f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
         for j, group in enumerate(pl.classes):
-            bits = {1 if a.is_accepting(q) else 0 for q in group}
+            bits = {1 if q in a.acc else 0 for q in group}
             if bits != {pl.f_class[j]}:
                 note(word, f"class {j} acceptance bit is inconsistent")
 
@@ -179,25 +179,45 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
 
 
 @dataclass
-class AutomatonCheck:
-    """Result of checking one automaton against the lasso suite."""
+class CheckReport:
+    """Findings and bounds of a check, over one automaton or a corpus."""
 
+    automata: int = 0
     lassos: int = 0
+    max_profile_states: int = 0
+    max_safra_states: int = 0
+    bounds: dict = field(default_factory=dict)
     disagreements: list = field(default_factory=list)
     violations: list = field(default_factory=list)
-    profile_states: int = 0
-    safra_states: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return not self.disagreements and not self.violations
+
+    def to_json(self) -> dict:
+        return {"pass": self.passed, **asdict(self)}
+
+    def absorb(self, other: "CheckReport"):
+        """Add `other`'s counts and findings; `bounds` stay this report's."""
+        self.automata += other.automata
+        self.lassos += other.lassos
+        self.disagreements.extend(other.disagreements)
+        self.violations.extend(other.violations)
+        self.max_profile_states = max(self.max_profile_states, other.max_profile_states)
+        self.max_safra_states = max(self.max_safra_states, other.max_safra_states)
 
 
 def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
-                    drw_profile=None) -> AutomatonCheck:
+                    drw_profile=None) -> CheckReport:
     """Compare the NBW oracle with both determinizations on the given lassos.
 
-    A prebuilt profile DRW may be injected, which is also the corruption hook
-    used by the mutation tests.  Every explored construction state is
-    validated.
+    Returns a one-automaton :class:`CheckReport`, with the two DRW sizes as
+    its state maxima, which :func:`cross_check` absorbs into its corpus
+    report.  A prebuilt profile DRW may be injected, which is also the
+    corruption hook used by the mutation tests.  Every explored construction
+    state is validated.
     """
-    res = AutomatonCheck()
+    res = CheckReport(automata=1)
     try:
         if drw_profile is None:
             drw_profile = determinize_profile(a, max_states)
@@ -205,8 +225,8 @@ def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
     except StateLimitExceeded as err:
         res.violations.append(f"determinization aborted: {err}")
         return res
-    res.profile_states = len(drw_profile.states)
-    res.safra_states = len(drw_safra.states)
+    res.max_profile_states = len(drw_profile.states)
+    res.max_safra_states = len(drw_safra.states)
     if drw_profile.payloads:
         for i, m in enumerate(drw_profile.payloads):
             for msg in validate_macrostate(a, m):
@@ -225,50 +245,13 @@ def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
     return res
 
 
-@dataclass
-class CheckReport:
-    """Aggregate over a corpus of seeded automata."""
-
-    automata: int = 0
-    lassos: int = 0
-    disagreements: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    max_profile_states: int = 0
-    max_safra_states: int = 0
-    bounds: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.disagreements and not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "automata": self.automata,
-            "lassos": self.lassos,
-            "max_profile_states": self.max_profile_states,
-            "max_safra_states": self.max_safra_states,
-            "bounds": dict(self.bounds),
-            "disagreements": list(self.disagreements),
-            "violations": list(self.violations),
-        }
-
-    def absorb(self, other: "CheckReport"):
-        self.automata += other.automata
-        self.lassos += other.lassos
-        self.disagreements.extend(other.disagreements)
-        self.violations.extend(other.violations)
-        self.max_profile_states = max(self.max_profile_states, other.max_profile_states)
-        self.max_safra_states = max(self.max_safra_states, other.max_safra_states)
-
-
 def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
                 max_states: int = 10 ** 6, sweep_depth: int = 4) -> CheckReport:
     """Generate `count` automata from consecutive seeds and check them all.
 
-    Per automaton: the invariant sweep, both determinizations with their
-    per-state validation, and the three-way verdicts on every enumerated
-    lasso.  Failures become report content, never exceptions.
+    Per automaton: the invariant sweep, then :func:`check_automaton`, whose
+    findings are tagged with the seed and absorbed into the report.
+    Failures become report content, never exceptions.
     """
     report = CheckReport(bounds={
         "n_states": spec.n_states, "alphabet_size": spec.alphabet_size,
@@ -277,20 +260,15 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
         "max_u": max_u, "max_v": max_v,
         "max_states": max_states, "sweep_depth": sweep_depth,
     })
+    if count < 1:
+        raise ValueError("count must be at least 1")
     lassos = enumerate_lassos(_alphabet(spec.alphabet_size), max_u, max_v)
-    for i in range(count):
-        sub = replace(spec, seed=spec.seed + i)
-        aut = normalize(gen_nbw(sub))
-        report.automata += 1
-        for msg in sweep_invariants(aut, sweep_depth):
-            report.violations.append(f"seed={sub.seed}: {msg}")
-        chk = check_automaton(aut, lassos, max_states)
-        report.lassos += chk.lassos
-        report.max_profile_states = max(report.max_profile_states, chk.profile_states)
-        report.max_safra_states = max(report.max_safra_states, chk.safra_states)
-        for msg in chk.violations:
-            report.violations.append(f"seed={sub.seed}: {msg}")
-        for rec in chk.disagreements:
-            report.disagreements.append({"seed": sub.seed,
-                                         "automaton": format_nbw(aut), **rec})
+    for seed in range(spec.seed, spec.seed + count):
+        aut = normalize(gen_nbw(replace(spec, seed=seed)))
+        swept = sweep_invariants(aut, sweep_depth)
+        one = check_automaton(aut, lassos, max_states)
+        one.violations = [f"seed={seed}: {msg}" for msg in swept + one.violations]
+        one.disagreements = [{"seed": seed, "automaton": format_nbw(aut), **rec}
+                             for rec in one.disagreements]
+        report.absorb(one)
     return report

@@ -35,7 +35,7 @@ def format_hoa(d: DRW) -> str:
     letters = ["&".join(("" if t == s else "!") + str(t) for t in range(n_ap))
                for s in range(n_ap)]
     heads = {}  # pair mask -> its marks as HOA text; few masks recur often
-    for i, m in enumerate(d._pair_marks()):
+    for i, m in enumerate(d.pair_marks()):
         if m not in heads:
             # bit j of m (B_j) gives mark 2j, bit k + j (G_j) gives 2j + 1
             marks = [2 * j + g for j in range(k) for g in (0, 1) if m >> (g * k + j) & 1]

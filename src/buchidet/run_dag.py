@@ -39,9 +39,9 @@ def step_level(a: NBW, prev: ProfileLevel, symbol: str) -> ProfileLevel:
     sym = a.sym_id(symbol)
     rank = {q: j for j, group in enumerate(prev.classes) for q in group}
     members: dict[tuple[int, int], list[int]] = {}
-    for q2 in sorted({q2 for q in rank for q2 in a.succ(q, sym)}):
-        parent = max(rank[p] for p in a.pred(q2, sym) if p in rank)
-        members.setdefault((parent, int(a.is_accepting(q2))), []).append(q2)
+    for q2 in sorted({q2 for q in rank for q2 in a.succ[q][sym]}):
+        parent = max(rank[p] for p in a.pred[q2][sym] if p in rank)
+        members.setdefault((parent, int(q2 in a.acc)), []).append(q2)
     keys = sorted(members)
     return ProfileLevel(tuple(tuple(members[k]) for k in keys),
                         tuple(p for p, _ in keys), tuple(f for _, f in keys))

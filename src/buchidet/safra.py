@@ -57,7 +57,12 @@ def _successor(a: NBW, t: SafraTree, sym: int) -> SafraTree:
     free names; every name not kept, fresh ones included, is bad."""
     n = a.n
     old_kids, old_labels = dict(t.children), dict(t.labels)
-    states = a.succ_set(old_labels[t.root], sym) if t.root is not None else None
+    succ = a.succ
+
+    def image(qs):
+        return {q2 for q in qs for q2 in succ[q][sym]}
+
+    states = image(old_labels[t.root]) if t.root is not None else None
     if not states:
         # dead tree: nothing grows, every name stays bad
         return _pack(None, {}, {}, (), range(n))
@@ -67,11 +72,11 @@ def _successor(a: NBW, t: SafraTree, sym: int) -> SafraTree:
         kept.add(v)
         parts, seen = [], set()
         for c in old_kids[v]:
-            mine = a.succ_set(old_labels[c], sym) & states - seen
+            mine = image(old_labels[c]) & states - seen
             if mine:
                 parts.append((c, mine))
                 seen |= mine
-        sprout = states & a._acc - seen
+        sprout = states & a.acc - seen
         if sprout:
             parts.append((None, sprout))
             seen |= sprout

@@ -21,12 +21,12 @@ def all_initial_paths(a: NBW, prefix) -> list[tuple[int, ...]]:
     syms = [a.sym_id(s) for s in prefix]
     paths = [(q,) for q in a.initial]
     for s in syms:
-        paths = [p + (q2,) for p in paths for q2 in a.succ(p[-1], s)]
+        paths = [p + (q2,) for p in paths for q2 in a.succ[p[-1]][s]]
     return paths
 
 
 def path_profile(a: NBW, path) -> str:
-    return "".join("1" if a.is_accepting(q) else "0" for q in path)
+    return "".join("1" if q in a.acc else "0" for q in path)
 
 
 def node_profiles(a: NBW, prefix) -> list[dict]:
@@ -66,7 +66,7 @@ def brute_member(a: NBW, w: Lasso) -> bool:
     v = [a.sym_id(s) for s in w.period]
     reach = set(a.initial)
     for s in u:
-        reach = a.succ_set(reach, s)
+        reach = {q2 for q in reach for q2 in a.succ[q][s]}
     # single-period relation with an "accepting visit inside" flag
     step: dict[int, dict[int, bool]] = {}
     for src in range(a.n):
@@ -74,8 +74,8 @@ def brute_member(a: NBW, w: Lasso) -> bool:
         for s in v:
             nxt: dict[int, bool] = {}
             for q, seen in frontier.items():
-                for q2 in a.succ(q, s):
-                    flag = seen or a.is_accepting(q2)
+                for q2 in a.succ[q][s]:
+                    flag = seen or q2 in a.acc
                     nxt[q2] = nxt.get(q2, False) or flag
             frontier = nxt
         step[src] = frontier

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buchidet import (DRW, Lasso, ParseError, RabinCondition,
+from buchidet import (DRW, NBW, Lasso, ParseError, RabinCondition,
                       determinize_profile, determinize_safra, drw_run_eval,
                       format_drw, format_nbw, nbw_member, normalize,
                       parse_drw, parse_nbw)
@@ -50,7 +52,7 @@ def test_parse_fig(two_state_text):
 def test_parse_no_transitions():
     a = parse_nbw("nbw\nalphabet: a\nstates: x y\ninitial: x\naccepting:\n")
     assert a.edges == ()
-    assert all(a.succ(q, 0) == () for q in range(2))
+    assert all(a.succ[q][0] == () for q in range(2))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -215,6 +217,21 @@ def test_drw_roundtrip():
     assert parsed.trans == d.trans
     assert parsed.acceptance == d.acceptance
     assert parsed.initial == d.initial
+
+
+@pytest.mark.parametrize("name", ["p r", "p#r", "", "p\t", "\u2028"])
+def test_writers_refuse_names_they_cannot_read_back(name):
+    """A name with whitespace would split into two on reading, and '#'
+    would cut the rest of its line off as a comment."""
+    named = re.escape(f"name {name!r} cannot be written")
+    with pytest.raises(ValueError, match=named):
+        format_nbw(NBW(["a"], ["q", name], [0], [], []))
+    with pytest.raises(ValueError, match=named):
+        format_nbw(NBW(["a", name], ["q"], [0], [], []))
+    with pytest.raises(ValueError, match=named):
+        format_drw(DRW(("a",), ("d0", name), 0, ((0,), (1,)), RabinCondition(())))
+    with pytest.raises(ValueError, match=named):
+        format_drw(DRW(("a", name), ("d0",), 0, ((0, 0),), RabinCondition(())))
 
 
 def test_drw_parse_requires_total_function():

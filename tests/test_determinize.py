@@ -340,3 +340,20 @@ def test_macrostate_and_level_views_stay_independent():
     src = Path(__file__).parents[1] / "src" / "buchidet"
     package = {p.stem for p in src.glob("*.py")} | {"buchidet"}
     assert _imported_modules("safra") & package <= {"automata", "explore"}
+
+
+def test_only_automata_uses_private_attributes():
+    """Outside `automata.py` the package uses no underscore-prefixed,
+    non-dunder attribute of anything but `self`: what other modules need of
+    an automaton is public."""
+    src = Path(__file__).parents[1] / "src" / "buchidet"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "automata.py":
+            continue
+        for node in ast.walk(_parse(path.stem)):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and not node.attr.endswith("__") \
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+    assert found == []

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
 from buchidet import DRW, RabinCondition, format_nbw, normalize
+from buchidet.determinize import determinize_profile
 from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
                               sweep_invariants)
@@ -126,7 +128,7 @@ def test_check_automaton_fig(two_state):
     assert res.disagreements == []
     assert res.violations == []
     assert res.lassos == 450
-    assert res.profile_states > 0 and res.safra_states > 0
+    assert res.max_profile_states > 0 and res.max_safra_states > 0
 
 
 def test_check_detects_corrupted_determinization(two_state):
@@ -162,6 +164,42 @@ def test_cross_check_state_cap_reported():
                          sweep_depth=0)
     assert not report.passed
     assert any("cap" in v or "aborted" in v for v in report.violations)
+
+
+def test_cross_check_rejects_an_empty_corpus():
+    """Zero automata would make a vacuous PASS."""
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            cross_check(GenSpec(3, 2, 0.5, 0.3, 0), 3, 4, count)
+
+
+def test_cross_check_labels_each_finding_with_its_seed(monkeypatch):
+    """Every disagreement carries the seed and text of its automaton, and
+    every violation starts with its seed."""
+    from buchidet import harness
+
+    def swapped(a, *args):
+        d = determinize_profile(a, *args)
+        return DRW(d.alphabet, d.states, d.initial, d.trans,
+                   RabinCondition(tuple((b, g) for g, b in d.acceptance)),
+                   d.payloads)
+
+    monkeypatch.setattr(harness, "determinize_profile", swapped)
+    spec = GenSpec(3, 2, 0.5, 0.3, 4242)
+    report = cross_check(spec, 2, 3, 3)
+    assert report.disagreements
+    texts = {seed: format_nbw(normalize(gen_nbw(replace(spec, seed=seed))))
+             for seed in (4242, 4243, 4244)}
+    for rec in report.disagreements:
+        assert rec["automaton"] == texts[rec["seed"]]
+    payload = json.dumps(report.to_json(), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == \
+        "a96e3366290c7a30d1620621dc3ef17a2b19adee3e5f0b6bec86952698925572"
+
+    capped = cross_check(GenSpec(4, 2, 0.8, 0.5, 99), 1, 1, 2, max_states=3,
+                         sweep_depth=0)
+    assert capped.violations[0].startswith("seed=99: determinization aborted")
+    assert capped.violations[1].startswith("seed=100: determinization aborted")
 
 
 def test_report_absorb():

@@ -100,7 +100,7 @@ def test_f_purity_and_width(two_state):
         for pl in profile_tree(two_state, word):
             assert len(pl.classes) <= two_state.n
             for j, group in enumerate(pl.classes):
-                assert {int(two_state.is_accepting(q)) for q in group} == {pl.f_class[j]}
+                assert {int(q in two_state.acc) for q in group} == {pl.f_class[j]}
 
 
 def test_pruning_keeps_maximal_parents(two_state):
@@ -111,7 +111,7 @@ def test_pruning_keeps_maximal_parents(two_state):
         sym = two_state.sym_id(word[i - 1])
         for j, group in enumerate(cur.classes):
             for q in group:
-                preds = [prev[p] for p in two_state.pred(q, sym) if p in prev]
+                preds = [prev[p] for p in two_state.pred[q][sym] if p in prev]
                 assert cur.parents[j] == max(preds)
 
 
