@@ -308,6 +308,8 @@ class DRW:
 
     def __post_init__(self):
         n, k = len(self.states), len(self.alphabet)
+        if not k:
+            raise ValueError("alphabet must be nonempty")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
         if len(self.trans) != n or any(len(row) != k for row in self.trans):

@@ -8,10 +8,15 @@ fixed pool {0..n-1}; the good/bad name marks feed the Rabin condition.
 One step is one recursive pass from the root: each child, oldest first,
 keeps its image minus what older siblings took, the accepting states left
 over sprout as a youngest child, and a node whose children cover its states
-sheds them and turns good.  Sprouts then take the smallest free names.
+sheds them and turns good.  The pass reads only the tree's name-free shape,
+its labels and child counts in preorder, so `determinize_safra` runs it once
+per shape and symbol in one exploration and `safra_successor` on every step.
+`_apply_names` then puts a tree's names on the result: continued nodes keep
+theirs, sprouts take the smallest free names, and every name not kept is bad.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .automata import DRW, NBW, RabinCondition
 from .explore import explore
@@ -34,88 +39,108 @@ class SafraTree:
     bad: tuple[int, ...]
 
 
-def _pack(root, kids: dict, labels: dict, good, bad) -> SafraTree:
-    return SafraTree(root,
-                     tuple((v, tuple(kids[v])) for v in sorted(kids)),
-                     tuple((v, tuple(sorted(labels[v]))) for v in sorted(labels)),
-                     tuple(sorted(good)), tuple(sorted(bad)))
+def _kids(shape) -> list[list[int]]:
+    """The child positions of every position of a preorder shape."""
+    kids, open_ = [[] for _ in shape], []
+    for i in range(len(shape)):
+        if open_:
+            kids[open_[-1]].append(i)
+        open_.append(i)
+        while open_ and len(kids[open_[-1]]) == shape[open_[-1]][1]:
+            open_.pop()
+    return kids
+
+
+def _tree(shape, names, good, bad) -> SafraTree:
+    return SafraTree(names[0] if names else None,
+                     tuple(sorted((names[i], tuple(names[c] for c in cs))
+                                  for i, cs in enumerate(_kids(shape)))),
+                     tuple(sorted(zip(names, (label for label, _ in shape)))),
+                     good, bad)
+
+
+def _flatten(t: SafraTree):
+    """`t` as (shape, names, good, bad), the names in preorder."""
+    kids, labels = dict(t.children), dict(t.labels)
+
+    def walk(v):
+        return [v] + [w for c in kids[v] for w in walk(c)]
+
+    order = [] if t.root is None else walk(t.root)
+    return (tuple((labels[v], len(kids[v])) for v in order), tuple(order),
+            t.good, t.bad)
 
 
 def safra_initial(a: NBW) -> SafraTree:
     """Single root named 0 labeled with the initial set; all other names bad."""
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
-    return _pack(0, {0: []}, {0: set(a.initial)}, (), range(1, a.n))
+    return _tree(((tuple(sorted(a.initial)), 0),), (0,), (), tuple(range(1, a.n)))
 
 
-def _successor(a: NBW, t: SafraTree, sym: int) -> SafraTree:
-    """`grow(v, states)` builds v's subtree from v's image less what older
-    siblings of v and of its ancestors took: child c keeps succ(label_c) &
-    states - seen, empty children drop out, `states & Acc - seen` sprouts
-    unnamed as the youngest child, and a node its children cover sheds them
-    ungrown and turns good.  A preorder walk gives the sprouts the smallest
-    free names; every name not kept, fresh ones included, is bad."""
-    n = a.n
-    old_kids, old_labels = dict(t.children), dict(t.labels)
-    succ = a.succ
+def _shape(a: NBW, shape, sym: int):
+    """The name-free step: the new shape, for each new position the old one
+    it continues (None for a sprout), and the old positions that turn good.
+    `grow(i, states)` builds old position i's subtree from `states`."""
+    succ, acc = a.succ, a.acc
 
     def image(qs):
         return {q2 for q in qs for q2 in succ[q][sym]}
 
-    states = image(old_labels[t.root]) if t.root is not None else None
+    states = image(shape[0][0]) if shape else None
     if not states:
-        # dead tree: nothing grows, every name stays bad
-        return _pack(None, {}, {}, (), range(n))
-    good, kept = set(), set()
+        # dead tree: nothing grows
+        return (), (), ()
+    kids, new, origin, good = _kids(shape), [], [], []
 
-    def grow(v, states):
-        kept.add(v)
+    def grow(i, states):
         parts, seen = [], set()
-        for c in old_kids[v]:
-            mine = image(old_labels[c]) & states - seen
+        for c in kids[i]:
+            mine = image(shape[c][0]) & states - seen
             if mine:
                 parts.append((c, mine))
                 seen |= mine
-        sprout = states & a.acc - seen
+        sprout = states & acc - seen
+        if seen | sprout == states:  # states is never empty here
+            good.append(i)
+            parts, sprout = [], set()
+        new.append((tuple(sorted(states)), len(parts) + bool(sprout)))
+        origin.append(i)
+        for c, s in parts:
+            grow(c, s)
         if sprout:
-            parts.append((None, sprout))
-            seen |= sprout
-        if parts and seen == states:
-            good.add(v)
-            return v, states, []
-        return v, states, [(None, s, []) if c is None else grow(c, s)
-                           for c, s in parts]
+            new.append((tuple(sorted(sprout)), 0))
+            origin.append(None)
 
-    tree = grow(t.root, states)
-    fresh = iter(sorted(set(range(n)) - kept))
-    kids, labels = {}, {}
+    grow(0, states)
+    return tuple(new), tuple(origin), tuple(good)
 
-    def name(node):
-        v, lab, children = node
-        if v is None:
-            v = next(fresh, None)
-            if v is None:
-                raise AssertionError("node pool exhausted; tree invariants broken")
-        labels[v] = lab
-        kids[v] = [name(c) for c in children]
-        return v
 
-    name(tree)
-    return _pack(t.root, kids, labels, good, set(range(n)) - kept)
+def _apply_names(a: NBW, names, step):
+    """Put a tree's preorder `names` on its step; fresh names are bad too."""
+    shape2, origin, good = step
+    free = sorted(set(range(a.n)) - {names[i] for i in origin if i is not None})
+    if origin.count(None) > len(free):
+        raise AssertionError("node pool exhausted; tree invariants broken")
+    fresh = iter(free)
+    return (shape2, tuple(next(fresh) if i is None else names[i] for i in origin),
+            tuple(sorted(names[i] for i in good)), tuple(free))
 
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
     """One transition of the tree automaton on `symbol`."""
-    return _successor(a, t, a.sym_id(symbol))
+    shape, names, _, _ = _flatten(t)
+    return _tree(*_apply_names(a, names, _shape(a, shape, a.sym_id(symbol))))
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     """Explore all reachable Safra trees; one Rabin pair per pool name."""
-    states, table = explore(safra_initial(a),
-                            lambda t, s: _successor(a, t, s),
-                            len(a.alphabet), max_states)
-    good = [[] for _ in range(a.n)]
-    bad = [[] for _ in range(a.n)]
+    steps = cache(lambda shape, sym: _shape(a, shape, sym))
+    keys, table = explore(_flatten(safra_initial(a)),
+                          lambda key, sym: _apply_names(a, key[1], steps(key[0], sym)),
+                          len(a.alphabet), max_states)
+    states = [_tree(*key) for key in keys]
+    good, bad = [[] for _ in range(a.n)], [[] for _ in range(a.n)]
     for i, t in enumerate(states):
         for name in t.good:
             good[name].append(i)

@@ -219,6 +219,15 @@ def test_drw_roundtrip():
     assert parsed.initial == d.initial
 
 
+def test_drw_rejects_an_empty_alphabet():
+    """`parse_drw` refuses `alphabet: ` with nothing after it, so a DRW
+    without symbols could be written but never read back."""
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        DRW((), ("d0",), 0, ((),), RabinCondition(()))
+    with pytest.raises(ParseError, match="alphabet must list at least one symbol"):
+        parse_drw("drw\nalphabet:\nstates: d0\ninitial: d0\n")
+
+
 @pytest.mark.parametrize("name", ["p r", "p#r", "", "p\t", "\u2028"])
 def test_writers_refuse_names_they_cannot_read_back(name):
     """A name with whitespace would split into two on reading, and '#'

@@ -1,7 +1,7 @@
 import pytest
 
-from buchidet import drw_run_eval, format_drw, nbw_member, normalize
-from buchidet.explore import StateLimitExceeded
+from buchidet import drw_run_eval, format_drw, nbw_member, normalize, safra
+from buchidet.explore import StateLimitExceeded, explore
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.safra import (SafraTree, determinize_safra, safra_initial,
                             safra_successor, validate_safra_tree)
@@ -113,3 +113,56 @@ def test_safra_pair_count_and_determinism(two_state):
 def test_safra_state_budget(two_state):
     with pytest.raises(StateLimitExceeded):
         determinize_safra(two_state, max_states=1)
+
+
+def test_safra_payloads_match_safra_successor_replay():
+    """`determinize_safra` reuses each step's name-free part across trees
+    with the same shape; stepping every tree afresh must give the same
+    trees in the same order."""
+    corpus = [normalize(gen_nbw(GenSpec(n, 2, 0.5, 0.3, 70_000 + 1000 * n + i)))
+              for n in range(2, 6) for i in range(40)]
+    corpus.append(normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777))))
+    for a in corpus:
+        states, table = explore(safra_initial(a),
+                                lambda t, s: safra_successor(a, t, a.alphabet[s]),
+                                len(a.alphabet))
+        d = determinize_safra(a)
+        assert d.payloads == tuple(states)
+        assert d.trans == tuple(tuple(row) for row in table)
+
+
+def _shape_of(t: SafraTree) -> tuple:
+    """`t` with its node names erased: preorder (label, child count)."""
+    kids, labels = dict(t.children), dict(t.labels)
+
+    def walk(v):
+        return ((labels[v], len(kids[v])),) + sum(map(walk, kids[v]), ())
+
+    return () if t.root is None else walk(t.root)
+
+
+def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
+    """The name-free part of a step depends on the labels and topology
+    only, so one exploration computes it once for each name-free tree and
+    symbol; the dead tree's empty shape is one of them."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shape(*args)
+
+    shape = safra._shape
+    monkeypatch.setattr(safra, "_shape", counted)
+    a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
+    d = determinize_safra(a)
+    shapes = {_shape_of(t) for t in d.payloads}
+    assert () in shapes
+    assert len(calls) == len(shapes) * len(a.alphabet) == 2244
+    assert len(calls) < len(d.states) * len(a.alphabet)
+
+
+def test_safra_cap_counts_trees_in_discovery_order():
+    a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
+    with pytest.raises(StateLimitExceeded):
+        determinize_safra(a, max_states=3412)
+    assert len(determinize_safra(a, max_states=3413).states) == 3413
