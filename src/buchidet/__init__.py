@@ -9,8 +9,8 @@ kinds, and a randomized cross-validation harness tying them together.
 __version__ = "0.1.0"
 
 from .automata import (DRW, NBW, Lasso, ParseError, RabinCondition,
-                       drw_run_eval, format_drw, format_nbw, nbw_member,
-                       normalize, parse_drw, parse_nbw)
+                       drw_run_eval, drw_verdicts, format_drw, format_nbw,
+                       nbw_member, nbw_verdicts, normalize, parse_drw, parse_nbw)
 from .determinize import Macrostate, determinize_profile, initial_macrostate, \
     sigma_successor
 from .explore import StateLimitExceeded
@@ -25,10 +25,10 @@ __all__ = [
     "DRW", "NBW", "Lasso", "ParseError", "RabinCondition", "Macrostate",
     "SafraTree", "LabeledLevel", "ProfileLevel", "GenSpec",
     "CheckReport", "StateLimitExceeded", "parse_nbw", "parse_drw", "format_nbw",
-    "format_drw", "normalize", "nbw_member", "drw_run_eval", "initial_level",
-    "step_level", "profile_tree", "profile_strings", "check_level_invariants",
-    "label_levels", "labels_of_class", "initial_macrostate", "sigma_successor",
-    "determinize_profile", "safra_initial", "safra_successor",
+    "format_drw", "normalize", "nbw_member", "drw_run_eval", "nbw_verdicts",
+    "drw_verdicts", "initial_level", "step_level", "profile_tree", "profile_strings",
+    "check_level_invariants", "label_levels", "labels_of_class", "initial_macrostate",
+    "sigma_successor", "determinize_profile", "safra_initial", "safra_successor",
     "determinize_safra", "gen_nbw", "enumerate_lassos", "check_automaton",
     "cross_check", "sweep_invariants", "__version__",
 ]

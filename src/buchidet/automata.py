@@ -8,6 +8,7 @@ lookup tables that only membership queries use are built on first use.
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 
 class ParseError(ValueError):
@@ -178,6 +179,24 @@ def _sym_ids(ids: dict, symbols) -> list[int]:
         raise ValueError(f"symbol {err.args[0]!r} not in alphabet") from None
 
 
+def _verdicts(ids: dict, start, step, decide, lassos) -> list[bool]:
+    """``decide(start after the prefix, period ids)`` per lasso, once per
+    distinct pair.  A prefix runs on from its one-shorter prefix if known."""
+    after, period_ids, memo, out = {(): start}, {}, {}, []
+    for w in lassos:
+        u, v = w.prefix, w.period
+        if u not in after:
+            q, rest = (after[u[:-1]], u[-1:]) if u[:-1] in after else (start, u)
+            after[u] = reduce(step, _sym_ids(ids, rest), q)
+        if v not in period_ids:
+            period_ids[v] = _sym_ids(ids, v)
+        key = (after[u], v)
+        if key not in memo:
+            memo[key] = decide(key[0], period_ids[v])
+        out.append(memo[key])
+    return out
+
+
 def _nibble_tables(adj, k: int) -> tuple:
     """Per symbol and per chunk of 4 states, the union of the `adj` rows of
     every subset of the chunk, as bitmasks (see :meth:`NBW._mask_tables`)."""
@@ -220,11 +239,24 @@ def nbw_member(a: NBW, w: Lasso) -> bool:
     """
     u = _sym_ids(a._sym_id, w.prefix)
     v = _sym_ids(a._sym_id, w.period)
-    post, pre, reach, acc = a._mask_tables()
+    post, _, reach, _ = a._mask_tables()
     for s in u:
         reach = _image(post[s], reach)
         if not reach:
             return False
+    return _nbw_period(a, reach, v)
+
+
+def nbw_verdicts(a: NBW, lassos: list[Lasso]) -> list[bool]:
+    """``[nbw_member(a, w) for w in lassos]``, each distinct start and period once."""
+    post, _, initial, _ = a._mask_tables()
+    return _verdicts(a._sym_id, initial, lambda m, s: _image(post[s], m),
+                     lambda m, v: _nbw_period(a, m, v), lassos)
+
+
+def _nbw_period(a: NBW, reach: int, v: list[int]) -> bool:
+    """Whether some run from the state mask `reach` accepts ``v^w``."""
+    post, pre, _, acc = a._mask_tables()
     lv = len(v)
     last = lv - 1
     # z[i]: reachable states at period position i.  todo[i] holds the states
@@ -354,10 +386,22 @@ def drw_run_eval(d: DRW, w: Lasso) -> bool:
     """
     u = _sym_ids(d._sym_id, w.prefix)
     v = _sym_ids(d._sym_id, w.period)
-    trans = d.trans
     q = d.initial
     for s in u:
-        q = trans[q][s]
+        q = d.trans[q][s]
+    return _drw_period(d, q, v)
+
+
+def drw_verdicts(d: DRW, lassos: list[Lasso]) -> list[bool]:
+    """``[drw_run_eval(d, w) for w in lassos]``, each distinct start and period once."""
+    trans = d.trans
+    return _verdicts(d._sym_id, d.initial, lambda q, s: trans[q][s],
+                     lambda q, v: _drw_period(d, q, v), lassos)
+
+
+def _drw_period(d: DRW, q: int, v: list[int]) -> bool:
+    """Whether the run from state `q` accepts ``v^w``."""
+    trans = d.trans
     starts: dict[int, int] = {}
     while q not in starts:
         starts[q] = len(starts)

@@ -1,9 +1,10 @@
 """Randomized and exhaustive cross-validation of the two determinizers.
 
 Three deciders answer every membership query: the NBW cycle oracle, the
-macrostate DRW, and the Safra DRW.  Any disagreement on any enumerated lasso
-is a genuine counterexample, replayable from the seed.  Agreement on bounded
-lassos is evidence, not proof; every report records the bounds it used.
+macrostate DRW, and the Safra DRW.  Each settles a check's lassos once per
+(start after the prefix, period) pair, all that a verdict depends on.  Any
+disagreement is a genuine counterexample, replayable from the seed.  Bounded
+agreement is evidence, not proof; every report records the bounds it used.
 """
 
 import random
@@ -11,7 +12,7 @@ import string
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
-from .automata import NBW, Lasso, drw_run_eval, format_nbw, nbw_member, normalize
+from .automata import NBW, Lasso, drw_verdicts, format_nbw, nbw_verdicts, normalize
 from .determinize import determinize_profile, initial_macrostate, sigma_successor, \
     validate_macrostate
 from .explore import StateLimitExceeded
@@ -235,12 +236,11 @@ def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
         for i, t in enumerate(drw_safra.payloads):
             for msg in validate_safra_tree(a, t):
                 res.violations.append(f"safra tree {i}: {msg}")
-    for w in lassos:
-        res.lassos += 1
-        verdicts = {"nbw": nbw_member(a, w),
-                    "profile": drw_run_eval(drw_profile, w),
-                    "safra": drw_run_eval(drw_safra, w)}
-        if len(set(verdicts.values())) != 1:
+    res.lassos = len(lassos)
+    for w, *row in zip(lassos, nbw_verdicts(a, lassos), drw_verdicts(drw_profile, lassos),
+                       drw_verdicts(drw_safra, lassos)):
+        if len(set(row)) != 1:
+            verdicts = dict(zip(("nbw", "profile", "safra"), row))
             res.disagreements.append({"lasso": str(w), "verdicts": verdicts})
     return res
 

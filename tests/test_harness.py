@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from buchidet import DRW, RabinCondition, format_nbw, normalize
+from buchidet import (DRW, RabinCondition, drw_run_eval, format_nbw, nbw_member,
+                      normalize)
 from buchidet.determinize import determinize_profile
 from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
                               sweep_invariants)
+from buchidet.safra import determinize_safra
 
 GOLDEN_SEED42 = """\
 nbw
@@ -139,9 +141,90 @@ def test_check_detects_corrupted_determinization(two_state):
     swapped = DRW(drw.alphabet, drw.states, drw.initial, drw.trans,
                   RabinCondition(tuple((b, g) for g, b in drw.acceptance)),
                   drw.payloads)
-    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
-                          drw_profile=swapped)
+    lassos = enumerate_lassos(two_state.alphabet, 3, 4)
+    res = check_automaton(two_state, lassos, drw_profile=swapped)
     assert res.disagreements
+    # exactly the records of a per-lasso loop, in order, keys in order
+    safra = determinize_safra(two_state)
+    want = []
+    for w in lassos:
+        verdicts = {"nbw": nbw_member(two_state, w),
+                    "profile": drw_run_eval(swapped, w),
+                    "safra": drw_run_eval(safra, w)}
+        if len(set(verdicts.values())) != 1:
+            want.append({"lasso": str(w), "verdicts": verdicts})
+    assert res.lassos == len(lassos)
+    assert json.dumps(res.disagreements) == json.dumps(want)
+
+
+def _swapped_pairs(d: DRW) -> DRW:
+    return DRW(d.alphabet, d.states, d.initial, d.trans,
+               RabinCondition(tuple((b, g) for g, b in d.acceptance)), d.payloads)
+
+
+def _digest(report: CheckReport) -> str:
+    payload = json.dumps(report.to_json(), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
+
+
+def test_check_report_bytes_pinned():
+    """Report bytes as the per-lasso deciders produced them, on a clean
+    corpus and with the swapped-pairs profile DRW injected."""
+    spec = GenSpec(4, 2, 0.5, 0.3, 4242)
+    assert _digest(cross_check(spec, 3, 4, 50)) == \
+        "291a4f4f7108f9d7cc6ea86e4455a8d362837fd73af96ca5b75d2481d0cc6391"
+    lassos = enumerate_lassos(["a", "b"], 3, 4)
+    corrupted = CheckReport()
+    for seed in range(4242, 4252):
+        a = normalize(gen_nbw(replace(spec, seed=seed)))
+        corrupted.absorb(check_automaton(a, lassos,
+                                         drw_profile=_swapped_pairs(determinize_profile(a))))
+    assert len(corrupted.disagreements) == 1578
+    assert _digest(corrupted) == \
+        "7493d5f4a89f4a4a2b089824d77ae9e7af959b8eeab565e82a6d0e0f34506936"
+
+
+def test_check_decides_each_start_and_period_once(monkeypatch):
+    """``check_automaton`` calls each decider's period core once per distinct
+    (start after the prefix, period) pair, well below once per lasso."""
+    from buchidet import automata
+
+    a = normalize(gen_nbw(GenSpec(4, 2, 0.5, 0.3, 20_264_000)))
+    profile, safra = determinize_profile(a), determinize_safra(a)
+    lassos = enumerate_lassos(a.alphabet, 3, 4)
+    calls = {"nbw": 0, "profile": 0, "safra": 0}
+    nbw_period, drw_period = automata._nbw_period, automata._drw_period
+
+    def count_nbw(a, *args):
+        calls["nbw"] += 1
+        return nbw_period(a, *args)
+
+    def count_drw(d, *args):
+        calls["profile" if d is profile else "safra"] += 1
+        return drw_period(d, *args)
+
+    monkeypatch.setattr(automata, "_nbw_period", count_nbw)
+    monkeypatch.setattr(automata, "_drw_period", count_drw)
+    res = check_automaton(a, lassos, drw_profile=profile)
+    assert res.passed and res.lassos == 450
+
+    def reach(u):
+        states = set(a.initial)
+        for sym in u:
+            states = {t for q in states for t in a.succ[q][a.sym_id(sym)]}
+        return frozenset(states)
+
+    def run(d, u):
+        q = d.initial
+        for sym in u:
+            q = d.trans[q][d.sym_id(sym)]
+        return q
+
+    want = {"nbw": len({(reach(w.prefix), w.period) for w in lassos}),
+            "profile": len({(run(profile, w.prefix), w.period) for w in lassos}),
+            "safra": len({(run(safra, w.prefix), w.period) for w in lassos})}
+    assert calls == want
+    assert max(calls.values()) < len(lassos)
 
 
 def test_cross_check_small_corpus():

@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from buchidet import (NBW, Lasso, determinize_profile, determinize_safra,
-                      drw_run_eval, nbw_member, normalize)
+from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safra,
+                      drw_run_eval, drw_verdicts, enumerate_lassos, gen_nbw,
+                      nbw_member, nbw_verdicts, normalize)
 from oracles import brute_member
 
 SIZES = (1, 3, 4, 5, 8, 9, 13)
@@ -104,3 +105,68 @@ def test_drw_run_eval_matches_member(n):
             for text in ("z;a", "a;b.z"):
                 with pytest.raises(ValueError, match="'z'"):
                     drw_run_eval(d, Lasso.parse(text))
+
+
+# -- batch deciders ------------------------------------------------------------
+
+BATCH_GRID = [GenSpec(n, k, 0.5, 0.3, 7000 + 10 * n + k)
+              for n in range(1, 7) for k in range(1, 4)]
+BATCH_IDS = [f"n{s.n_states}k{s.alphabet_size}" for s in BATCH_GRID]
+
+
+def assert_batches_match(a: NBW, lassos: list[Lasso]):
+    """The batch deciders return exactly the per-lasso verdict lists, for the
+    NBW and for both of its determinizations."""
+    assert nbw_verdicts(a, lassos) == [nbw_member(a, w) for w in lassos]
+    for d in (determinize_profile(a), determinize_safra(a)):
+        assert drw_verdicts(d, lassos) == [drw_run_eval(d, w) for w in lassos]
+
+
+@pytest.mark.parametrize("spec", BATCH_GRID, ids=BATCH_IDS)
+def test_batch_verdicts_match_per_lasso(spec):
+    a = normalize(gen_nbw(spec))
+    lassos = enumerate_lassos(a.alphabet, 3, 4 if spec.alphabet_size < 3 else 3)
+    assert_batches_match(a, lassos)
+    # shuffled, with duplicates: a prefix may come before its shorter ones
+    rng = random.Random(spec.seed)
+    mixed = lassos + rng.sample(lassos, len(lassos) // 3)
+    rng.shuffle(mixed)
+    assert_batches_match(a, mixed)
+    # only the longest prefixes, so no one-shorter prefix was run first
+    assert_batches_match(a, [w for w in lassos if len(w.prefix) == 3])
+
+
+@pytest.mark.parametrize("spec", BATCH_GRID, ids=BATCH_IDS)
+def test_batch_verdicts_after_a_prefix_that_kills_every_run(spec):
+    """With the initial states' edges on the first symbol removed, every
+    prefix starting with it leaves no run alive: the NBW start is the empty
+    mask, and every such lasso is rejected."""
+    g = normalize(gen_nbw(spec))
+    a = NBW(g.alphabet, g.states, g.initial, g.accepting,
+            [e for e in g.edges if not (e[1] == 0 and e[0] in g.initial)])
+    first = a.alphabet[0]
+    lassos = [w for w in enumerate_lassos(a.alphabet, 3, 3) if w.prefix[:1] == (first,)]
+    random.Random(spec.seed).shuffle(lassos)
+    assert not any(a.succ[q][0] for q in a.initial)
+    assert not any(nbw_verdicts(a, lassos))
+    assert_batches_match(a, lassos)
+
+
+def test_batch_verdicts_unknown_symbol_and_empty_list():
+    """An unknown symbol anywhere raises the single-lasso error, also in a
+    prefix that extends one already run or follows a dead run."""
+    a = NBW(ALPHABET, ["s0"], [0], [0], [(0, 0, 0)])
+    d = determinize_profile(normalize(a))
+    assert nbw_verdicts(a, []) == [] and drw_verdicts(d, []) == []
+    ok = [Lasso.parse(t) for t in (";a", "a;a", "b;a")]
+    for text in ("z;a", "a.z;a", "b.z;a", ";z", "a;a.z", "b;b.z"):
+        bad = Lasso.parse(text)
+        for batch, single, aut in ((nbw_verdicts, nbw_member, a),
+                                   (drw_verdicts, drw_run_eval, d)):
+            with pytest.raises(ValueError) as want:
+                single(aut, bad)
+            assert str(want.value) == "symbol 'z' not in alphabet"
+            for lassos in ([bad], ok + [bad], [bad] + ok):
+                with pytest.raises(ValueError) as got:
+                    batch(aut, lassos)
+                assert str(got.value) == str(want.value), text
