@@ -118,10 +118,10 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-# tracemalloc peak, GenSpec(10, 2, 0.25, 0.3, 778): about 1.2 KiB per macrostate
+# tracemalloc peak, GenSpec(10, 2, 0.25, 0.3, 778): about 0.8 KiB per macrostate
 _MAX_STATES_HELP = ("most DRW states explored per automaton; a profile "
-                    "macrostate takes about 1.2 KiB, so the default of 10**6 "
-                    "can take about 1.1 GiB")
+                    "macrostate takes about 0.8 KiB, so the default of 10**6 "
+                    "can take about 0.8 GiB")
 
 
 def build_parser() -> argparse.ArgumentParser:

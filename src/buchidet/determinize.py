@@ -9,14 +9,20 @@ declaratively from the rows: a new class inherits the label of its minimal
 uncle, whose heir it is, and the events follow from the heirs.  No tree
 surgery is involved.
 
-The label-free part of a step (the new classes and cousin order, each new
-class's inheriting uncle, the uncles whose labels turn good) depends only on
-(classes, cousin, symbol).  `determinize_profile` computes it once per such
-triple in one exploration and puts each macrostate's labels on it;
-`sigma_successor` computes every step afresh.
+A step has two parts.  `_shape` is its label-free part: the new classes
+and cousin order, each new class's inheriting uncle and the uncles whose
+labels turn good, a function of (classes, cousin, symbol) alone.
+`_apply_labels` is the one label step: it puts a macrostate's labels on a
+shape and returns the new labels and the good/bad label masks.
+`sigma_successor` composes the two afresh on every step.
+`determinize_profile` explores compact keys (sid, labels, good mask, bad
+mask), where sid numbers the distinct (classes, cousin) pairs of one call,
+computes each shape once per (sid, symbol), and builds each `Macrostate`
+once after exploration.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .automata import DRW, NBW, RabinCondition
 from .explore import explore
@@ -92,19 +98,34 @@ def _shape(a: NBW, classes, cousin, sym: int):
             good)
 
 
-def _apply_labels(a: NBW, m: Macrostate, shape) -> Macrostate:
-    """Put `m`'s labels on a step's shape: heirs keep their uncle's label,
-    fresh classes draw from the sorted free pool in rank order, and the
-    labels that vanished are bad."""
-    classes2, pairs, heirs, good = shape
-    free = sorted(set(range(2 * a.n + 1)) - set(m.labels))
-    if heirs.count(None) > len(free):
+def _apply_labels(a: NBW, labels, heirs, good):
+    """Put `labels` on a step's heirs and good ranks: heirs keep their
+    uncle's label, fresh classes draw from the free pool smallest first in
+    rank order, and the labels that vanished are bad.  Returns the new
+    labels and the good and bad label masks."""
+    used = 0
+    for lab in labels:
+        used |= 1 << lab
+    free = ((1 << 2 * a.n + 1) - 1) & ~used
+    if heirs.count(None) > free.bit_count():
         raise AssertionError("free-label pool exhausted; state count is wrong")
-    fresh = iter(free)
-    labels2 = tuple(next(fresh) if x is None else m.labels[x] for x in heirs)
-    return Macrostate(classes2, labels2, pairs,
-                      frozenset(m.labels[x] for x in good),
-                      frozenset(m.labels) - frozenset(labels2))
+    labels2, kept, good_mask = [], 0, 0
+    for x in heirs:
+        if x is None:
+            low = free & -free
+            free ^= low
+            labels2.append(low.bit_length() - 1)
+        else:
+            lab = labels[x]
+            kept |= 1 << lab
+            labels2.append(lab)
+    for x in good:
+        good_mask |= 1 << labels[x]
+    return tuple(labels2), good_mask, used & ~kept
+
+
+def _label_set(mask: int) -> frozenset:
+    return frozenset(lab for lab in range(mask.bit_length()) if mask >> lab & 1)
 
 
 def sigma_successor(a: NBW, m: Macrostate, symbol: str) -> Macrostate:
@@ -114,31 +135,58 @@ def sigma_successor(a: NBW, m: Macrostate, symbol: str) -> Macrostate:
     names all labels alive before; the empty macrostate loops on itself with
     no further events, acting as the rejecting sink.
     """
-    return _apply_labels(a, m, _shape(a, m.classes, m.cousin, a.sym_id(symbol)))
+    classes2, pairs, heirs, good = _shape(a, m.classes, m.cousin, a.sym_id(symbol))
+    labels2, good_mask, bad_mask = _apply_labels(a, m.labels, heirs, good)
+    return Macrostate(classes2, labels2, pairs, _label_set(good_mask),
+                      _label_set(bad_mask))
 
 
 def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     """Explore the full macrostate automaton and package it as a DRW.
 
-    Each step's shape is computed once per (classes, cousin, symbol) in this
-    exploration and shared by every macrostate with those preorders.  One
-    Rabin pair per label in {0..2n} is generated; pairs whose G side is
-    empty can never fire and are dropped.
+    The exploration runs on keys (sid, labels, good mask, bad mask), where
+    sid numbers the distinct (classes, cousin) pairs met in this call; a key
+    is equal to another exactly when their macrostates are.  Each step's
+    shape is computed once per (sid, symbol) and shared by every macrostate
+    with those preorders; only `_apply_labels` runs on every step.  Each
+    `Macrostate` is built once after exploration, sharing its classes,
+    cousin and good/bad objects with every macrostate whose fields are
+    equal.  One Rabin pair per label in {0..2n} is generated; pairs whose G
+    side is empty can never fire and are dropped.
     """
-    shapes: dict = {}
+    sids: dict = {}
+    preorders: list = []  # sid -> (classes, cousin)
+    shared: dict = {}
 
-    def step(m: Macrostate, sym: int) -> Macrostate:
-        key = (m.classes, m.cousin, sym)
-        shape = shapes.get(key)
-        if shape is None:
-            shape = shapes[key] = _shape(a, m.classes, m.cousin, sym)
-        return _apply_labels(a, m, shape)
+    def intern(classes, cousin) -> int:
+        sid = sids.get((classes, cousin))
+        if sid is None:
+            sid = sids[classes, cousin] = len(preorders)
+            preorders.append((shared.setdefault(classes, classes),
+                              shared.setdefault(cousin, cousin)))
+        return sid
 
-    states, table = explore(initial_macrostate(a), step, len(a.alphabet),
-                            max_states)
+    @cache
+    def shapes(sid: int, sym: int):
+        classes2, pairs, heirs, good = _shape(a, *preorders[sid], sym)
+        return intern(classes2, pairs), heirs, good
+
+    def step(key, sym: int):
+        sid2, heirs, good = shapes(key[0], sym)
+        return (sid2, *_apply_labels(a, key[1], heirs, good))
+
+    m0 = initial_macrostate(a)  # no events yet: both masks are 0
+    keys, table = explore((intern(m0.classes, m0.cousin), m0.labels, 0, 0),
+                          step, len(a.alphabet), max_states)
+    label_set = cache(_label_set)
+    states = []
     good = [[] for _ in range(2 * a.n + 1)]
     bad = [[] for _ in range(2 * a.n + 1)]
-    for i, st in enumerate(states):
+    for i, (sid, labels, good_mask, bad_mask) in enumerate(keys):
+        classes, cousin = preorders[sid]
+        st = Macrostate(classes, labels, cousin, label_set(good_mask),
+                        label_set(bad_mask))
+        states.append(st)
         for lab in st.good:
             good[lab].append(i)
         for lab in st.bad:

@@ -260,6 +260,48 @@ def test_profile_shape_computed_once_per_classes_cousin_and_symbol(monkeypatch):
     assert len(calls) == len(preorders) * len(a.alphabet) < len(d.states)
 
 
+def test_profile_payloads_share_equal_fields():
+    """One exploration builds one object per distinct classes, cousin, good
+    and bad value and shares it among the macrostates that hold it; the
+    memory per macrostate depends on that."""
+    a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
+    payloads = determinize_profile(a).payloads
+    for field in ("classes", "cousin", "good", "bad"):
+        values = [getattr(m, field) for m in payloads]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+
+
+def test_free_label_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
+    """A step with more fresh classes than free labels means the state
+    count argument is broken; the one-step path and the memoized exploration
+    both refuse it rather than reuse a label."""
+    def fresh(count):
+        return lambda a, classes, cousin, sym: (((0,),) * count, frozenset(),
+                                                (None,) * count, ())
+
+    m0 = initial_macrostate(two_state)
+    pool = 2 * two_state.n + 1
+    monkeypatch.setattr(determinize, "_shape", fresh(pool - 1))
+    m1 = sigma_successor(two_state, m0, "a")
+    assert m1.labels == tuple(range(1, pool)) and m1.bad == frozenset({0})
+    # label 0 is in use, so a whole pool of fresh classes no longer fits
+    monkeypatch.setattr(determinize, "_shape", fresh(pool))
+    with pytest.raises(AssertionError, match="free-label pool exhausted"):
+        sigma_successor(two_state, m0, "a")
+    monkeypatch.setattr(determinize, "_shape", fresh(pool + 1))
+    with pytest.raises(AssertionError, match="free-label pool exhausted"):
+        sigma_successor(two_state, m0, "a")
+    with pytest.raises(AssertionError, match="free-label pool exhausted"):
+        determinize_profile(two_state)
+
+
+def test_profile_cap_counts_macrostates_in_discovery_order():
+    a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
+    with pytest.raises(StateLimitExceeded):
+        determinize_profile(a, max_states=2459)
+    assert len(determinize_profile(a, max_states=2460).states) == 2460
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
