@@ -28,7 +28,7 @@ from .automata import DRW, NBW, RabinCondition
 from .explore import explore
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Macrostate:
     """Canonical, hashable macrostate.
 

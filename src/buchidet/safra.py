@@ -8,11 +8,15 @@ fixed pool {0..n-1}; the good/bad name marks feed the Rabin condition.
 One step is one recursive pass from the root: each child, oldest first,
 keeps its image minus what older siblings took, the accepting states left
 over sprout as a youngest child, and a node whose children cover its states
-sheds them and turns good.  The pass reads only the tree's name-free shape,
-its labels and child counts in preorder, so `determinize_safra` runs it once
-per shape and symbol in one exploration and `safra_successor` on every step.
-`_apply_names` then puts a tree's names on the result: continued nodes keep
-theirs, sprouts take the smallest free names, and every name not kept is bad.
+sheds them and turns good.  `_shape` runs that pass on the tree's name-free
+shape, its labels and child counts in preorder.  `_apply_names` is the one
+naming step: it puts a tree's names on the result as bits of an n-bit name
+mask.  Continued nodes keep their names, sprouts take the lowest free names
+in preorder, and every name not kept is bad.  `safra_successor` composes the
+two afresh on every step.  `determinize_safra` explores compact keys (sid,
+names, good mask, bad mask), where sid numbers the distinct shapes of one
+call, computes each shape's step once per (sid, symbol), and builds each
+`SafraTree` once after exploration.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from .automata import DRW, NBW, RabinCondition
 from .explore import explore
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SafraTree:
     """Canonical Safra tree.
 
@@ -51,37 +55,44 @@ def _kids(shape) -> list[list[int]]:
     return kids
 
 
-def _tree(shape, names, good, bad) -> SafraTree:
+def _tree(shape, kids, names, good, bad) -> SafraTree:
+    """The tree of a shape, its child positions and its preorder names."""
+    order = sorted(range(len(names)), key=names.__getitem__)
     return SafraTree(names[0] if names else None,
-                     tuple(sorted((names[i], tuple(names[c] for c in cs))
-                                  for i, cs in enumerate(_kids(shape)))),
-                     tuple(sorted(zip(names, (label for label, _ in shape)))),
+                     tuple([(names[i], tuple([names[c] for c in kids[i]]))
+                            for i in order]),
+                     tuple([(names[i], shape[i][0]) for i in order]),
                      good, bad)
 
 
 def _flatten(t: SafraTree):
-    """`t` as (shape, names, good, bad), the names in preorder."""
+    """`t` as (shape, names), the names in preorder."""
     kids, labels = dict(t.children), dict(t.labels)
 
     def walk(v):
         return [v] + [w for c in kids[v] for w in walk(c)]
 
     order = [] if t.root is None else walk(t.root)
-    return (tuple((labels[v], len(kids[v])) for v in order), tuple(order),
-            t.good, t.bad)
+    return tuple((labels[v], len(kids[v])) for v in order), tuple(order)
+
+
+def _names(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def safra_initial(a: NBW) -> SafraTree:
     """Single root named 0 labeled with the initial set; all other names bad."""
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
-    return _tree(((tuple(sorted(a.initial)), 0),), (0,), (), tuple(range(1, a.n)))
+    return SafraTree(0, ((0, ()),), ((0, tuple(sorted(a.initial))),), (),
+                     tuple(range(1, a.n)))
 
 
-def _shape(a: NBW, shape, sym: int):
-    """The name-free step: the new shape, for each new position the old one
-    it continues (None for a sprout), and the old positions that turn good.
-    `grow(i, states)` builds old position i's subtree from `states`."""
+def _shape(a: NBW, shape, kids, sym: int):
+    """The name-free step on a shape and its child positions `kids`: the new
+    shape, for each new position the old one it continues (None for a
+    sprout), and the old positions that turn good.  `grow(i, states)`
+    builds old position i's subtree from `states`."""
     succ, acc = a.succ, a.acc
 
     def image(qs):
@@ -91,7 +102,7 @@ def _shape(a: NBW, shape, sym: int):
     if not states:
         # dead tree: nothing grows
         return (), (), ()
-    kids, new, origin, good = _kids(shape), [], [], []
+    new, origin, good = [], [], []
 
     def grow(i, states):
         parts, seen = [], set()
@@ -116,32 +127,80 @@ def _shape(a: NBW, shape, sym: int):
     return tuple(new), tuple(origin), tuple(good)
 
 
-def _apply_names(a: NBW, names, step):
-    """Put a tree's preorder `names` on its step; fresh names are bad too."""
-    shape2, origin, good = step
-    free = sorted(set(range(a.n)) - {names[i] for i in origin if i is not None})
-    if origin.count(None) > len(free):
+def _apply_names(a: NBW, names, origin, good):
+    """Put a tree's preorder `names` on a step's `origin` and `good`
+    positions: continued nodes keep their names, sprouts take the lowest
+    free names in preorder, and every name not kept is bad, fresh ones too.
+    Returns the new preorder names and the good and bad name masks."""
+    kept = 0
+    for i in origin:
+        if i is not None:
+            kept |= 1 << names[i]
+    free = bad = ((1 << a.n) - 1) & ~kept
+    if origin.count(None) > free.bit_count():
         raise AssertionError("node pool exhausted; tree invariants broken")
-    fresh = iter(free)
-    return (shape2, tuple(next(fresh) if i is None else names[i] for i in origin),
-            tuple(sorted(names[i] for i in good)), tuple(free))
+    names2 = []
+    for i in origin:
+        if i is None:
+            low = free & -free
+            free ^= low
+            names2.append(low.bit_length() - 1)
+        else:
+            names2.append(names[i])
+    good_mask = 0
+    for i in good:
+        good_mask |= 1 << names[i]
+    return tuple(names2), good_mask, bad
 
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
     """One transition of the tree automaton on `symbol`."""
-    shape, names, _, _ = _flatten(t)
-    return _tree(*_apply_names(a, names, _shape(a, shape, a.sym_id(symbol))))
+    shape, names = _flatten(t)
+    shape2, origin, good = _shape(a, shape, _kids(shape), a.sym_id(symbol))
+    names2, good_mask, bad_mask = _apply_names(a, names, origin, good)
+    return _tree(shape2, _kids(shape2), names2, _names(good_mask), _names(bad_mask))
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
-    """Explore all reachable Safra trees; one Rabin pair per pool name."""
-    steps = cache(lambda shape, sym: _shape(a, shape, sym))
-    keys, table = explore(_flatten(safra_initial(a)),
-                          lambda key, sym: _apply_names(a, key[1], steps(key[0], sym)),
-                          len(a.alphabet), max_states)
-    states = [_tree(*key) for key in keys]
+    """Explore all reachable Safra trees; one Rabin pair per pool name.
+
+    The exploration runs on keys (sid, names, good mask, bad mask), where
+    sid numbers the distinct shapes met in this call; a key is equal to
+    another exactly when their trees are.  Each step's shape is computed
+    once per (sid, symbol), and only `_apply_names` runs on every step.
+    Each `SafraTree` is built once after exploration from its sid's child
+    positions, computed once per sid, and with one good/bad name tuple per
+    mask.
+    """
+    sids: dict = {}
+    shapes: list = []  # sid -> (shape, kids)
+
+    def intern(shape) -> int:
+        sid = sids.get(shape)
+        if sid is None:
+            sid = sids[shape] = len(shapes)
+            shapes.append((shape, _kids(shape)))
+        return sid
+
+    @cache
+    def steps(sid: int, sym: int):
+        shape2, origin, good = _shape(a, *shapes[sid], sym)
+        return intern(shape2), origin, good
+
+    def step(key, sym: int):
+        sid2, origin, good = steps(key[0], sym)
+        return (sid2, *_apply_names(a, key[1], origin, good))
+
+    t0 = safra_initial(a)  # no good marks yet
+    shape, names = _flatten(t0)
+    keys, table = explore((intern(shape), names, 0, sum(1 << v for v in t0.bad)),
+                          step, len(a.alphabet), max_states)
+    name_tuple = cache(_names)
+    states = []
     good, bad = [[] for _ in range(a.n)], [[] for _ in range(a.n)]
-    for i, t in enumerate(states):
+    for i, (sid, names, good_mask, bad_mask) in enumerate(keys):
+        t = _tree(*shapes[sid], names, name_tuple(good_mask), name_tuple(bad_mask))
+        states.append(t)
         for name in t.good:
             good[name].append(i)
         for name in t.bad:
@@ -188,8 +247,15 @@ def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
     if reach != set(labels):
         out.append("nodes disconnected from the root")
     for v, lab in labels.items():
+        if not 0 <= v < n:
+            out.append(f"node name {v} outside the name pool")
         if not lab:
             out.append(f"node {v} has an empty label")
+        if list(lab) != sorted(set(lab)):
+            out.append(f"node {v} label is not a sorted state set")
+        for q in lab:
+            if not 0 <= q < n:
+                out.append(f"state id {q} out of range")
         union = set()
         for c in kids.get(v, ()):
             child_lab = set(labels.get(c, ()))
@@ -205,4 +271,6 @@ def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
         out.append("good and bad marks overlap")
     if not good <= set(range(n)) or not bad <= set(range(n)):
         out.append("marks outside the name pool")
+    for v in sorted(good - set(labels)):
+        out.append(f"good name {v} is not a node")
     return out

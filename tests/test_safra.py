@@ -166,3 +166,69 @@ def test_safra_cap_counts_trees_in_discovery_order():
     with pytest.raises(StateLimitExceeded):
         determinize_safra(a, max_states=3412)
     assert len(determinize_safra(a, max_states=3413).states) == 3413
+
+
+def test_safra_kids_computed_once_per_name_free_tree(monkeypatch):
+    """One exploration derives the child positions of each name-free tree
+    once and shares them between the steps from it and the payload build."""
+    calls = []
+
+    def counted(shape):
+        calls.append(shape)
+        return kids(shape)
+
+    kids = safra._kids
+    monkeypatch.setattr(safra, "_kids", counted)
+    a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
+    d = determinize_safra(a)
+    assert sorted(calls) == sorted({_shape_of(t) for t in d.payloads})
+    assert len(calls) == 748 < len(d.states)
+
+
+def test_safra_payloads_share_good_and_bad_tuples():
+    """One exploration builds one name tuple per distinct mark set and
+    shares it among the trees that hold it, as good or as bad marks."""
+    a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
+    payloads = determinize_safra(a).payloads
+    values = [t.good for t in payloads] + [t.bad for t in payloads]
+    assert len({id(v) for v in values}) == len(set(values)) < len(payloads)
+
+
+def test_node_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
+    """A step with more sprouts than free names means the tree invariants
+    are broken; the one-step path and the memoized exploration both refuse
+    it rather than reuse a name."""
+    def sprouting(count):
+        return lambda a, shape, kids, sym: (
+            (((0, 1), count),) + (((1,), 0),) * count, (0,) + (None,) * count, ())
+
+    t0 = safra_initial(two_state)
+    # name 0 stays on the root, so one name is free
+    monkeypatch.setattr(safra, "_shape", sprouting(1))
+    t1 = safra_successor(two_state, t0, "a")
+    assert t1.children == ((0, (1,)), (1, ())) and t1.bad == (1,)
+    monkeypatch.setattr(safra, "_shape", sprouting(2))
+    with pytest.raises(AssertionError, match="node pool exhausted"):
+        safra_successor(two_state, t0, "a")
+    with pytest.raises(AssertionError, match="node pool exhausted"):
+        determinize_safra(two_state)
+
+
+_VALID = SafraTree(0, ((0, (1,)), (1, ())), ((0, (0, 1)), (1, (1,))), (), (2,))
+
+
+@pytest.mark.parametrize("tree, message", [
+    (SafraTree(0, ((0, (3,)), (3, ())), ((0, (0, 1)), (3, (1,))), (), (1, 2)),
+     "node name 3 outside the name pool"),
+    (SafraTree(0, ((0, (1,)), (1, ())), ((0, (0, 1, 3)), (1, (1,))), (), (2,)),
+     "state id 3 out of range"),
+    (SafraTree(0, ((0, (1,)), (1, ())), ((0, (1, 0)), (1, (1,))), (), (2,)),
+     "node 0 label is not a sorted state set"),
+    (SafraTree(0, ((0, (1,)), (1, ())), ((0, (0, 1)), (1, (1,))), (2,), ()),
+     "good name 2 is not a node"),
+], ids=["name-outside-pool", "state-out-of-range", "unsorted-label",
+        "good-name-not-a-node"])
+def test_validate_safra_tree_flags_corrupted_tree(tree, message):
+    a = nbw(["a"], ["x", "y", "z"], ["x"], ["y"], [("x", "a", "y")])
+    assert validate_safra_tree(a, _VALID) == []
+    assert validate_safra_tree(a, tree) == [message]
