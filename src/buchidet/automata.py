@@ -179,21 +179,19 @@ def _sym_ids(ids: dict, symbols) -> list[int]:
         raise ValueError(f"symbol {err.args[0]!r} not in alphabet") from None
 
 
-def _verdicts(ids: dict, start, step, decide, lassos) -> list[bool]:
-    """``decide(start after the prefix, period ids)`` per lasso, once per
-    distinct pair.  A prefix runs on from its one-shorter prefix if known."""
-    after, period_ids, memo, out = {(): start}, {}, {}, []
+def _verdicts(ids: dict, start, step, decider, lassos) -> list[bool]:
+    """``decide(start after the prefix)`` per lasso, where ``decide =
+    decider(period ids)`` is built once per distinct period.  A prefix runs
+    on from its one-shorter prefix if known."""
+    after, deciders, out = {(): start}, {}, []
     for w in lassos:
         u, v = w.prefix, w.period
         if u not in after:
             q, rest = (after[u[:-1]], u[-1:]) if u[:-1] in after else (start, u)
             after[u] = reduce(step, _sym_ids(ids, rest), q)
-        if v not in period_ids:
-            period_ids[v] = _sym_ids(ids, v)
-        key = (after[u], v)
-        if key not in memo:
-            memo[key] = decide(key[0], period_ids[v])
-        out.append(memo[key])
+        if v not in deciders:
+            deciders[v] = decider(_sym_ids(ids, v))
+        out.append(deciders[v](after[u]))
     return out
 
 
@@ -244,18 +242,30 @@ def nbw_member(a: NBW, w: Lasso) -> bool:
         reach = _image(post[s], reach)
         if not reach:
             return False
-    return _nbw_period(a, reach, v)
+    return bool(_nbw_period(a, reach, v))
 
 
 def nbw_verdicts(a: NBW, lassos: list[Lasso]) -> list[bool]:
-    """``[nbw_member(a, w) for w in lassos]``, each distinct start and period once."""
+    """``[nbw_member(a, w) for w in lassos]``, each distinct period once.
+
+    Per period, one call from the full state mask gives the states from
+    which some run accepts ``v^w``; a lasso is accepted iff its start mask
+    after the prefix meets them.
+    """
     post, _, initial, _ = a._mask_tables()
+    full = (1 << a.n) - 1
+
+    def decider(v):
+        good = _nbw_period(a, full, v)
+        return lambda m: bool(m & good)
+
     return _verdicts(a._sym_id, initial, lambda m, s: _image(post[s], m),
-                     lambda m, v: _nbw_period(a, m, v), lassos)
+                     decider, lassos)
 
 
-def _nbw_period(a: NBW, reach: int, v: list[int]) -> bool:
-    """Whether some run from the state mask `reach` accepts ``v^w``."""
+def _nbw_period(a: NBW, reach: int, v: list[int]) -> int:
+    """The mask of states from which some run accepts ``v^w``, among those
+    reachable at period starts from the state mask `reach`; 0 if none."""
     post, pre, _, acc = a._mask_tables()
     lv = len(v)
     last = lv - 1
@@ -282,7 +292,7 @@ def _nbw_period(a: NBW, reach: int, v: list[int]) -> bool:
     while True:
         t = [x & acc for x in z]
         if not any(t):
-            return False
+            return 0
         # b[i]: nodes of z with a path of one or more steps inside z to t,
         # closed by the same sweep run backwards.
         b = [0] * lv
@@ -303,7 +313,7 @@ def _nbw_period(a: NBW, reach: int, v: list[int]) -> bool:
             i = i - 1 if i else last
         # every accepting node reaches another: an accepting cycle exists
         if all(x & y == x for x, y in zip(t, b)):
-            return True
+            return b[0]
         z = b
 
 
@@ -395,8 +405,17 @@ def drw_run_eval(d: DRW, w: Lasso) -> bool:
 def drw_verdicts(d: DRW, lassos: list[Lasso]) -> list[bool]:
     """``[drw_run_eval(d, w) for w in lassos]``, each distinct start and period once."""
     trans = d.trans
-    return _verdicts(d._sym_id, d.initial, lambda q, s: trans[q][s],
-                     lambda q, v: _drw_period(d, q, v), lassos)
+
+    def decider(v):
+        memo = {}
+
+        def decide(q):
+            if q not in memo:
+                memo[q] = _drw_period(d, q, v)
+            return memo[q]
+        return decide
+
+    return _verdicts(d._sym_id, d.initial, lambda q, s: trans[q][s], decider, lassos)
 
 
 def _drw_period(d: DRW, q: int, v: list[int]) -> bool:

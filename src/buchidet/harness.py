@@ -1,8 +1,10 @@
 """Randomized and exhaustive cross-validation of the two determinizers.
 
 Three deciders answer every membership query: the NBW cycle oracle, the
-macrostate DRW, and the Safra DRW.  Each settles a check's lassos once per
-(start after the prefix, period) pair, all that a verdict depends on.  Any
+macrostate DRW, and the Safra DRW.  The NBW settles a check's lassos once
+per period, as the mask of states from which some run accepts it, met by
+the start mask after each prefix; each DRW settles them once per (state
+after the prefix, period) pair, all that its verdict depends on.  Any
 disagreement is a genuine counterexample, replayable from the seed.  Bounded
 agreement is evidence, not proof; every report records the bounds it used.
 """
@@ -10,6 +12,7 @@ agreement is evidence, not proof; every report records the bounds it used.
 import random
 import string
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 
 from .automata import NBW, Lasso, drw_verdicts, format_nbw, nbw_verdicts, normalize
@@ -64,15 +67,23 @@ def gen_nbw(spec: GenSpec) -> NBW:
 
 
 def enumerate_lassos(alphabet, max_u: int, max_v: int) -> list[Lasso]:
-    """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first."""
+    """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first.
+
+    Each call returns a fresh list of the same frozen lassos, built once
+    per (alphabet, max_u, max_v).
+    """
     if max_u < 0:
         raise ValueError("max_u must be at least 0")
     if max_v < 1:
         raise ValueError("max_v must be at least 1")
-    syms = tuple(alphabet)
+    return list(_lassos(tuple(alphabet), max_u, max_v))
+
+
+@lru_cache(maxsize=16)
+def _lassos(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[Lasso, ...]:
     prefixes = [w for n in range(max_u + 1) for w in product(syms, repeat=n)]
     periods = [w for n in range(1, max_v + 1) for w in product(syms, repeat=n)]
-    return [Lasso(u, v) for u in prefixes for v in periods]
+    return tuple(Lasso(u, v) for u in prefixes for v in periods)
 
 
 # -- invariant sweeps ----------------------------------------------------------

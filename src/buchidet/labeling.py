@@ -91,47 +91,3 @@ def label_levels(levels: Sequence[ProfileLevel], n_states: int) -> list[LabeledL
     for level in levels[1:]:
         out.append(next_labeled(out[-1], level, n_states))
     return out
-
-
-def first_classes(labeled: Sequence[LabeledLevel]) -> dict:
-    """Birth coordinates (level, rank) of every global label that ever occurs."""
-    firsts: dict = {}
-    for i, ll in enumerate(labeled):
-        for j, m in enumerate(ll.gl):
-            if m not in firsts:
-                firsts[m] = (i, j)
-    return firsts
-
-
-def descendant_ranks(labeled: Sequence[LabeledLevel], m: int, i: int) -> frozenset:
-    """Ranks at level `i` of the classes descending from where label `m` was
-    born, by explicit walk over the stored levels."""
-    firsts = first_classes(labeled)
-    if m not in firsts:
-        raise ValueError(f"label {m} never occurs")
-    born_level, born_rank = firsts[m]
-    if i < born_level:
-        return frozenset()
-    ranks = {born_rank}
-    for lvl in range(born_level + 1, i + 1):
-        base = labeled[lvl].base
-        ranks = {j for j in range(len(base.classes)) if base.parents[j] in ranks}
-    return frozenset(ranks)
-
-
-def labels_of_class(labeled: Sequence[LabeledLevel], i: int, class_rank: int) -> frozenset:
-    """Global labels, born on earlier levels, whose minimal descendant at
-    level `i` is the class of the given rank."""
-    if not 0 <= i < len(labeled):
-        raise ValueError(f"level {i} out of range")
-    if not 0 <= class_rank < len(labeled[i].base.classes):
-        raise ValueError(f"rank {class_rank} out of range at level {i}")
-    firsts = first_classes(labeled)
-    out = set()
-    for m, (born_level, _) in firsts.items():
-        if born_level >= i:
-            continue
-        ranks = descendant_ranks(labeled, m, i)
-        if ranks and min(ranks) == class_rank:
-            out.add(m)
-    return frozenset(out)

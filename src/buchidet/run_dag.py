@@ -55,19 +55,6 @@ def profile_tree(a: NBW, prefix: Iterable[str]) -> list[ProfileLevel]:
     return levels
 
 
-def profile_strings(levels: Sequence[ProfileLevel]) -> list[tuple[str, ...]]:
-    """Acceptance-history string of every class, per level (root is '0')."""
-    out: list[tuple[str, ...]] = []
-    for i, pl in enumerate(levels):
-        if i == 0:
-            out.append(tuple(str(f) for f in pl.f_class))
-        else:
-            prev = out[-1]
-            out.append(tuple(prev[pl.parents[j]] + str(pl.f_class[j])
-                             for j in range(len(pl.classes))))
-    return out
-
-
 def check_level_invariants(levels: Sequence[ProfileLevel],
                            n_states: int | None = None) -> list[str]:
     """Structural validation of a level sequence; violations are data, not errors.

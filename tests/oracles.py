@@ -1,9 +1,13 @@
 """Brute-force reference implementations used only to check the real ones,
-and a helper that builds test automata from names."""
+explicit walks over stored run-DAG levels, and a helper that builds test
+automata from names."""
 
 import itertools
+from typing import Sequence
 
 from buchidet import NBW, Lasso, parse_nbw
+from buchidet.labeling import LabeledLevel
+from buchidet.run_dag import ProfileLevel
 
 
 def nbw(alphabet, states, initial, accepting, transitions) -> NBW:
@@ -104,3 +108,60 @@ def all_lassos(alphabet, max_u, max_v):
             for lv in range(1, max_v + 1):
                 for v in itertools.product(syms, repeat=lv):
                     yield Lasso(u, v)
+
+
+def profile_strings(levels: Sequence[ProfileLevel]) -> list[tuple[str, ...]]:
+    """Acceptance-history string of every class, per level (root is '0')."""
+    out: list[tuple[str, ...]] = []
+    for i, pl in enumerate(levels):
+        if i == 0:
+            out.append(tuple(str(f) for f in pl.f_class))
+        else:
+            prev = out[-1]
+            out.append(tuple(prev[pl.parents[j]] + str(pl.f_class[j])
+                             for j in range(len(pl.classes))))
+    return out
+
+
+def first_classes(labeled: Sequence[LabeledLevel]) -> dict:
+    """Birth coordinates (level, rank) of every global label that ever occurs."""
+    firsts: dict = {}
+    for i, ll in enumerate(labeled):
+        for j, m in enumerate(ll.gl):
+            if m not in firsts:
+                firsts[m] = (i, j)
+    return firsts
+
+
+def descendant_ranks(labeled: Sequence[LabeledLevel], m: int, i: int) -> frozenset:
+    """Ranks at level `i` of the classes descending from where label `m` was
+    born, by explicit walk over the stored levels."""
+    firsts = first_classes(labeled)
+    if m not in firsts:
+        raise ValueError(f"label {m} never occurs")
+    born_level, born_rank = firsts[m]
+    if i < born_level:
+        return frozenset()
+    ranks = {born_rank}
+    for lvl in range(born_level + 1, i + 1):
+        base = labeled[lvl].base
+        ranks = {j for j in range(len(base.classes)) if base.parents[j] in ranks}
+    return frozenset(ranks)
+
+
+def labels_of_class(labeled: Sequence[LabeledLevel], i: int, class_rank: int) -> frozenset:
+    """Global labels, born on earlier levels, whose minimal descendant at
+    level `i` is the class of the given rank."""
+    if not 0 <= i < len(labeled):
+        raise ValueError(f"level {i} out of range")
+    if not 0 <= class_rank < len(labeled[i].base.classes):
+        raise ValueError(f"rank {class_rank} out of range at level {i}")
+    firsts = first_classes(labeled)
+    out = set()
+    for m, (born_level, _) in firsts.items():
+        if born_level >= i:
+            continue
+        ranks = descendant_ranks(labeled, m, i)
+        if ranks and min(ranks) == class_rank:
+            out.add(m)
+    return frozenset(out)

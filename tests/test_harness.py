@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from buchidet import (DRW, RabinCondition, drw_run_eval, format_nbw, nbw_member,
-                      normalize)
+from buchidet import (DRW, Lasso, RabinCondition, drw_run_eval, format_nbw,
+                      nbw_member, normalize)
 from buchidet.determinize import determinize_profile
 from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
@@ -92,6 +92,17 @@ def test_enumerate_lassos_stable_order():
     two = [str(w) for w in enumerate_lassos(["a", "b"], 2, 2)]
     assert one == two
     assert one[:4] == [";a", ";b", ";a.a", ";a.b"]
+
+
+def test_enumerate_lassos_returns_a_fresh_list_per_call():
+    one = enumerate_lassos(["a", "b"], 3, 4)
+    two = enumerate_lassos(["a", "b"], 3, 4)
+    assert one == two and one is not two
+    one.clear()
+    one.append(Lasso(("b",), ("b",)))
+    assert enumerate_lassos(["a", "b"], 3, 4) == two
+    assert enumerate_lassos(("a", "b"), 3, 4) == two
+    assert enumerate_lassos(("a", "b"), 2, 4) == [w for w in two if len(w.prefix) < 3]
 
 
 def test_sweep_fig_clean(two_state):
@@ -184,20 +195,24 @@ def test_check_report_bytes_pinned():
         "7493d5f4a89f4a4a2b089824d77ae9e7af959b8eeab565e82a6d0e0f34506936"
 
 
-def test_check_decides_each_start_and_period_once(monkeypatch):
-    """``check_automaton`` calls each decider's period core once per distinct
-    (start after the prefix, period) pair, well below once per lasso."""
+def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch):
+    """``check_automaton`` calls the NBW period core once per distinct
+    period, from the full state mask, and each DRW's period core once per
+    distinct (state after the prefix, period) pair, well below once per
+    lasso."""
     from buchidet import automata
 
     a = normalize(gen_nbw(GenSpec(4, 2, 0.5, 0.3, 20_264_000)))
     profile, safra = determinize_profile(a), determinize_safra(a)
     lassos = enumerate_lassos(a.alphabet, 3, 4)
     calls = {"nbw": 0, "profile": 0, "safra": 0}
+    nbw_starts = set()
     nbw_period, drw_period = automata._nbw_period, automata._drw_period
 
-    def count_nbw(a, *args):
+    def count_nbw(a, reach, v):
         calls["nbw"] += 1
-        return nbw_period(a, *args)
+        nbw_starts.add(reach)
+        return nbw_period(a, reach, v)
 
     def count_drw(d, *args):
         calls["profile" if d is profile else "safra"] += 1
@@ -208,22 +223,18 @@ def test_check_decides_each_start_and_period_once(monkeypatch):
     res = check_automaton(a, lassos, drw_profile=profile)
     assert res.passed and res.lassos == 450
 
-    def reach(u):
-        states = set(a.initial)
-        for sym in u:
-            states = {t for q in states for t in a.succ[q][a.sym_id(sym)]}
-        return frozenset(states)
-
     def run(d, u):
         q = d.initial
         for sym in u:
             q = d.trans[q][d.sym_id(sym)]
         return q
 
-    want = {"nbw": len({(reach(w.prefix), w.period) for w in lassos}),
+    want = {"nbw": len({w.period for w in lassos}),
             "profile": len({(run(profile, w.prefix), w.period) for w in lassos}),
             "safra": len({(run(safra, w.prefix), w.period) for w in lassos})}
     assert calls == want
+    assert calls["nbw"] == 30
+    assert nbw_starts == {(1 << a.n) - 1}
     assert max(calls.values()) < len(lassos)
 
 

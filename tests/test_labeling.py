@@ -1,9 +1,10 @@
 import pytest
 
-from buchidet import label_levels, labels_of_class, normalize, profile_tree
+from buchidet import label_levels, normalize, profile_tree
 from buchidet.determinize import Macrostate, validate_macrostate
 from buchidet.harness import GenSpec, gen_nbw
-from buchidet.labeling import descendant_ranks, first_classes, initial_labeled
+from buchidet.labeling import initial_labeled
+from oracles import descendant_ranks, first_classes, labels_of_class
 
 
 def fig_labeled(two_state, word=("a", "b", "b")):

@@ -13,6 +13,7 @@ import pytest
 from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safra,
                       drw_run_eval, drw_verdicts, enumerate_lassos, gen_nbw,
                       nbw_member, nbw_verdicts, normalize)
+from buchidet.automata import _nbw_period
 from oracles import brute_member
 
 SIZES = (1, 3, 4, 5, 8, 9, 13)
@@ -134,6 +135,20 @@ def test_batch_verdicts_match_per_lasso(spec):
     assert_batches_match(a, mixed)
     # only the longest prefixes, so no one-shorter prefix was run first
     assert_batches_match(a, [w for w in lassos if len(w.prefix) == 3])
+
+
+@pytest.mark.parametrize("spec", BATCH_GRID, ids=BATCH_IDS)
+def test_period_mask_is_the_winning_states(spec):
+    """From the full state mask, the period core returns exactly the states
+    from which some run accepts ``v^w``: bit q is set iff the automaton
+    re-rooted at q accepts ``;v``."""
+    a = normalize(gen_nbw(spec))
+    rooted = [NBW(a.alphabet, a.states, [q], a.accepting, a.edges) for q in range(a.n)]
+    for lv in range(1, 4):
+        for v in itertools.product(a.alphabet, repeat=lv):
+            mask = _nbw_period(a, (1 << a.n) - 1, [a.sym_id(s) for s in v])
+            want = sum(brute_member(r, Lasso((), v)) << q for q, r in enumerate(rooted))
+            assert mask == want, (spec, v)
 
 
 @pytest.mark.parametrize("spec", BATCH_GRID, ids=BATCH_IDS)

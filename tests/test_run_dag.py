@@ -1,10 +1,9 @@
 import pytest
 
-from buchidet import check_level_invariants, normalize, profile_strings, \
-    profile_tree
+from buchidet import check_level_invariants, normalize, profile_tree
 from buchidet.harness import GenSpec, gen_nbw
 from buchidet.run_dag import ProfileLevel, initial_level, step_level
-from oracles import brute_ranks, nbw
+from oracles import brute_ranks, nbw, profile_strings
 
 
 def node_ranks(pl):
