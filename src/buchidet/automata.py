@@ -49,6 +49,28 @@ class Lasso:
         return f"{'.'.join(self.prefix)};{'.'.join(self.period)}"
 
 
+def _separator_fault(alphabet) -> str | None:
+    """The complaint about the first symbol that lasso syntax cannot name,
+    one containing '.' or ';'; None if there is none."""
+    for s in alphabet:
+        if "." in s or ";" in s:
+            return f"symbol {s!r} contains a lasso separator ('.' or ';')"
+    return None
+
+
+def _check_names(alphabet: tuple[str, ...], states: tuple[str, ...]):
+    """Raise ValueError on what no automaton may have: a repeated symbol or
+    state name, an empty alphabet, or a symbol lasso syntax cannot name."""
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("duplicate alphabet symbol")
+    if len(set(states)) != len(states):
+        raise ValueError("duplicate state name")
+    if not alphabet:
+        raise ValueError("alphabet must be nonempty")
+    if fault := _separator_fault(alphabet):
+        raise ValueError(fault)
+
+
 def _symbols(part: str) -> tuple[str, ...]:
     part = part.strip()
     symbols = tuple(part.split(".")) if part else ()
@@ -75,12 +97,7 @@ class NBW:
         self.initial: tuple[int, ...] = tuple(sorted(set(initial)))
         self.accepting: tuple[int, ...] = tuple(sorted(set(accepting)))
         self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(set(edges)))
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("duplicate alphabet symbol")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state name")
-        if not self.alphabet:
-            raise ValueError("alphabet must be nonempty")
+        _check_names(self.alphabet, self.states)
         if not self.initial:
             raise ValueError("initial set must be nonempty")
         n, k = len(self.states), len(self.alphabet)
@@ -349,9 +366,8 @@ class DRW:
     payloads: tuple | None = None
 
     def __post_init__(self):
+        _check_names(self.alphabet, self.states)
         n, k = len(self.states), len(self.alphabet)
-        if not k:
-            raise ValueError("alphabet must be nonempty")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
         if len(self.trans) != n or any(len(row) != k for row in self.trans):
@@ -487,6 +503,8 @@ def _parse_sections(text: str, kind: str):
         raise ParseError("alphabet must list at least one symbol", lineno)
     if len(set(alphabet)) != len(alphabet):
         raise ParseError("duplicate alphabet symbol", lineno)
+    if fault := _separator_fault(alphabet):
+        raise ParseError(fault, lineno)
     lineno, states = single.pop("states:")
     if not states:
         raise ParseError("states must list at least one name", lineno)

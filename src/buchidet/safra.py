@@ -8,19 +8,23 @@ fixed pool {0..n-1}; the good/bad name marks feed the Rabin condition.
 One step is one recursive pass from the root: each child, oldest first,
 keeps its image minus what older siblings took, the accepting states left
 over sprout as a youngest child, and a node whose children cover its states
-sheds them and turns good.  `_shape` runs that pass on the tree's name-free
-shape, its labels and child counts in preorder.  `_apply_names` is the one
-naming step: it puts a tree's names on the result as bits of an n-bit name
-mask.  Continued nodes keep their names, sprouts take the lowest free names
-in preorder, and every name not kept is bad.  `safra_successor` composes the
-two afresh on every step.  `determinize_safra` explores compact keys (sid,
-names, good mask, bad mask), where sid numbers the distinct shapes of one
-call, computes each shape's step once per (sid, symbol), and builds each
-`SafraTree` once after exploration.
+sheds them and turns good.
+
+A tree is kept in preorder, as the pair the step works on: its name-free
+shape, each node's label and child count, and its names.  `_shape` runs the
+pass on the shape.  `_apply_names` is the one naming step: it puts a tree's
+names on the result as bits of an n-bit name mask.  Continued nodes keep
+their names, sprouts take the lowest free names in preorder, and every name
+not kept is bad.  `safra_successor` composes the two afresh on every step.
+`determinize_safra` explores compact keys (sid, names, good mask, bad
+mask), where sid numbers the distinct shapes of one call, computes each
+shape's step once per (sid, symbol), and builds each `SafraTree` once after
+exploration, on the shape object it interned.
 """
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .automata import DRW, NBW, RabinCondition
 from .explore import explore
@@ -28,17 +32,17 @@ from .explore import explore
 
 @dataclass(frozen=True, slots=True)
 class SafraTree:
-    """Canonical Safra tree.
+    """Canonical Safra tree, in preorder.
 
-    `children` maps every present node to its child tuple, oldest first, and
-    is sorted by node name; `labels` likewise maps nodes to sorted state-id
-    tuples.  The empty tree (all runs dead) has no root and acts as the
-    rejecting sink.
+    `shape` lists every node as (label, child count), the label a sorted
+    state-id tuple; `names` gives the nodes' pool names in the same order.
+    `good` and `bad` are the sorted names marked on the step into the tree.
+    The empty tree (all runs dead) has no nodes and acts as the rejecting
+    sink.
     """
 
-    root: int | None
-    children: tuple
-    labels: tuple
+    shape: tuple
+    names: tuple[int, ...]
     good: tuple[int, ...]
     bad: tuple[int, ...]
 
@@ -55,27 +59,6 @@ def _kids(shape) -> list[list[int]]:
     return kids
 
 
-def _tree(shape, kids, names, good, bad) -> SafraTree:
-    """The tree of a shape, its child positions and its preorder names."""
-    order = sorted(range(len(names)), key=names.__getitem__)
-    return SafraTree(names[0] if names else None,
-                     tuple([(names[i], tuple([names[c] for c in kids[i]]))
-                            for i in order]),
-                     tuple([(names[i], shape[i][0]) for i in order]),
-                     good, bad)
-
-
-def _flatten(t: SafraTree):
-    """`t` as (shape, names), the names in preorder."""
-    kids, labels = dict(t.children), dict(t.labels)
-
-    def walk(v):
-        return [v] + [w for c in kids[v] for w in walk(c)]
-
-    order = [] if t.root is None else walk(t.root)
-    return tuple((labels[v], len(kids[v])) for v in order), tuple(order)
-
-
 def _names(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
@@ -84,7 +67,7 @@ def safra_initial(a: NBW) -> SafraTree:
     """Single root named 0 labeled with the initial set; all other names bad."""
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
-    return SafraTree(0, ((0, ()),), ((0, tuple(sorted(a.initial))),), (),
+    return SafraTree(((tuple(sorted(a.initial)), 0),), (0,), (),
                      tuple(range(1, a.n)))
 
 
@@ -155,10 +138,9 @@ def _apply_names(a: NBW, names, origin, good):
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
     """One transition of the tree automaton on `symbol`."""
-    shape, names = _flatten(t)
-    shape2, origin, good = _shape(a, shape, _kids(shape), a.sym_id(symbol))
-    names2, good_mask, bad_mask = _apply_names(a, names, origin, good)
-    return _tree(shape2, _kids(shape2), names2, _names(good_mask), _names(bad_mask))
+    shape2, origin, good = _shape(a, t.shape, _kids(t.shape), a.sym_id(symbol))
+    names2, good_mask, bad_mask = _apply_names(a, t.names, origin, good)
+    return SafraTree(shape2, names2, _names(good_mask), _names(bad_mask))
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
@@ -168,9 +150,9 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     sid numbers the distinct shapes met in this call; a key is equal to
     another exactly when their trees are.  Each step's shape is computed
     once per (sid, symbol), and only `_apply_names` runs on every step.
-    Each `SafraTree` is built once after exploration from its sid's child
-    positions, computed once per sid, and with one good/bad name tuple per
-    mask.
+    Each `SafraTree` is built once after exploration, sharing its sid's
+    shape and one good/bad name tuple per mask with every tree that holds
+    them.
     """
     sids: dict = {}
     shapes: list = []  # sid -> (shape, kids)
@@ -192,14 +174,15 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
         return (sid2, *_apply_names(a, key[1], origin, good))
 
     t0 = safra_initial(a)  # no good marks yet
-    shape, names = _flatten(t0)
-    keys, table = explore((intern(shape), names, 0, sum(1 << v for v in t0.bad)),
+    keys, table = explore((intern(t0.shape), t0.names, 0,
+                           sum(1 << v for v in t0.bad)),
                           step, len(a.alphabet), max_states)
     name_tuple = cache(_names)
     states = []
     good, bad = [[] for _ in range(a.n)], [[] for _ in range(a.n)]
     for i, (sid, names, good_mask, bad_mask) in enumerate(keys):
-        t = _tree(*shapes[sid], names, name_tuple(good_mask), name_tuple(bad_mask))
+        t = SafraTree(shapes[sid][0], names, name_tuple(good_mask),
+                      name_tuple(bad_mask))
         states.append(t)
         for name in t.good:
             good[name].append(i)
@@ -213,40 +196,22 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
 
 def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
     """Tree well-formedness; violations come back as messages."""
-    out = []
     n = a.n
-    labels = dict(t.labels)
-    kids = dict(t.children)
-    if set(labels) != set(kids):
-        out.append("children and labels cover different node sets")
-        return out
-    if t.root is None:
-        if labels:
-            out.append("rootless tree with nodes")
-        if set(t.good):
-            out.append("rootless tree with good marks")
-        return out
-    if t.root not in labels:
-        out.append("root is not a node")
-        return out
-    parent = {}
-    for v, cs in kids.items():
-        for c in cs:
-            if c in parent:
-                out.append(f"node {c} has two parents")
-            parent[c] = v
-    reach = set()
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if v in reach:
-            out.append(f"cycle through node {v}")
-            break
-        reach.add(v)
-        stack.extend(kids.get(v, ()))
-    if reach != set(labels):
-        out.append("nodes disconnected from the root")
-    for v, lab in labels.items():
+    if len(t.names) != len(t.shape):
+        return ["names and shape differ in length"]
+    if not t.shape:
+        return ["rootless tree with good marks"] if t.good else []
+    # slots[i]: the child slots open before node i, the root's included.
+    # The counts describe one tree iff some slot is open for every node and
+    # the last node closes them all.
+    counts = [count for _, count in t.shape]
+    slots = list(accumulate((c - 1 for c in counts), initial=1))
+    if min(counts) < 0 or min(slots[:-1]) < 1 or slots[-1]:
+        return ["child counts do not describe exactly one tree"]
+    out = []
+    if len(set(t.names)) != len(t.names):
+        out.append("node names are not distinct")
+    for (lab, _), v, kids in zip(t.shape, t.names, _kids(t.shape)):
         if not 0 <= v < n:
             out.append(f"node name {v} outside the name pool")
         if not lab:
@@ -257,20 +222,20 @@ def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
             if not 0 <= q < n:
                 out.append(f"state id {q} out of range")
         union = set()
-        for c in kids.get(v, ()):
-            child_lab = set(labels.get(c, ()))
+        for c in kids:
+            child_lab = set(t.shape[c][0])
             if union & child_lab:
                 out.append(f"siblings under {v} share states")
             union |= child_lab
         if not union <= set(lab):
             out.append(f"node {v} does not contain its children")
-        elif kids.get(v, ()) and union == set(lab):
+        elif kids and union == set(lab):
             out.append(f"node {v} equals the union of its children")
     good, bad = set(t.good), set(t.bad)
     if good & bad:
         out.append("good and bad marks overlap")
     if not good <= set(range(n)) or not bad <= set(range(n)):
         out.append("marks outside the name pool")
-    for v in sorted(good - set(labels)):
+    for v in sorted(good - set(t.names)):
         out.append(f"good name {v} is not a node")
     return out

@@ -188,12 +188,13 @@ def kill_counts(automata, lassos, checkers=CHECKERS) -> dict:
     """Per checker, the number of automata it flags; ``errors`` counts the
     automata on which the checks raised."""
     counts = dict.fromkeys(checkers, 0) | {"errors": 0}
-    for a in automata:
+    for i, a in enumerate(automata):
         try:
             for c in flagged(a, lassos, checkers):
                 counts[c] += 1
-        except Exception:
+        except Exception as err:  # a mutant may break anything
             counts["errors"] += 1
+            print(f"automaton {i}: {err!r}", file=sys.stderr)
     return counts
 
 
@@ -206,7 +207,7 @@ def first_kills(automata, lassos, checkers) -> set:
             break
         try:
             hit = flagged(a, lassos, pending)
-        except Exception:
+        except Exception:  # an error is no kill; kill_counts tallies it
             continue
         found |= hit
         pending -= hit

@@ -165,3 +165,41 @@ def labels_of_class(labeled: Sequence[LabeledLevel], i: int, class_rank: int) ->
         if ranks and min(ranks) == class_rank:
             out.add(m)
     return frozenset(out)
+
+
+def preorder_children(shape) -> list[list[int]]:
+    """The child positions of every node of a preorder (label, child count)
+    shape, read off by a walk that gives each node its count of children."""
+    kids: list[list[int]] = [[] for _ in shape]
+    next_pos = 0
+
+    def walk():
+        nonlocal next_pos
+        i = next_pos
+        next_pos += 1
+        for _ in range(shape[i][1]):
+            kids[i].append(next_pos)
+            walk()
+
+    if shape:
+        walk()
+    return kids
+
+
+def named_safra_repr(trees) -> str:
+    """The repr of a tuple of Safra trees in the name-keyed form: per tree
+    ``SafraTree(root=…, children=…, labels=…, good=…, bad=…)``, with every
+    node's children and label listed in name order.  Digests taken over
+    this text match those taken when the payloads had that form."""
+    def one(t):
+        kids = preorder_children(t.shape)
+        order = sorted(range(len(t.names)), key=t.names.__getitem__)
+        children = tuple((t.names[i], tuple(t.names[c] for c in kids[i]))
+                         for i in order)
+        labels = tuple((t.names[i], t.shape[i][0]) for i in order)
+        root = t.names[0] if t.names else None
+        return (f"SafraTree(root={root!r}, children={children!r}, "
+                f"labels={labels!r}, good={t.good!r}, bad={t.bad!r})")
+
+    parts = [one(t) for t in trees]
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"

@@ -228,6 +228,29 @@ def test_drw_rejects_an_empty_alphabet():
         parse_drw("drw\nalphabet:\nstates: d0\ninitial: d0\n")
 
 
+@pytest.mark.parametrize("alphabet, states, message", [
+    (("a", "a"), ("x", "y"), "duplicate alphabet symbol"),
+    (("a", "b"), ("x", "x"), "duplicate state name"),
+])
+def test_drw_rejects_duplicate_names_as_nbw_does(alphabet, states, message):
+    """`format_drw` would write such a DRW, and `parse_drw` would refuse the
+    document; the constructor refuses it first, with `NBW`'s message."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NBW(alphabet, states, [0], [], [])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DRW(alphabet, states, 0, ((0, 0), (0, 0)), RabinCondition(()))
+
+
+@pytest.mark.parametrize("symbol", ["a.b", "a;b", ".", ";"])
+def test_automata_refuse_symbols_lasso_syntax_cannot_name(symbol):
+    """Lassos split on '.' and ';', so no lasso could name such a symbol."""
+    message = re.escape(f"symbol {symbol!r} contains a lasso separator ('.' or ';')")
+    with pytest.raises(ValueError, match=message):
+        NBW(["a", symbol], ["q"], [0], [], [])
+    with pytest.raises(ValueError, match=message):
+        DRW(("a", symbol), ("d0",), 0, ((0, 0),), RabinCondition(()))
+
+
 @pytest.mark.parametrize("name", ["p r", "p#r", "", "p\t", "\u2028"])
 def test_writers_refuse_names_they_cannot_read_back(name):
     """A name with whitespace would split into two on reading, and '#'
@@ -340,6 +363,9 @@ _SHARED_FAULTS = {
                        "alphabet must list at least one symbol", 2),
     "repeated-alphabet": ("{}\nalphabet: a a\nstates: x\ninitial: x\ntrans: x a x\n",
                           "duplicate alphabet symbol", 2),
+    "lasso-separator-in-symbol": (
+        "{}\nalphabet: a a.b\nstates: x\ninitial: x\ntrans: x a x\n",
+        "symbol 'a.b' contains a lasso separator ('.' or ';')", 2),
     "empty-states": ("{}\nalphabet: a\nstates:\ninitial: x\n",
                      "states must list at least one name", 3),
     "repeated-states": ("{}\nalphabet: a\nstates: x x\ninitial: x\ntrans: x a x\n",

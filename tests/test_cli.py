@@ -34,6 +34,20 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
 
 
+def test_member_refuses_a_symbol_lasso_syntax_cannot_name(tmp_path, capsys):
+    """With a symbol `a.b`, the word `;a.b` would read as (a·b)^ω, not as
+    (a.b)^ω: the automaton is refused before any verdict."""
+    path = tmp_path / "dotted.nbw"
+    path.write_text("nbw\nalphabet: a b a.b\nstates: x y\ninitial: x\n"
+                    "accepting: y\ntrans: x a.b y\ntrans: y a.b y\n",
+                    encoding="utf-8")
+    assert main(["member", "--in", str(path), "--word", ";a.b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 2: symbol 'a.b' contains a lasso "
+                            "separator ('.' or ';')\n")
+
+
 def test_determinize_native_deterministic(two_state_file, tmp_path):
     out1, out2 = tmp_path / "one.drw", tmp_path / "two.drw"
     assert main(["determinize", "--method", "profile",

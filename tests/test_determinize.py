@@ -14,7 +14,7 @@ from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
 from buchidet.safra import determinize_safra
-from oracles import nbw
+from oracles import named_safra_repr, nbw
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -308,7 +308,8 @@ def _sha256(text: str) -> str:
 
 def test_whole_drw_golden_digest():
     """Pins both DRWs of one 8-state automaton byte for byte, native and
-    HOA, the profile macrostates field by field and the Safra trees whole,
+    HOA, the profile macrostates field by field and the Safra trees whole
+    (rendered in their name-keyed form, which the digests were taken on),
     so a change in state identity (a different cousin set or node name,
     say) shows even where the language stays the same.  A larger
     Safra-only input (3,413 trees) covers deeper trees and name reuse."""
@@ -323,7 +324,7 @@ def test_whole_drw_golden_digest():
                            sorted(m.bad))) for m in profile.payloads)
     assert _sha256(fields) == \
         "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
-    assert _sha256(repr(safra.payloads)) == \
+    assert _sha256(named_safra_repr(safra.payloads)) == \
         "61432dd3ddddb9bc935795dbaa86555e4a52c8a0ba3cb827c047681a7348039c"
     assert _sha256(format_hoa(profile)) == \
         "a4d18f816b884617371a3218360f286f1a6970e70cbaf52f6d45281d1367dbb7"
@@ -334,7 +335,7 @@ def test_whole_drw_golden_digest():
     assert len(big.states) == 3413
     assert _sha256(format_drw(big)) == \
         "f4946380a67f1b2068fcbc0ecff6b1b603e3a0481716aaa2851df72ee5a70919"
-    assert _sha256(repr(big.payloads)) == \
+    assert _sha256(named_safra_repr(big.payloads)) == \
         "84b0e3d23aa8e5e69ce441ffb2d74a3651f355cc4ce8bf963e7d2d9869f7eced"
 
 

@@ -10,7 +10,7 @@ from oracles import brute_member, nbw
 
 def test_initial_tree(two_state):
     t = safra_initial(two_state)
-    assert t == SafraTree(0, ((0, ()),), ((0, (0,)),), (), (1,))
+    assert t == SafraTree((((0,), 0),), (0,), (), (1,))
     assert validate_safra_tree(two_state, t) == []
 
 
@@ -21,7 +21,7 @@ def test_initial_tree_single_state(det_chain):
 
 def test_initial_tree_two_initial():
     a = nbw(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
-    assert safra_initial(a).labels == ((0, (0, 1)),)
+    assert safra_initial(a).shape == (((0, 1), 0),)
 
 
 def test_initial_requires_normalization(selfloop_accepting):
@@ -35,14 +35,13 @@ def test_successor_sprouts_accepting_child(two_state):
     """On a, the root grows to {q,p} and sprouts a child tracking the
     accepting intersection {p}; the child is renamed to pool id 1."""
     t1 = safra_successor(two_state, safra_initial(two_state), "a")
-    assert t1 == SafraTree(0, ((0, (1,)), (1, ())),
-                           ((0, (0, 1)), (1, (1,))), (), (1,))
+    assert t1 == SafraTree((((0, 1), 1), ((1,), 0)), (0, 1), (), (1,))
     assert validate_safra_tree(two_state, t1) == []
 
 
 def test_successor_dead_tree_is_sink(two_state):
     dead = safra_successor(two_state, safra_initial(two_state), "b")
-    assert dead.root is None
+    assert dead.shape == dead.names == ()
     assert dead.bad == (0, 1)
     assert dead.good == ()
     again = safra_successor(two_state, dead, "a")
@@ -57,8 +56,8 @@ def test_vertical_merge_marks_good():
     # and turns good
     assert t1.good == (0,)
     assert t1.bad == (1,)
-    assert t1.labels == ((0, (1,)),)
-    assert t1.children == ((0, ()),)
+    assert t1.shape == (((1,), 0),)
+    assert t1.names == (0,)
     assert validate_safra_tree(a, t1) == []
 
 
@@ -67,7 +66,8 @@ def test_horizontal_merge_prefers_older_sibling(two_state):
     t = safra_initial(two_state)
     for symbol in "aa":
         t = safra_successor(two_state, t, symbol)
-    assert t.labels == ((0, (0, 1)), (1, (1,)))
+    assert t.shape == (((0, 1), 1), ((1,), 0))
+    assert t.names == (0, 1)
     assert validate_safra_tree(two_state, t) == []
 
 
@@ -131,16 +131,6 @@ def test_safra_payloads_match_safra_successor_replay():
         assert d.trans == tuple(tuple(row) for row in table)
 
 
-def _shape_of(t: SafraTree) -> tuple:
-    """`t` with its node names erased: preorder (label, child count)."""
-    kids, labels = dict(t.children), dict(t.labels)
-
-    def walk(v):
-        return ((labels[v], len(kids[v])),) + sum(map(walk, kids[v]), ())
-
-    return () if t.root is None else walk(t.root)
-
-
 def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
     """The name-free part of a step depends on the labels and topology
     only, so one exploration computes it once for each name-free tree and
@@ -155,7 +145,7 @@ def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
     monkeypatch.setattr(safra, "_shape", counted)
     a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
     d = determinize_safra(a)
-    shapes = {_shape_of(t) for t in d.payloads}
+    shapes = {t.shape for t in d.payloads}
     assert () in shapes
     assert len(calls) == len(shapes) * len(a.alphabet) == 2244
     assert len(calls) < len(d.states) * len(a.alphabet)
@@ -181,7 +171,7 @@ def test_safra_kids_computed_once_per_name_free_tree(monkeypatch):
     monkeypatch.setattr(safra, "_kids", counted)
     a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
     d = determinize_safra(a)
-    assert sorted(calls) == sorted({_shape_of(t) for t in d.payloads})
+    assert sorted(calls) == sorted({t.shape for t in d.payloads})
     assert len(calls) == 748 < len(d.states)
 
 
@@ -192,6 +182,15 @@ def test_safra_payloads_share_good_and_bad_tuples():
     payloads = determinize_safra(a).payloads
     values = [t.good for t in payloads] + [t.bad for t in payloads]
     assert len({id(v) for v in values}) == len(set(values)) < len(payloads)
+
+
+def test_safra_payloads_share_interned_shapes():
+    """Every tree holds the shape object its exploration interned, shared
+    by all trees of that shape."""
+    a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
+    payloads = determinize_safra(a).payloads
+    shapes = [t.shape for t in payloads]
+    assert len({id(s) for s in shapes}) == len(set(shapes)) == 748 < len(payloads)
 
 
 def test_node_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
@@ -206,7 +205,8 @@ def test_node_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
     # name 0 stays on the root, so one name is free
     monkeypatch.setattr(safra, "_shape", sprouting(1))
     t1 = safra_successor(two_state, t0, "a")
-    assert t1.children == ((0, (1,)), (1, ())) and t1.bad == (1,)
+    assert t1.shape == (((0, 1), 1), ((1,), 0)) and t1.names == (0, 1)
+    assert t1.bad == (1,)
     monkeypatch.setattr(safra, "_shape", sprouting(2))
     with pytest.raises(AssertionError, match="node pool exhausted"):
         safra_successor(two_state, t0, "a")
@@ -214,20 +214,33 @@ def test_node_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
         determinize_safra(two_state)
 
 
-_VALID = SafraTree(0, ((0, (1,)), (1, ())), ((0, (0, 1)), (1, (1,))), (), (2,))
+_VALID = SafraTree((((0, 1), 1), ((1,), 0)), (0, 1), (), (2,))
 
 
 @pytest.mark.parametrize("tree, message", [
-    (SafraTree(0, ((0, (3,)), (3, ())), ((0, (0, 1)), (3, (1,))), (), (1, 2)),
+    (SafraTree((((0, 1), 1), ((1,), 0)), (0, 3), (), (1, 2)),
      "node name 3 outside the name pool"),
-    (SafraTree(0, ((0, (1,)), (1, ())), ((0, (0, 1, 3)), (1, (1,))), (), (2,)),
+    (SafraTree((((0, 1, 3), 1), ((1,), 0)), (0, 1), (), (2,)),
      "state id 3 out of range"),
-    (SafraTree(0, ((0, (1,)), (1, ())), ((0, (1, 0)), (1, (1,))), (), (2,)),
+    (SafraTree((((1, 0), 1), ((1,), 0)), (0, 1), (), (2,)),
      "node 0 label is not a sorted state set"),
-    (SafraTree(0, ((0, (1,)), (1, ())), ((0, (0, 1)), (1, (1,))), (2,), ()),
+    (SafraTree((((0, 1), 1), ((1,), 0)), (0, 1), (2,), ()),
      "good name 2 is not a node"),
+    (SafraTree((((0, 1), 2), ((1,), 0)), (0, 1), (), (2,)),
+     "child counts do not describe exactly one tree"),
+    (SafraTree((((0, 1), 0), ((1,), 0)), (0, 1), (), (2,)),
+     "child counts do not describe exactly one tree"),
+    (SafraTree((((0, 1), 2), ((1,), -1)), (0, 1), (), (2,)),
+     "child counts do not describe exactly one tree"),
+    (SafraTree((((0, 1), 1), ((1,), 0)), (0,), (), (2,)),
+     "names and shape differ in length"),
+    (SafraTree((((0, 1), 1), ((1,), 0)), (0, 0), (), (2,)),
+     "node names are not distinct"),
+    (SafraTree((), (), (0,), (1, 2)), "rootless tree with good marks"),
 ], ids=["name-outside-pool", "state-out-of-range", "unsorted-label",
-        "good-name-not-a-node"])
+        "good-name-not-a-node", "child-counts-too-many", "child-counts-too-few",
+        "negative-child-count", "names-shape-length-mismatch", "duplicate-names",
+        "dead-tree-with-good-marks"])
 def test_validate_safra_tree_flags_corrupted_tree(tree, message):
     a = nbw(["a"], ["x", "y", "z"], ["x"], ["y"], [("x", "a", "y")])
     assert validate_safra_tree(a, _VALID) == []
