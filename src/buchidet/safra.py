@@ -2,24 +2,28 @@
 
 A state of the determinized automaton is a tree of state sets: every node's
 label strictly contains the union of its children's labels, sibling labels
-are disjoint, and siblings are ordered by age.  Node names come from the
-fixed pool {0..n-1}; the good/bad name marks feed the Rabin condition.
+are disjoint, and siblings are ordered by age.  A node is named by its
+path, the child indices from the root (Schewe's history trees); the
+good/bad path marks feed the Rabin condition.
 
 One step is one recursive pass from the root: each child, oldest first,
 keeps its image minus what older siblings took, the accepting states left
 over sprout as a youngest child, and a node whose children cover its states
-sheds them and turns good.
+sheds them and turns good.  A path is bad when the node now at it does not
+continue the node that was at it: the node died, moved because an older
+sibling of it or of an ancestor died, or sprouted.  A path is good when its
+node turned good and stayed there.  A node that lives forever moves only
+finitely often, so a run is accepted iff some path is good infinitely often
+and bad finitely often.
 
-A tree is kept in preorder, as the pair the step works on: its name-free
-shape, each node's label and child count, and its names.  `_shape` runs the
-pass on the shape.  `_apply_names` is the one naming step: it puts a tree's
-names on the result as bits of an n-bit name mask.  Continued nodes keep
-their names, sprouts take the lowest free names in preorder, and every name
-not kept is bad.  `safra_successor` composes the two afresh on every step.
-`determinize_safra` explores compact keys (sid, names, good mask, bad
-mask), where sid numbers the distinct shapes of one call, computes each
-shape's step once per (sid, symbol), and builds each `SafraTree` once after
-exploration, on the shape object it interned.
+A tree is kept in preorder, as its shape: each node's label and child
+count.  `_shape` runs the pass on a shape and `_marks` reads the step's
+marks off the two shapes, so a whole step depends on the shape and symbol
+alone.  `safra_successor` composes the two afresh on every step.
+`determinize_safra` explores compact keys (sid, good mask, bad mask), where
+sid numbers the distinct shapes of one call and mask bits number its
+paths, computes each step once per (sid, symbol), and builds each
+`SafraTree` once after exploration, on the shape object it interned.
 """
 
 from dataclasses import dataclass
@@ -35,16 +39,14 @@ class SafraTree:
     """Canonical Safra tree, in preorder.
 
     `shape` lists every node as (label, child count), the label a sorted
-    state-id tuple; `names` gives the nodes' pool names in the same order.
-    `good` and `bad` are the sorted names marked on the step into the tree.
-    The empty tree (all runs dead) has no nodes and acts as the rejecting
-    sink.
+    state-id tuple.  `good` and `bad` are the sorted paths marked on the
+    step into the tree.  The empty tree (all runs dead) has no nodes and
+    acts as the rejecting sink.
     """
 
     shape: tuple
-    names: tuple[int, ...]
-    good: tuple[int, ...]
-    bad: tuple[int, ...]
+    good: tuple[tuple[int, ...], ...]
+    bad: tuple[tuple[int, ...], ...]
 
 
 def _kids(shape) -> list[list[int]]:
@@ -59,16 +61,20 @@ def _kids(shape) -> list[list[int]]:
     return kids
 
 
-def _names(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+def _paths(kids) -> list[tuple[int, ...]]:
+    """The path of every preorder position: its child indices from the root."""
+    paths = [()] * len(kids)
+    for i, cs in enumerate(kids):
+        for j, c in enumerate(cs):
+            paths[c] = paths[i] + (j,)
+    return paths
 
 
 def safra_initial(a: NBW) -> SafraTree:
-    """Single root named 0 labeled with the initial set; all other names bad."""
+    """Single root labeled with the initial set, no marks."""
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
-    return SafraTree(((tuple(sorted(a.initial)), 0),), (0,), (),
-                     tuple(range(1, a.n)))
+    return SafraTree(((tuple(sorted(a.initial)), 0),), (), ())
 
 
 def _shape(a: NBW, shape, kids, sym: int):
@@ -110,85 +116,78 @@ def _shape(a: NBW, shape, kids, sym: int):
     return tuple(new), tuple(origin), tuple(good)
 
 
-def _apply_names(a: NBW, names, origin, good):
-    """Put a tree's preorder `names` on a step's `origin` and `good`
-    positions: continued nodes keep their names, sprouts take the lowest
-    free names in preorder, and every name not kept is bad, fresh ones too.
-    Returns the new preorder names and the good and bad name masks."""
-    kept = 0
-    for i in origin:
-        if i is not None:
-            kept |= 1 << names[i]
-    free = bad = ((1 << a.n) - 1) & ~kept
-    if origin.count(None) > free.bit_count():
-        raise AssertionError("node pool exhausted; tree invariants broken")
-    names2 = []
-    for i in origin:
-        if i is None:
-            low = free & -free
-            free ^= low
-            names2.append(low.bit_length() - 1)
-        else:
-            names2.append(names[i])
-    good_mask = 0
-    for i in good:
-        good_mask |= 1 << names[i]
-    return tuple(names2), good_mask, bad
+def _marks(paths, paths2, origin, good):
+    """The sorted good and bad paths of a step from a tree with preorder
+    `paths` to one with `paths2`, given the step's `origin` and `good`."""
+    kept = {p for p, i in zip(paths2, origin) if i is not None and paths[i] == p}
+    return (tuple(sorted(paths[i] for i in good if paths[i] in kept)),
+            tuple(sorted(set(paths).union(paths2) - kept)))
 
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
     """One transition of the tree automaton on `symbol`."""
-    shape2, origin, good = _shape(a, t.shape, _kids(t.shape), a.sym_id(symbol))
-    names2, good_mask, bad_mask = _apply_names(a, t.names, origin, good)
-    return SafraTree(shape2, names2, _names(good_mask), _names(bad_mask))
+    kids = _kids(t.shape)
+    shape2, origin, good = _shape(a, t.shape, kids, a.sym_id(symbol))
+    return SafraTree(shape2, *_marks(_paths(kids), _paths(_kids(shape2)),
+                                     origin, good))
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
-    """Explore all reachable Safra trees; one Rabin pair per pool name.
+    """Explore all reachable Safra trees; one Rabin pair per path that is
+    good on some step, in sorted path order.
 
-    The exploration runs on keys (sid, names, good mask, bad mask), where
-    sid numbers the distinct shapes met in this call; a key is equal to
-    another exactly when their trees are.  Each step's shape is computed
-    once per (sid, symbol), and only `_apply_names` runs on every step.
-    Each `SafraTree` is built once after exploration, sharing its sid's
-    shape and one good/bad name tuple per mask with every tree that holds
-    them.
+    The exploration runs on keys (sid, good mask, bad mask), where sid
+    numbers the distinct shapes met in this call and bit i of a mask the
+    i-th path met; a key is equal to another exactly when their trees are.
+    A step depends only on the shape and symbol, so it is computed once per
+    (sid, symbol).  Each `SafraTree` is built once after exploration,
+    sharing its sid's shape and one good/bad path tuple per mask with every
+    tree that holds them.
     """
     sids: dict = {}
-    shapes: list = []  # sid -> (shape, kids)
+    shapes: list = []  # sid -> (shape, kids, paths)
+    bits: dict = {}  # path -> its bit in the masks
 
     def intern(shape) -> int:
         sid = sids.get(shape)
         if sid is None:
             sid = sids[shape] = len(shapes)
-            shapes.append((shape, _kids(shape)))
+            kids = _kids(shape)
+            shapes.append((shape, kids, _paths(kids)))
         return sid
+
+    def mask(paths) -> int:
+        return sum(1 << bits.setdefault(p, len(bits)) for p in paths)
 
     @cache
     def steps(sid: int, sym: int):
-        shape2, origin, good = _shape(a, *shapes[sid], sym)
-        return intern(shape2), origin, good
+        shape, kids, paths = shapes[sid]
+        shape2, origin, good = _shape(a, shape, kids, sym)
+        sid2 = intern(shape2)
+        good, bad = _marks(paths, shapes[sid2][2], origin, good)
+        return sid2, mask(good), mask(bad)
 
-    def step(key, sym: int):
-        sid2, origin, good = steps(key[0], sym)
-        return (sid2, *_apply_names(a, key[1], origin, good))
+    keys, table = explore((intern(safra_initial(a).shape), 0, 0),
+                          lambda key, sym: steps(key[0], sym),
+                          len(a.alphabet), max_states)
+    order = sorted(bits)
 
-    t0 = safra_initial(a)  # no good marks yet
-    keys, table = explore((intern(t0.shape), t0.names, 0,
-                           sum(1 << v for v in t0.bad)),
-                          step, len(a.alphabet), max_states)
-    name_tuple = cache(_names)
+    @cache
+    def marked(m: int) -> tuple:
+        return tuple(p for p in order if m >> bits[p] & 1)
+
     states = []
-    good, bad = [[] for _ in range(a.n)], [[] for _ in range(a.n)]
-    for i, (sid, names, good_mask, bad_mask) in enumerate(keys):
-        t = SafraTree(shapes[sid][0], names, name_tuple(good_mask),
-                      name_tuple(bad_mask))
+    good: dict = {}
+    bad: dict = {}
+    for i, (sid, good_mask, bad_mask) in enumerate(keys):
+        t = SafraTree(shapes[sid][0], marked(good_mask), marked(bad_mask))
         states.append(t)
-        for name in t.good:
-            good[name].append(i)
-        for name in t.bad:
-            bad[name].append(i)
-    pairs = tuple((frozenset(g), frozenset(b)) for g, b in zip(good, bad))
+        for p in t.good:
+            good.setdefault(p, []).append(i)
+        for p in t.bad:
+            bad.setdefault(p, []).append(i)
+    pairs = tuple((frozenset(good[p]), frozenset(bad.get(p, ())))
+                  for p in sorted(good))
     return DRW(a.alphabet, tuple(f"t{i}" for i in range(len(states))), 0,
                tuple(tuple(row) for row in table),
                RabinCondition(pairs), tuple(states))
@@ -197,8 +196,6 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
 def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
     """Tree well-formedness; violations come back as messages."""
     n = a.n
-    if len(t.names) != len(t.shape):
-        return ["names and shape differ in length"]
     if not t.shape:
         return ["rootless tree with good marks"] if t.good else []
     # slots[i]: the child slots open before node i, the root's included.
@@ -209,33 +206,29 @@ def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
     if min(counts) < 0 or min(slots[:-1]) < 1 or slots[-1]:
         return ["child counts do not describe exactly one tree"]
     out = []
-    if len(set(t.names)) != len(t.names):
-        out.append("node names are not distinct")
-    for (lab, _), v, kids in zip(t.shape, t.names, _kids(t.shape)):
-        if not 0 <= v < n:
-            out.append(f"node name {v} outside the name pool")
+    kids = _kids(t.shape)
+    paths = _paths(kids)
+    for (lab, _), p, cs in zip(t.shape, paths, kids):
         if not lab:
-            out.append(f"node {v} has an empty label")
+            out.append(f"node {p} has an empty label")
         if list(lab) != sorted(set(lab)):
-            out.append(f"node {v} label is not a sorted state set")
+            out.append(f"node {p} label is not a sorted state set")
         for q in lab:
             if not 0 <= q < n:
                 out.append(f"state id {q} out of range")
         union = set()
-        for c in kids:
+        for c in cs:
             child_lab = set(t.shape[c][0])
             if union & child_lab:
-                out.append(f"siblings under {v} share states")
+                out.append(f"siblings under {p} share states")
             union |= child_lab
         if not union <= set(lab):
-            out.append(f"node {v} does not contain its children")
-        elif kids and union == set(lab):
-            out.append(f"node {v} equals the union of its children")
-    good, bad = set(t.good), set(t.bad)
-    if good & bad:
+            out.append(f"node {p} does not contain its children")
+        elif cs and union == set(lab):
+            out.append(f"node {p} equals the union of its children")
+    good = set(t.good)
+    if good & set(t.bad):
         out.append("good and bad marks overlap")
-    if not good <= set(range(n)) or not bad <= set(range(n)):
-        out.append("marks outside the name pool")
-    for v in sorted(good - set(t.names)):
-        out.append(f"good name {v} is not a node")
+    for p in sorted(good - set(paths)):
+        out.append(f"good path {p} is not a node")
     return out

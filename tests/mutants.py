@@ -5,7 +5,10 @@ Each mutant is (name, target, wrapper): `target` names an attribute of a
 the faulty stand-in used while the mutant is active.  The checkers are the
 parts of the cross-check that judges every change: the lasso verdicts of
 the NBW against the profile DRW and against the Safra DRW, the invariant
-sweep, and the per-state validators of both constructions.
+sweep, and the per-state validators of both constructions.  Two more stand
+beside it: ``exact`` compares the profile and Safra DRWs' languages
+exactly, and ``reference`` checks the batch lasso verdicts against the
+single-lasso deciders run one lasso at a time.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -21,12 +24,14 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from buchidet import Lasso, normalize
+from buchidet import Lasso, drw_run_eval, harness, nbw_member, normalize
 from buchidet.harness import (GenSpec, check_automaton, enumerate_lassos,
                               gen_nbw, sweep_invariants)
+from oracles import drw_equivalent
 
 RECORD = Path(__file__).resolve().parents[1] / "MUTANTS.json"
-CHECKERS = ("lassos_profile", "lassos_safra", "sweep", "validators")
+CHECKERS = ("lassos_profile", "lassos_safra", "sweep", "validators", "exact",
+            "reference")
 MAX_U, MAX_V, DEPTH = 3, 4, 4
 SPECS = [GenSpec(n, 2, 0.5, 0.3, 20_260_000 + 1000 * n + i)
          for n in range(2, 5) for i in range(60)]
@@ -36,10 +41,18 @@ SPECS = [GenSpec(n, 2, 0.5, 0.3, 20_260_000 + 1000 * n + i)
 
 
 def _no_bad(apply):
-    """A naming step (`_apply_labels`, `_apply_names`) that reports no bad events."""
+    """The profile label step `_apply_labels` reporting no bad events."""
     def mutant(*args):
         new, good_mask, _ = apply(*args)
         return new, good_mask, 0
+    return mutant
+
+
+def _no_bad_paths(marks):
+    """The Safra mark step `_marks` reporting no bad paths."""
+    def mutant(*args):
+        good, _ = marks(*args)
+        return good, ()
     return mutant
 
 
@@ -129,7 +142,7 @@ MUTANTS = [
     ("profile: no bad events", "determinize._apply_labels", _no_bad),
     ("profile: fresh labels from the highest free bit", "determinize._apply_labels",
      _highest_free(lambda a: 2 * a.n + 1)),
-    ("safra: no bad events", "safra._apply_names", _no_bad),
+    ("safra: no bad events", "safra._marks", _no_bad_paths),
     ("safra: only the first good node per step", "safra._shape",
      _keep_good(lambda good: good[:1])),
     ("safra: never good", "safra._shape", _keep_good(lambda good: ())),
@@ -138,8 +151,6 @@ MUTANTS = [
     ("lassos: prefix extended by its first symbol", "automata._verdicts",
      _prefix_by_first_symbol),
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),
-    ("safra: sprouts take the highest free name", "safra._apply_names",
-     _highest_free(lambda a: a.n)),
 ]
 
 
@@ -164,12 +175,30 @@ def corpus():
     return [normalize(gen_nbw(spec)) for spec in SPECS]
 
 
+def _batch_differs(a, profile, safra, lassos) -> bool:
+    """Whether the batch verdicts that `check_automaton` compares differ on
+    some lasso from `nbw_member` and `drw_run_eval` on that lasso alone."""
+    batch = zip(harness.nbw_verdicts(a, lassos),
+                harness.drw_verdicts(profile, lassos),
+                harness.drw_verdicts(safra, lassos))
+    return any(row != (nbw_member(a, w), drw_run_eval(profile, w),
+                       drw_run_eval(safra, w))
+               for w, row in zip(lassos, batch))
+
+
 def flagged(a, lassos, checkers) -> set:
     """The checkers among `checkers` that find fault with `a`."""
     out = set()
     if "sweep" in checkers and sweep_invariants(a, DEPTH):
         out.add("sweep")
-    if set(checkers) - {"sweep"}:
+    if {"exact", "reference"} & set(checkers):
+        profile = harness.determinize_profile(a)
+        safra = harness.determinize_safra(a)
+        if "exact" in checkers and not drw_equivalent(profile, safra):
+            out.add("exact")
+        if "reference" in checkers and _batch_differs(a, profile, safra, lassos):
+            out.add("reference")
+    if {"lassos_profile", "lassos_safra", "validators"} & set(checkers):
         rep = check_automaton(a, lassos)
         if any(msg.startswith("determinization aborted") for msg in rep.violations):
             raise RuntimeError(rep.violations[0])

@@ -1,11 +1,11 @@
 """Brute-force reference implementations used only to check the real ones,
-explicit walks over stored run-DAG levels, and a helper that builds test
-automata from names."""
+explicit walks over stored run-DAG levels, an exact DRW language
+comparison, and a helper that builds test automata from names."""
 
 import itertools
 from typing import Sequence
 
-from buchidet import NBW, Lasso, parse_nbw
+from buchidet import DRW, NBW, Lasso, parse_nbw
 from buchidet.labeling import LabeledLevel
 from buchidet.run_dag import ProfileLevel
 
@@ -167,39 +167,88 @@ def labels_of_class(labeled: Sequence[LabeledLevel], i: int, class_rank: int) ->
     return frozenset(out)
 
 
-def preorder_children(shape) -> list[list[int]]:
-    """The child positions of every node of a preorder (label, child count)
-    shape, read off by a walk that gives each node its count of children."""
-    kids: list[list[int]] = [[] for _ in shape]
-    next_pos = 0
+def _cycles(nodes: set, succ) -> list[set]:
+    """The strongly connected components of the subgraph on `nodes` that
+    hold a cycle, by an iterative Tarjan over the successor lists `succ`."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    out = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in low:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        w = stack.pop()
+                        comp.add(w)
+                        del low[w]
+                    if len(comp) > 1 or v in succ[v]:
+                        out.append(comp)
+    return out
 
-    def walk():
-        nonlocal next_pos
-        i = next_pos
-        next_pos += 1
-        for _ in range(shape[i][1]):
-            kids[i].append(next_pos)
-            walk()
 
-    if shape:
-        walk()
-    return kids
+def drw_included(d1: DRW, d2: DRW) -> bool:
+    """Whether L(d1) ⊆ L(d2), decided exactly: no reachable cycle of the
+    product meets G and avoids B of some pair of d1 while failing every
+    pair of d2.  The failing side is a Streett condition, refined in the
+    Emerson–Lei way: a cycle set that meets some G of d2 but not its B
+    loses those G states and is searched again."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("alphabets differ")
+    n2 = len(d2.states)
+    start = d1.initial * n2 + d2.initial
+    succ, todo = {start: None}, [start]
+    while todo:
+        q1, q2 = divmod(todo.pop(), n2)
+        succ[q1 * n2 + q2] = row = [t1 * n2 + t2 for t1, t2
+                                    in zip(d1.trans[q1], d2.trans[q2])]
+        for v in row:
+            if v not in succ:
+                succ[v] = None
+                todo.append(v)
+
+    def on1(qs):
+        return {v for v in succ if v // n2 in qs}
+
+    def on2(qs):
+        return {v for v in succ if v % n2 in qs}
+
+    streett = [(on2(g), on2(b)) for g, b in d2.acceptance]
+    for g, b in d1.acceptance:
+        g1, pending = on1(g), _cycles(set(succ) - on1(b), succ)
+        while pending:
+            comp = pending.pop()
+            if not comp & g1:
+                continue
+            drop = set().union(*(g2 for g2, b2 in streett
+                                 if comp & g2 and not comp & b2))
+            if not drop:
+                return False
+            pending += _cycles(comp - drop, succ)
+    return True
 
 
-def named_safra_repr(trees) -> str:
-    """The repr of a tuple of Safra trees in the name-keyed form: per tree
-    ``SafraTree(root=…, children=…, labels=…, good=…, bad=…)``, with every
-    node's children and label listed in name order.  Digests taken over
-    this text match those taken when the payloads had that form."""
-    def one(t):
-        kids = preorder_children(t.shape)
-        order = sorted(range(len(t.names)), key=t.names.__getitem__)
-        children = tuple((t.names[i], tuple(t.names[c] for c in kids[i]))
-                         for i in order)
-        labels = tuple((t.names[i], t.shape[i][0]) for i in order)
-        root = t.names[0] if t.names else None
-        return (f"SafraTree(root={root!r}, children={children!r}, "
-                f"labels={labels!r}, good={t.good!r}, bad={t.bad!r})")
-
-    parts = [one(t) for t in trees]
-    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+def drw_equivalent(d1: DRW, d2: DRW) -> bool:
+    """Whether the two DRWs accept the same language, decided exactly."""
+    return drw_included(d1, d2) and drw_included(d2, d1)

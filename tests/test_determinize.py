@@ -14,7 +14,7 @@ from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
 from buchidet.safra import determinize_safra
-from oracles import named_safra_repr, nbw
+from oracles import nbw
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -308,35 +308,34 @@ def _sha256(text: str) -> str:
 
 def test_whole_drw_golden_digest():
     """Pins both DRWs of one 8-state automaton byte for byte, native and
-    HOA, the profile macrostates field by field and the Safra trees whole
-    (rendered in their name-keyed form, which the digests were taken on),
-    so a change in state identity (a different cousin set or node name,
+    HOA, the profile macrostates field by field and the Safra trees whole,
+    so a change in state identity (a different cousin set or marked path,
     say) shows even where the language stays the same.  A larger
-    Safra-only input (3,413 trees) covers deeper trees and name reuse."""
+    Safra-only input (1,274 trees) covers deeper trees and moved nodes."""
     a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
     profile, safra = determinize_profile(a), determinize_safra(a)
-    assert (len(profile.states), len(safra.states)) == (2460, 23)
+    assert (len(profile.states), len(safra.states)) == (2460, 31)
     assert _sha256(format_drw(profile)) == \
         "671a20f5acdf09144b91e8c4800c20c9e1f0df4c2fa2604f2b25c3315a22f310"
     assert _sha256(format_drw(safra)) == \
-        "a8b1827600c9c8992f289185ea30d02742847e6bebe83aaf1846fdbf54299b18"
+        "14e99f701015843aae67995ed1f75de61744b939cad6224fb79f0a026af88be1"
     fields = "".join(repr((m.classes, m.labels, sorted(m.cousin), sorted(m.good),
                            sorted(m.bad))) for m in profile.payloads)
     assert _sha256(fields) == \
         "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
-    assert _sha256(named_safra_repr(safra.payloads)) == \
-        "61432dd3ddddb9bc935795dbaa86555e4a52c8a0ba3cb827c047681a7348039c"
+    assert _sha256(repr(safra.payloads)) == \
+        "d22bf17f06b3c91eaae4d6fd8208c1b768709ad78270e0bb5fb448bab8b772ff"
     assert _sha256(format_hoa(profile)) == \
         "a4d18f816b884617371a3218360f286f1a6970e70cbaf52f6d45281d1367dbb7"
     assert _sha256(format_hoa(safra)) == \
-        "a0afa9a1333c461fae6b7acd9bdc109e385511f500132a01fa1a560512993649"
+        "c77fb84bd89c7e152ee0d5a121d69dd1779004812d0af47dd9df1ad9869a6b1b"
 
     big = determinize_safra(normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777))))
-    assert len(big.states) == 3413
+    assert len(big.states) == 1274
     assert _sha256(format_drw(big)) == \
-        "f4946380a67f1b2068fcbc0ecff6b1b603e3a0481716aaa2851df72ee5a70919"
-    assert _sha256(named_safra_repr(big.payloads)) == \
-        "84b0e3d23aa8e5e69ce441ffb2d74a3651f355cc4ce8bf963e7d2d9869f7eced"
+        "b2fa4cfa06efd35038b6ba6aaafd7bf08b977ee2d9096b736081b267a5517785"
+    assert _sha256(repr(big.payloads)) == \
+        "d29c768463a9275826b10f8d43e71908e74803649f07b2f4a907f01f3e705f34"
 
 
 def _parse(name: str) -> ast.AST:

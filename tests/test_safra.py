@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
-from buchidet import drw_run_eval, format_drw, nbw_member, normalize, safra
+from buchidet import (DRW, RabinCondition, drw_run_eval, format_drw, nbw_member,
+                      normalize, safra)
+from buchidet.determinize import determinize_profile
 from buchidet.explore import StateLimitExceeded, explore
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.safra import (SafraTree, determinize_safra, safra_initial,
                             safra_successor, validate_safra_tree)
-from oracles import brute_member, nbw
+import mutants
+from oracles import brute_member, drw_equivalent, drw_included, nbw
 
 
 def test_initial_tree(two_state):
     t = safra_initial(two_state)
-    assert t == SafraTree((((0,), 0),), (0,), (), (1,))
+    assert t == SafraTree((((0,), 0),), (), ())
     assert validate_safra_tree(two_state, t) == []
 
 
@@ -33,19 +38,18 @@ def test_initial_requires_normalization(selfloop_accepting):
 
 def test_successor_sprouts_accepting_child(two_state):
     """On a, the root grows to {q,p} and sprouts a child tracking the
-    accepting intersection {p}; the child is renamed to pool id 1."""
+    accepting intersection {p}; the sprout's path (0,) is bad."""
     t1 = safra_successor(two_state, safra_initial(two_state), "a")
-    assert t1 == SafraTree((((0, 1), 1), ((1,), 0)), (0, 1), (), (1,))
+    assert t1 == SafraTree((((0, 1), 1), ((1,), 0)), (), ((0,),))
     assert validate_safra_tree(two_state, t1) == []
 
 
 def test_successor_dead_tree_is_sink(two_state):
-    dead = safra_successor(two_state, safra_initial(two_state), "b")
-    assert dead.shape == dead.names == ()
-    assert dead.bad == (0, 1)
-    assert dead.good == ()
-    again = safra_successor(two_state, dead, "a")
-    assert again == dead
+    dying = safra_successor(two_state, safra_initial(two_state), "b")
+    assert dying == SafraTree((), (), ((),))
+    dead = safra_successor(two_state, dying, "a")
+    assert dead == SafraTree((), (), ())
+    assert safra_successor(two_state, dead, "b") == dead
 
 
 def test_vertical_merge_marks_good():
@@ -53,21 +57,21 @@ def test_vertical_merge_marks_good():
                             [("x", "a", "f"), ("f", "a", "f")]))
     t1 = safra_successor(a, safra_initial(a), "a")
     # the sprout covers the whole parent label, so the parent sheds it
-    # and turns good
-    assert t1.good == (0,)
-    assert t1.bad == (1,)
+    # and turns good; no node is left at the sprout's path
+    assert t1.good == ((),)
+    assert t1.bad == ()
     assert t1.shape == (((1,), 0),)
-    assert t1.names == (0,)
     assert validate_safra_tree(a, t1) == []
 
 
 def test_horizontal_merge_prefers_older_sibling(two_state):
-    # after a,a the old child keeps p and the fresh sprout dies
+    # after a,a the old child keeps p, so no sprout grows; the child stays
+    # at its path and turns good there
     t = safra_initial(two_state)
     for symbol in "aa":
         t = safra_successor(two_state, t, symbol)
     assert t.shape == (((0, 1), 1), ((1,), 0))
-    assert t.names == (0, 1)
+    assert (t.good, t.bad) == (((0,),), ())
     assert validate_safra_tree(two_state, t) == []
 
 
@@ -104,9 +108,37 @@ def test_safra_on_deterministic_input():
         assert drw_run_eval(drw, w) == brute_member(a, w), str(w)
 
 
+def test_position_rule_marks_moves_sprouts_and_good_in_place():
+    """Paths name nodes.  An older sibling that dies shifts a younger one,
+    which is bad at both its old and its new path, and its turning good
+    there marks nothing; a sprout is bad at its path; a node that turns
+    good where it was is good at its path."""
+    a = nbw(["a", "b", "c"], ["s", "x", "y"], ["s"], ["x", "y"],
+            [("s", "a", "s"), ("s", "a", "x"), ("s", "b", "s"), ("s", "b", "y"),
+             ("x", "b", "x"), ("s", "c", "s"), ("y", "c", "y")])
+    t = safra_initial(a)
+    steps = []
+    for symbol in "abcc":
+        t = safra_successor(a, t, symbol)
+        assert validate_safra_tree(a, t) == []
+        steps.append(t)
+    # a: x sprouts under the root at (0,)
+    assert steps[0] == SafraTree((((0, 1), 1), ((1,), 0)), (), ((0,),))
+    # b: the leaf {x} turns good in place; y sprouts as its younger sibling
+    assert steps[1] == SafraTree((((0, 1, 2), 2), ((1,), 0), ((2,), 0)),
+                                 ((0,),), ((1,),))
+    # c: {x} dies, so {y} moves from (1,) to (0,) and turns good on the way
+    assert steps[2] == SafraTree((((0, 2), 1), ((2,), 0)), (), ((0,), (1,)))
+    # c: {y} stays at (0,) and turns good there
+    assert steps[3] == SafraTree((((0, 2), 1), ((2,), 0)), ((0,),), ())
+
+
 def test_safra_pair_count_and_determinism(two_state):
+    """One Rabin pair per path that is good on some step."""
     drw = determinize_safra(two_state)
-    assert len(drw.acceptance) == two_state.n
+    good = sorted({p for t in drw.payloads for p in t.good})
+    assert good == [(), (0,)]
+    assert len(drw.acceptance) == len(good)
     assert format_drw(drw) == format_drw(determinize_safra(two_state))
 
 
@@ -116,9 +148,9 @@ def test_safra_state_budget(two_state):
 
 
 def test_safra_payloads_match_safra_successor_replay():
-    """`determinize_safra` reuses each step's name-free part across trees
-    with the same shape; stepping every tree afresh must give the same
-    trees in the same order."""
+    """`determinize_safra` reuses each step across trees with the same
+    shape; stepping every tree afresh must give the same trees in the same
+    order."""
     corpus = [normalize(gen_nbw(GenSpec(n, 2, 0.5, 0.3, 70_000 + 1000 * n + i)))
               for n in range(2, 6) for i in range(40)]
     corpus.append(normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777))))
@@ -132,9 +164,9 @@ def test_safra_payloads_match_safra_successor_replay():
 
 
 def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
-    """The name-free part of a step depends on the labels and topology
-    only, so one exploration computes it once for each name-free tree and
-    symbol; the dead tree's empty shape is one of them."""
+    """A step and its marks depend on the labels and topology only, so one
+    exploration computes it once for each shape and symbol; the dead
+    tree's empty shape is one of them."""
     calls = []
 
     def counted(*args):
@@ -154,13 +186,13 @@ def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
 def test_safra_cap_counts_trees_in_discovery_order():
     a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
     with pytest.raises(StateLimitExceeded):
-        determinize_safra(a, max_states=3412)
-    assert len(determinize_safra(a, max_states=3413).states) == 3413
+        determinize_safra(a, max_states=1273)
+    assert len(determinize_safra(a, max_states=1274).states) == 1274
 
 
 def test_safra_kids_computed_once_per_name_free_tree(monkeypatch):
-    """One exploration derives the child positions of each name-free tree
-    once and shares them between the steps from it and the payload build."""
+    """One exploration derives the child positions of each shape once and
+    shares them between the steps from it and its paths."""
     calls = []
 
     def counted(shape):
@@ -176,7 +208,7 @@ def test_safra_kids_computed_once_per_name_free_tree(monkeypatch):
 
 
 def test_safra_payloads_share_good_and_bad_tuples():
-    """One exploration builds one name tuple per distinct mark set and
+    """One exploration builds one path tuple per distinct mark set and
     shares it among the trees that hold it, as good or as bad marks."""
     a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
     payloads = determinize_safra(a).payloads
@@ -193,54 +225,76 @@ def test_safra_payloads_share_interned_shapes():
     assert len({id(s) for s in shapes}) == len(set(shapes)) == 748 < len(payloads)
 
 
-def test_node_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
-    """A step with more sprouts than free names means the tree invariants
-    are broken; the one-step path and the memoized exploration both refuse
-    it rather than reuse a name."""
-    def sprouting(count):
-        return lambda a, shape, kids, sym: (
-            (((0, 1), count),) + (((1,), 0),) * count, (0,) + (None,) * count, ())
-
-    t0 = safra_initial(two_state)
-    # name 0 stays on the root, so one name is free
-    monkeypatch.setattr(safra, "_shape", sprouting(1))
-    t1 = safra_successor(two_state, t0, "a")
-    assert t1.shape == (((0, 1), 1), ((1,), 0)) and t1.names == (0, 1)
-    assert t1.bad == (1,)
-    monkeypatch.setattr(safra, "_shape", sprouting(2))
-    with pytest.raises(AssertionError, match="node pool exhausted"):
-        safra_successor(two_state, t0, "a")
-    with pytest.raises(AssertionError, match="node pool exhausted"):
-        determinize_safra(two_state)
+def test_profile_and_safra_drws_are_equivalent_on_the_mutant_corpus():
+    """Exact language equality, not lassos: on every automaton of the
+    mutant catalogue's corpus the two constructions accept one language."""
+    for a in mutants.corpus():
+        assert drw_equivalent(determinize_profile(a), determinize_safra(a))
 
 
-_VALID = SafraTree((((0, 1), 1), ((1,), 0)), (0, 1), (), (2,))
+@pytest.mark.parametrize("seed, lasso_flags", [(4246, 228), (4247, 0)])
+def test_exact_check_flags_swapped_pairs(seed, lasso_flags):
+    """With its Rabin pairs swapped, the profile DRW loses words that
+    Safra's DRW accepts.  The exact check refuses it, both where lassos
+    with |u|≤3, |v|≤4 show the fault and where none of them does, and still
+    proves the true DRW equal to Safra's."""
+    a = normalize(gen_nbw(GenSpec(4, 2, 0.5, 0.3, seed)))
+    p, s = determinize_profile(a), determinize_safra(a)
+    swapped = DRW(p.alphabet, p.states, p.initial, p.trans,
+                  RabinCondition(tuple((b, g) for g, b in p.acceptance)))
+    assert sum(drw_run_eval(swapped, w) != nbw_member(a, w)
+               for w in enumerate_lassos(a.alphabet, 3, 4)) == lasso_flags
+    assert drw_equivalent(p, s)
+    assert not drw_included(s, swapped)
+
+
+def test_exact_inclusion_agrees_with_lassos_on_small_drws():
+    """On random DRWs of at most three states, L(d1) ⊆ L(d2) fails exactly
+    when some short lasso is accepted by d1 and rejected by d2."""
+    rng = random.Random(2026)
+    lassos = enumerate_lassos(["a", "b"], 2, 5)
+
+    def drw():
+        n = rng.randint(1, 3)
+        trans = tuple(tuple(rng.randrange(n) for _ in "ab") for _ in range(n))
+        pairs = tuple((frozenset(q for q in range(n) if rng.random() < 0.4),
+                       frozenset(q for q in range(n) if rng.random() < 0.3))
+                      for _ in range(rng.randint(0, 2)))
+        return DRW(("a", "b"), tuple(f"s{q}" for q in range(n)), 0, trans,
+                   RabinCondition(pairs))
+
+    refuted = 0
+    for _ in range(200):
+        d1, d2 = drw(), drw()
+        witness = any(drw_run_eval(d1, w) and not drw_run_eval(d2, w)
+                      for w in lassos)
+        assert drw_included(d1, d2) is not witness
+        refuted += witness
+    assert refuted == 53
+
+
+_VALID = SafraTree((((0, 1), 1), ((1,), 0)), (), ((1,),))
 
 
 @pytest.mark.parametrize("tree, message", [
-    (SafraTree((((0, 1), 1), ((1,), 0)), (0, 3), (), (1, 2)),
-     "node name 3 outside the name pool"),
-    (SafraTree((((0, 1, 3), 1), ((1,), 0)), (0, 1), (), (2,)),
+    (SafraTree((((0, 1, 3), 1), ((1,), 0)), (), ((1,),)),
      "state id 3 out of range"),
-    (SafraTree((((1, 0), 1), ((1,), 0)), (0, 1), (), (2,)),
-     "node 0 label is not a sorted state set"),
-    (SafraTree((((0, 1), 1), ((1,), 0)), (0, 1), (2,), ()),
-     "good name 2 is not a node"),
-    (SafraTree((((0, 1), 2), ((1,), 0)), (0, 1), (), (2,)),
+    (SafraTree((((1, 0), 1), ((1,), 0)), (), ((1,),)),
+     "node () label is not a sorted state set"),
+    (SafraTree((((0, 1), 1), ((1,), 0)), ((1,),), ()),
+     "good path (1,) is not a node"),
+    (SafraTree((((0, 1), 1), ((1,), 0)), ((0,),), ((0,),)),
+     "good and bad marks overlap"),
+    (SafraTree((((0, 1), 2), ((1,), 0)), (), ((1,),)),
      "child counts do not describe exactly one tree"),
-    (SafraTree((((0, 1), 0), ((1,), 0)), (0, 1), (), (2,)),
+    (SafraTree((((0, 1), 0), ((1,), 0)), (), ((1,),)),
      "child counts do not describe exactly one tree"),
-    (SafraTree((((0, 1), 2), ((1,), -1)), (0, 1), (), (2,)),
+    (SafraTree((((0, 1), 2), ((1,), -1)), (), ((1,),)),
      "child counts do not describe exactly one tree"),
-    (SafraTree((((0, 1), 1), ((1,), 0)), (0,), (), (2,)),
-     "names and shape differ in length"),
-    (SafraTree((((0, 1), 1), ((1,), 0)), (0, 0), (), (2,)),
-     "node names are not distinct"),
-    (SafraTree((), (), (0,), (1, 2)), "rootless tree with good marks"),
-], ids=["name-outside-pool", "state-out-of-range", "unsorted-label",
-        "good-name-not-a-node", "child-counts-too-many", "child-counts-too-few",
-        "negative-child-count", "names-shape-length-mismatch", "duplicate-names",
-        "dead-tree-with-good-marks"])
+    (SafraTree((), ((),), ((0,),)), "rootless tree with good marks"),
+], ids=["state-out-of-range", "unsorted-label", "good-name-not-a-node",
+        "good-and-bad-overlap", "child-counts-too-many", "child-counts-too-few",
+        "negative-child-count", "dead-tree-with-good-marks"])
 def test_validate_safra_tree_flags_corrupted_tree(tree, message):
     a = nbw(["a"], ["x", "y", "z"], ["x"], ["y"], [("x", "a", "y")])
     assert validate_safra_tree(a, _VALID) == []
