@@ -134,13 +134,14 @@ class NBW:
     def _mask_tables(self):
         """``(post, pre, initial, accepting)`` for bitmask state sets.
 
-        ``post[s][c][m]`` is the mask of s-successors of the states 4c..4c+3
-        selected by the 4-bit mask m; ``pre`` is the same for predecessors.
-        Built on first use, since only membership queries need them.
+        ``post[s](m)`` is the mask of s-successors of the states in the mask
+        m, and ``pre[s](m)`` that of their s-predecessors; each is a lookup
+        in tables over 8-state chunks (see :func:`_image_tables`).  Built on
+        first use, since only membership queries need them.
         """
         if self._masks is None:
-            self._masks = (_nibble_tables(self.succ, len(self.alphabet)),
-                           _nibble_tables(self.pred, len(self.alphabet)),
+            self._masks = (_image_tables(self.succ, len(self.alphabet)),
+                           _image_tables(self.pred, len(self.alphabet)),
                            sum(1 << q for q in self.initial),
                            sum(1 << q for q in self.accepting))
         return self._masks
@@ -212,34 +213,50 @@ def _verdicts(ids: dict, start, step, decider, lassos) -> list[bool]:
     return out
 
 
-def _nibble_tables(adj, k: int) -> tuple:
-    """Per symbol and per chunk of 4 states, the union of the `adj` rows of
-    every subset of the chunk, as bitmasks (see :meth:`NBW._mask_tables`)."""
+def _image_tables(adj, k: int) -> tuple:
+    """Per symbol, the function from a state mask to the union of its
+    states' `adj` rows, as a bitmask.
+
+    The states are cut into chunks of 8; a chunk's table holds the union for
+    every subset of it, so an image is one lookup per chunk.  Up to 8 states
+    the function is the table's own ``__getitem__``, and up to 16 two
+    lookups.  Equal entries are shared, which halves the tables' memory.
+    """
     n = len(adj)
-    tables = []
+    seen: dict[int, int] = {}
+    images = []
     for s in range(k):
         rows = [sum(1 << t for t in adj[q][s]) for q in range(n)]
-        rows += [0] * (-n % 4)
-        chunks = []
-        for base in range(0, n, 4):
-            row = [0] * 16
-            for m in range(1, 16):
+        tables = []
+        for base in range(0, n, 8):
+            chunk = rows[base:base + 8]
+            table = [0] * (1 << len(chunk))
+            for m in range(1, len(table)):
                 low = m & -m
-                row[m] = row[m ^ low] | rows[base + low.bit_length() - 1]
-            chunks.append(tuple(row))
-        tables.append(tuple(chunks))
-    return tuple(tables)
+                x = table[m ^ low] | chunk[low.bit_length() - 1]
+                table[m] = seen.setdefault(x, x)
+            tables.append(tuple(table))
+        images.append(_image_function(tables))
+    return tuple(images)
 
 
-def _image(chunks, m: int) -> int:
-    """Union of the table rows selected by the state mask `m`."""
-    out = 0
-    for row in chunks:
-        if not m:
-            break
-        out |= row[m & 15]
-        m >>= 4
-    return out
+def _image_function(tables):
+    """The image function over the per-chunk `tables` of :func:`_image_tables`."""
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        t0, t1 = tables
+        return lambda m: t0[m & 255] | t1[m >> 8]
+
+    def image(m):
+        out = 0
+        for table in tables:
+            if not m:
+                break
+            out |= table[m & 255]
+            m >>= 8
+        return out
+    return image
 
 
 def nbw_member(a: NBW, w: Lasso) -> bool:
@@ -256,7 +273,7 @@ def nbw_member(a: NBW, w: Lasso) -> bool:
     v = _sym_ids(a._sym_id, w.period)
     post, _, reach, _ = a._mask_tables()
     for s in u:
-        reach = _image(post[s], reach)
+        reach = post[s](reach)
         if not reach:
             return False
     return bool(_nbw_period(a, reach, v))
@@ -276,14 +293,15 @@ def nbw_verdicts(a: NBW, lassos: list[Lasso]) -> list[bool]:
         good = _nbw_period(a, full, v)
         return lambda m: bool(m & good)
 
-    return _verdicts(a._sym_id, initial, lambda m, s: _image(post[s], m),
-                     decider, lassos)
+    return _verdicts(a._sym_id, initial, lambda m, s: post[s](m), decider, lassos)
 
 
 def _nbw_period(a: NBW, reach: int, v: list[int]) -> int:
     """The mask of states from which some run accepts ``v^w``, among those
     reachable at period starts from the state mask `reach`; 0 if none."""
     post, pre, _, acc = a._mask_tables()
+    fwd = [post[s] for s in v]
+    back = [pre[s] for s in v]
     lv = len(v)
     last = lv - 1
     # z[i]: reachable states at period position i.  todo[i] holds the states
@@ -298,7 +316,7 @@ def _nbw_period(a: NBW, reach: int, v: list[int]) -> int:
         f = todo[i]
         if f:
             todo[i] = 0
-            new = _image(post[v[i]], f) & ~z[j]
+            new = fwd[i](f) & ~z[j]
             if new:
                 z[j] |= new
                 todo[j] |= new
@@ -320,7 +338,7 @@ def _nbw_period(a: NBW, reach: int, v: list[int]) -> int:
             f = todo[j]
             if f:
                 todo[j] = 0
-                new = z[i] & _image(pre[v[i]], f) & ~b[i]
+                new = z[i] & back[i](f) & ~b[i]
                 if new:
                     b[i] |= new
                     todo[i] |= new & ~t[i]

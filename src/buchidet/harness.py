@@ -248,11 +248,14 @@ def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
             for msg in validate_safra_tree(a, t):
                 res.violations.append(f"safra tree {i}: {msg}")
     res.lassos = len(lassos)
-    for w, *row in zip(lassos, nbw_verdicts(a, lassos), drw_verdicts(drw_profile, lassos),
-                       drw_verdicts(drw_safra, lassos)):
-        if len(set(row)) != 1:
-            verdicts = dict(zip(("nbw", "profile", "safra"), row))
-            res.disagreements.append({"lasso": str(w), "verdicts": verdicts})
+    nv = nbw_verdicts(a, lassos)
+    pv = drw_verdicts(drw_profile, lassos)
+    sv = drw_verdicts(drw_safra, lassos)
+    if nv != pv or pv != sv:
+        for w, *row in zip(lassos, nv, pv, sv):
+            if len(set(row)) != 1:
+                verdicts = dict(zip(("nbw", "profile", "safra"), row))
+                res.disagreements.append({"lasso": str(w), "verdicts": verdicts})
     return res
 
 
