@@ -17,15 +17,16 @@ shape and returns the new labels and the good/bad label masks.
 `sigma_successor` composes the two afresh on every step.
 `determinize_profile` explores compact keys (sid, labels, good mask, bad
 mask), where sid numbers the distinct (classes, cousin) pairs of one call,
-computes each shape once per (sid, symbol), and builds each `Macrostate`
-once after exploration.
+computes each shape once per (sid, symbol), builds each `Macrostate` once
+after exploration, and hands them to `explore.rabin_drw`, the pair rule
+shared with Safra.
 """
 
 from dataclasses import dataclass
 from functools import cache
 
-from .automata import DRW, NBW, RabinCondition
-from .explore import explore
+from .automata import DRW, NBW
+from .explore import explore, rabin_drw
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,8 +152,8 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     with those preorders; only `_apply_labels` runs on every step.  Each
     `Macrostate` is built once after exploration, sharing its classes,
     cousin and good/bad objects with every macrostate whose fields are
-    equal.  One Rabin pair per label in {0..2n} is generated; pairs whose G
-    side is empty can never fire and are dropped.
+    equal.  `rabin_drw` gives one Rabin pair per label that is good on some
+    macrostate, in label order.
     """
     sids: dict = {}
     preorders: list = []  # sid -> (classes, cousin)
@@ -180,21 +181,11 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
                           step, len(a.alphabet), max_states)
     label_set = cache(_label_set)
     states = []
-    good = [[] for _ in range(2 * a.n + 1)]
-    bad = [[] for _ in range(2 * a.n + 1)]
-    for i, (sid, labels, good_mask, bad_mask) in enumerate(keys):
+    for sid, labels, good_mask, bad_mask in keys:
         classes, cousin = preorders[sid]
-        st = Macrostate(classes, labels, cousin, label_set(good_mask),
-                        label_set(bad_mask))
-        states.append(st)
-        for lab in st.good:
-            good[lab].append(i)
-        for lab in st.bad:
-            bad[lab].append(i)
-    pairs = tuple((frozenset(g), frozenset(b)) for g, b in zip(good, bad) if g)
-    return DRW(a.alphabet, tuple(f"m{i}" for i in range(len(states))), 0,
-               tuple(tuple(row) for row in table),
-               RabinCondition(pairs), tuple(states))
+        states.append(Macrostate(classes, labels, cousin, label_set(good_mask),
+                                 label_set(bad_mask)))
+    return rabin_drw(a.alphabet, "m", table, states)
 
 
 def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:

@@ -1,6 +1,9 @@
-"""Memoized breadth-first exploration of a deterministic transition system."""
+"""Breadth-first exploration of a deterministic transition system, and the
+one rule that turns an explored system's good/bad events into Rabin pairs."""
 
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
+
+from .automata import DRW, RabinCondition
 
 T = TypeVar("T")
 
@@ -42,3 +45,23 @@ def explore(initial: T, step: Callable[[T, int], T], n_symbols: int,
         table.append(row)
         i += 1
     return states, table
+
+
+def rabin_drw(alphabet, prefix: str, table, payloads: Sequence) -> DRW:
+    """The DRW of an explored system whose payloads carry `good` and `bad`
+    events (labels or paths): one Rabin pair per event that is good on some
+    state, in sorted event order, with G the states where it is good and B
+    those where it is bad.  State i is named `prefix` followed by i and
+    keeps payload i."""
+    good: dict = {}
+    bad: dict = {}
+    for i, p in enumerate(payloads):
+        for e in p.good:
+            good.setdefault(e, []).append(i)
+        for e in p.bad:
+            bad.setdefault(e, []).append(i)
+    pairs = tuple((frozenset(good[e]), frozenset(bad.get(e, ())))
+                  for e in sorted(good))
+    return DRW(alphabet, tuple(f"{prefix}{i}" for i in range(len(payloads))), 0,
+               tuple(tuple(row) for row in table), RabinCondition(pairs),
+               tuple(payloads))

@@ -56,7 +56,7 @@ def profile_tree(a: NBW, prefix: Iterable[str]) -> list[ProfileLevel]:
 
 
 def check_level_invariants(levels: Sequence[ProfileLevel],
-                           n_states: int | None = None) -> list[str]:
+                           n_states: int) -> list[str]:
     """Structural validation of a level sequence; violations are data, not errors.
 
     Checks per level: classes are nonempty and disjoint, width stays within
@@ -75,7 +75,7 @@ def check_level_invariants(levels: Sequence[ProfileLevel],
                 out.append(f"{where} rank={j}: classes overlap")
             seen |= set(group)
         width = len(pl.classes)
-        if n_states is not None and width > n_states:
+        if width > n_states:
             out.append(f"{where}: width {width} exceeds {n_states}")
         if not (len(pl.parents) == len(pl.classes) == len(pl.f_class)):
             out.append(f"{where}: ragged level data")

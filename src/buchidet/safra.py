@@ -20,18 +20,19 @@ A tree is kept in preorder, as its shape: each node's label and child
 count.  `_shape` runs the pass on a shape and `_marks` reads the step's
 marks off the two shapes, so a whole step depends on the shape and symbol
 alone.  `safra_successor` composes the two afresh on every step.
-`determinize_safra` explores compact keys (sid, good mask, bad mask), where
-sid numbers the distinct shapes of one call and mask bits number its
-paths, computes each step once per (sid, symbol), and builds each
-`SafraTree` once after exploration, on the shape object it interned.
+`determinize_safra` explores keys (sid, good paths, bad paths), where sid
+numbers the distinct shapes of one call and the paths are the sorted
+tuples `_marks` returns, computes each step once per (sid, symbol), and
+hands the trees to `explore.rabin_drw`, the pair rule shared with the
+profile construction.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from .automata import DRW, NBW, RabinCondition
-from .explore import explore
+from .automata import DRW, NBW
+from .explore import explore, rabin_drw
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,31 +134,30 @@ def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
-    """Explore all reachable Safra trees; one Rabin pair per path that is
-    good on some step, in sorted path order.
+    """Explore all reachable Safra trees; `rabin_drw` gives one Rabin pair
+    per path that is good on some step, in sorted path order.
 
-    The exploration runs on keys (sid, good mask, bad mask), where sid
-    numbers the distinct shapes met in this call and bit i of a mask the
-    i-th path met; a key is equal to another exactly when their trees are.
-    A step depends only on the shape and symbol, so it is computed once per
-    (sid, symbol).  Each `SafraTree` is built once after exploration,
-    sharing its sid's shape and one good/bad path tuple per mask with every
-    tree that holds them.
+    The exploration runs on keys (sid, good, bad), where sid numbers the
+    distinct shapes met in this call and good and bad are the sorted path
+    tuples marked on the step into the tree; a key is equal to another
+    exactly when their trees are.  Each distinct path and each distinct
+    tuple of them is kept as one object.  A step depends only on the shape
+    and symbol, so it is computed once per (sid, symbol).  After
+    exploration the step memo and each shape's child positions and paths
+    are dropped, and each key becomes its `SafraTree` field for field.
     """
     sids: dict = {}
     shapes: list = []  # sid -> (shape, kids, paths)
-    bits: dict = {}  # path -> its bit in the masks
+    shared: dict = {}  # one object per distinct path and per mark tuple
 
     def intern(shape) -> int:
         sid = sids.get(shape)
         if sid is None:
             sid = sids[shape] = len(shapes)
             kids = _kids(shape)
-            shapes.append((shape, kids, _paths(kids)))
+            shapes.append((shape, kids,
+                           [shared.setdefault(p, p) for p in _paths(kids)]))
         return sid
-
-    def mask(paths) -> int:
-        return sum(1 << bits.setdefault(p, len(bits)) for p in paths)
 
     @cache
     def steps(sid: int, sym: int):
@@ -165,32 +165,15 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
         shape2, origin, good = _shape(a, shape, kids, sym)
         sid2 = intern(shape2)
         good, bad = _marks(paths, shapes[sid2][2], origin, good)
-        return sid2, mask(good), mask(bad)
+        return sid2, shared.setdefault(good, good), shared.setdefault(bad, bad)
 
-    keys, table = explore((intern(safra_initial(a).shape), 0, 0),
+    keys, table = explore((intern(safra_initial(a).shape), (), ()),
                           lambda key, sym: steps(key[0], sym),
                           len(a.alphabet), max_states)
-    order = sorted(bits)
-
-    @cache
-    def marked(m: int) -> tuple:
-        return tuple(p for p in order if m >> bits[p] & 1)
-
-    states = []
-    good: dict = {}
-    bad: dict = {}
-    for i, (sid, good_mask, bad_mask) in enumerate(keys):
-        t = SafraTree(shapes[sid][0], marked(good_mask), marked(bad_mask))
-        states.append(t)
-        for p in t.good:
-            good.setdefault(p, []).append(i)
-        for p in t.bad:
-            bad.setdefault(p, []).append(i)
-    pairs = tuple((frozenset(good[p]), frozenset(bad.get(p, ())))
-                  for p in sorted(good))
-    return DRW(a.alphabet, tuple(f"t{i}" for i in range(len(states))), 0,
-               tuple(tuple(row) for row in table),
-               RabinCondition(pairs), tuple(states))
+    steps.cache_clear()
+    shapes[:] = [shape for shape, _, _ in shapes]  # from here on, sid -> shape
+    return rabin_drw(a.alphabet, "t", table,
+                     [SafraTree(shapes[sid], good, bad) for sid, good, bad in keys])
 
 
 def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,7 @@ from buchidet import (Lasso, determinize, drw_run_eval, format_drw, label_levels
 from buchidet.determinize import (Macrostate, determinize_profile,
                                   initial_macrostate, sigma_successor,
                                   validate_macrostate)
-from buchidet.explore import StateLimitExceeded, explore
+from buchidet.explore import StateLimitExceeded, explore, rabin_drw
 from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
@@ -220,6 +221,24 @@ def test_rabin_pairs_indexed_by_label(two_state):
     assert len(drw.acceptance) == len(labels_good)
 
 
+def test_rabin_drw_pairs_come_from_payload_events():
+    """The pair rule both constructions share, on hand-built payloads: one
+    pair per event good somewhere, in sorted event order, with B the states
+    where it is bad; an event that is only ever bad gives no pair."""
+    ev = SimpleNamespace
+    payloads = [ev(good=((1,),), bad=((2,),)),
+                ev(good=((1,), (0,)), bad=()),
+                ev(good=(), bad=((2,), (1,), (0,))),
+                ev(good=((0, 1),), bad=((0,),))]
+    d = rabin_drw(("a",), "x", [[1], [2], [3], [0]], payloads)
+    assert d.acceptance.pairs == ((frozenset({1}), frozenset({2, 3})),
+                                  (frozenset({3}), frozenset()),
+                                  (frozenset({0, 1}), frozenset({2})))
+    assert d.states == ("x0", "x1", "x2", "x3")
+    assert d.initial == 0 and d.trans == ((1,), (2,), (3,), (0,))
+    assert all(p is q for p, q in zip(d.payloads, payloads, strict=True))
+
+
 def _replayed(a):
     """The profile exploration with every step computed afresh."""
     return explore(initial_macrostate(a),
@@ -377,11 +396,16 @@ def test_macrostate_and_level_views_stay_independent():
     # takes nothing else from labeling
     assert _imported_from("harness", "labeling") <= {"initial_labeled",
                                                      "next_labeled"}
-    # Safra is the baseline that judges the profile construction, so it
-    # takes from the package only the automaton model and the explorer
+    # Safra is the baseline that judges the profile construction, so the
+    # two share only the automaton model, the explorer and the pair rule,
+    # which lives in the explorer and imports neither construction
     src = Path(__file__).parents[1] / "src" / "buchidet"
     package = {p.stem for p in src.glob("*.py")} | {"buchidet"}
     assert _imported_modules("safra") & package <= {"automata", "explore"}
+    assert "safra" not in _imported_modules("determinize")
+    assert not _imported_modules("explore") & {"determinize", "safra"}
+    assert _imported_from("determinize", "explore") == \
+        _imported_from("safra", "explore") == {"explore", "rabin_drw"}
 
 
 def test_only_automata_uses_private_attributes():

@@ -78,7 +78,7 @@ def test_profile_tree_deterministic_chain(det_chain):
 def test_check_level_invariants_clean(two_state):
     levels = profile_tree(two_state, ["a", "b", "b"])
     assert check_level_invariants(levels, two_state.n) == []
-    assert check_level_invariants([]) == []
+    assert check_level_invariants([], two_state.n) == []
 
 
 def test_check_level_invariants_flags_corruption(two_state):
