@@ -262,12 +262,9 @@ def _image_function(tables):
 def nbw_member(a: NBW, w: Lasso) -> bool:
     """Decide whether the automaton accepts ``u . v^w``.
 
-    Runs the prefix, then works on the finite product over (state, position
-    mod |v|) pairs, one bitmask of states per position.  The reachable part
-    is computed to a fixpoint; the Emerson-Lei greatest fixpoint
-    Z := Z ∩ pre⁺(Z ∩ Acc) then keeps exactly the nodes that lie on or lead
-    to a cycle through an accepting node, and the word is accepted iff it
-    keeps any.  Exact, never a step-capped heuristic.
+    Runs the prefix to the mask of states it can reach, and accepts iff that
+    mask meets the period core's mask of states from which some run accepts
+    ``v^w`` (see :func:`_nbw_period`).  Exact, never a step-capped heuristic.
     """
     u = _sym_ids(a._sym_id, w.prefix)
     v = _sym_ids(a._sym_id, w.period)
@@ -276,72 +273,50 @@ def nbw_member(a: NBW, w: Lasso) -> bool:
         reach = post[s](reach)
         if not reach:
             return False
-    return bool(_nbw_period(a, reach, v))
+    return bool(reach & _nbw_period(a, v))
 
 
 def nbw_verdicts(a: NBW, lassos: list[Lasso]) -> list[bool]:
     """``[nbw_member(a, w) for w in lassos]``, each distinct period once.
 
-    Per period, one call from the full state mask gives the states from
-    which some run accepts ``v^w``; a lasso is accepted iff its start mask
-    after the prefix meets them.
+    Per period, one call to the period core gives the states from which some
+    run accepts ``v^w``; a lasso is accepted iff its start mask after the
+    prefix meets them.
     """
     post, _, initial, _ = a._mask_tables()
-    full = (1 << a.n) - 1
 
     def decider(v):
-        good = _nbw_period(a, full, v)
+        good = _nbw_period(a, v)
         return lambda m: bool(m & good)
 
     return _verdicts(a._sym_id, initial, lambda m, s: post[s](m), decider, lassos)
 
 
-def _nbw_period(a: NBW, reach: int, v: list[int]) -> int:
-    """The mask of states from which some run accepts ``v^w``, among those
-    reachable at period starts from the state mask `reach`; 0 if none."""
-    post, pre, _, acc = a._mask_tables()
-    fwd = [post[s] for s in v]
+def _nbw_period(a: NBW, v: list[int]) -> int:
+    """The mask of states from which some run accepts ``v^w``; 0 if none.
+
+    One state mask per period position, all states at first.  The Emerson-Lei
+    greatest fixpoint Z := Z ∩ pre⁺(Z ∩ Acc) keeps exactly the (state,
+    position) nodes that lie on or lead to a cycle through an accepting node.
+    """
+    _, pre, _, acc = a._mask_tables()
     back = [pre[s] for s in v]
     lv = len(v)
     last = lv - 1
-    # z[i]: reachable states at period position i.  todo[i] holds the states
-    # of z[i] whose successors are not yet in z[i + 1]; the sweep goes round
-    # the period until lv positions in a row have nothing to push.
-    z = [0] * lv
-    todo = [0] * lv
-    z[0] = todo[0] = reach
-    i = idle = 0
-    while idle < lv:
-        j = i + 1 if i < last else 0
-        f = todo[i]
-        if f:
-            todo[i] = 0
-            new = fwd[i](f) & ~z[j]
-            if new:
-                z[j] |= new
-                todo[j] |= new
-            idle = 0
-        else:
-            idle += 1
-        i = j
+    z = [(1 << a.n) - 1] * lv
     while True:
         t = [x & acc for x in z]
         if not any(t):
             return 0
         # b[i]: nodes of z with a path of one or more steps inside z to t,
-        # closed by the same sweep run backwards.
+        # swept backwards until lv positions in a row add nothing.
         b = [0] * lv
-        todo = t[:]
         i, idle = last, 0
         while idle < lv:
             j = i + 1 if i < last else 0
-            f = todo[j]
-            if f:
-                todo[j] = 0
-                new = z[i] & back[i](f) & ~b[i]
-                if new:
-                    b[i] |= new
-                    todo[i] |= new & ~t[i]
+            new = z[i] & back[i](t[j] | b[j]) & ~b[i]
+            if new:
+                b[i] |= new
                 idle = 0
             else:
                 idle += 1
@@ -485,10 +460,10 @@ def _parse_sections(text: str, kind: str):
     sections, the alphabet, the state names and the ``trans:`` lines.
 
     Returns ``(alphabet, states, single, trans, pairs, state_ids)``: the
-    declared symbols and state names; ``single`` maps ``initial:`` and
-    ``accepting:`` to their ``(lineno, names)``, or to None when absent;
-    every ``trans:`` line as ``(lineno, src, sym, dst)`` ids; every
-    ``pair:`` line as ``(lineno, tokens)``; and ``state_ids(names,
+    declared symbols and state names; ``single`` maps ``states:``,
+    ``initial:`` and ``accepting:`` to their ``(lineno, names)``, or to None
+    when absent; every ``trans:`` line as ``(lineno, src, sym, dst)`` ids;
+    every ``pair:`` line as ``(lineno, tokens)``; and ``state_ids(names,
     lineno)``, the ids of declared state names, which raises
     :class:`ParseError` naming the first undeclared one.
     """
@@ -523,7 +498,7 @@ def _parse_sections(text: str, kind: str):
         raise ParseError("duplicate alphabet symbol", lineno)
     if fault := _separator_fault(alphabet):
         raise ParseError(fault, lineno)
-    lineno, states = single.pop("states:")
+    lineno, states = single["states:"]
     if not states:
         raise ParseError("states must list at least one name", lineno)
     if len(set(states)) != len(states):
@@ -552,6 +527,7 @@ def _parse_sections(text: str, kind: str):
 
 
 _UNWRITABLE = re.compile(r"[\s#]")
+_BAR_STATE = "state name '|' cannot be used in a drw: pair lines split G from B with it"
 
 
 def _check_writable(names: tuple[str, ...]):
@@ -599,6 +575,8 @@ def parse_drw(text: str) -> DRW:
     if single["accepting:"] is not None:
         raise ParseError("accepting: is not allowed in a drw document",
                          single["accepting:"][0])
+    if "|" in states:
+        raise ParseError(_BAR_STATE, single["states:"][0])
     lineno, names = single["initial:"]
     if len(names) != 1:
         raise ParseError("drw requires exactly one initial state", lineno)
@@ -636,6 +614,8 @@ def parse_drw(text: str) -> DRW:
 
 def format_drw(d: DRW) -> str:
     _check_writable((*d.alphabet, *d.states))
+    if "|" in d.states:
+        raise ValueError(_BAR_STATE)
     lines = ["drw",
              "alphabet: " + " ".join(d.alphabet),
              "states: " + " ".join(d.states),

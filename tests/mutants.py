@@ -136,6 +136,13 @@ def _dead_start_accepted(verdicts):
     return mutant
 
 
+def _every_start_wins(period):
+    """The NBW period core returning all states whenever some state wins."""
+    def mutant(a, v):
+        return (1 << a.n) - 1 if period(a, v) else 0
+    return mutant
+
+
 MUTANTS = [
     ("profile: good ignores acceptance", "determinize._shape",
      _good_ignores_acceptance),
@@ -151,6 +158,8 @@ MUTANTS = [
     ("lassos: prefix extended by its first symbol", "automata._verdicts",
      _prefix_by_first_symbol),
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),
+    ("nbw: every start wins once some state does", "automata._nbw_period",
+     _every_start_wins),
 ]
 
 

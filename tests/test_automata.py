@@ -266,6 +266,23 @@ def test_writers_refuse_names_they_cannot_read_back(name):
         format_drw(DRW(("a", name), ("d0",), 0, ((0, 0),), RabinCondition(())))
 
 
+def test_format_drw_refuses_a_state_named_bar():
+    """In a pair line '|' splits G from B, so a G state named '|' would not
+    read back."""
+    d = DRW(("a",), ("|", "x"), 0, ((1,), (0,)),
+            RabinCondition(((frozenset({0}), frozenset({1})),)))
+    with pytest.raises(ValueError, match=re.escape("state name '|'")):
+        format_drw(d)
+
+
+def test_parse_drw_refuses_a_state_named_bar_on_its_states_line():
+    text = ("drw\nalphabet: a\nstates: | x\ninitial: |\n"
+            "trans: | a x\ntrans: x a |\npair: 0 G | | B x\n")
+    with pytest.raises(ParseError, match=re.escape("state name '|'")) as err:
+        parse_drw(text)
+    assert err.value.line == 3
+
+
 def test_drw_parse_requires_total_function():
     text = "drw\nalphabet: a b\nstates: d0\ninitial: d0\ntrans: d0 a d0\n"
     with pytest.raises(ParseError):

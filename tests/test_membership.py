@@ -180,16 +180,25 @@ def test_batch_verdicts_match_per_lasso(spec):
     assert_batches_match(a, [w for w in lassos if len(w.prefix) == 3])
 
 
-@pytest.mark.parametrize("spec", BATCH_GRID, ids=BATCH_IDS)
+# Past one image table: two tables (9 and 16 states) and the chunk loop (17),
+# with masks that are neither empty nor all states on 7, 14 and 14 of their
+# 14 periods.
+MASK_GRID = BATCH_GRID + [GenSpec(9, 2, 0.3, 0.3, 7092),
+                          GenSpec(16, 2, 0.12, 0.2, 7162),
+                          GenSpec(17, 2, 0.15, 0.2, 7172)]
+
+
+@pytest.mark.parametrize("spec", MASK_GRID,
+                         ids=[f"n{s.n_states}k{s.alphabet_size}" for s in MASK_GRID])
 def test_period_mask_is_the_winning_states(spec):
-    """From the full state mask, the period core returns exactly the states
-    from which some run accepts ``v^w``: bit q is set iff the automaton
-    re-rooted at q accepts ``;v``."""
+    """The period core returns exactly the states from which some run
+    accepts ``v^w``: bit q is set iff the automaton re-rooted at q accepts
+    ``;v``."""
     a = normalize(gen_nbw(spec))
     rooted = [NBW(a.alphabet, a.states, [q], a.accepting, a.edges) for q in range(a.n)]
     for lv in range(1, 4):
         for v in itertools.product(a.alphabet, repeat=lv):
-            mask = _nbw_period(a, (1 << a.n) - 1, [a.sym_id(s) for s in v])
+            mask = _nbw_period(a, [a.sym_id(s) for s in v])
             want = sum(brute_member(r, Lasso((), v)) << q for q, r in enumerate(rooted))
             assert mask == want, (spec, v)
 
