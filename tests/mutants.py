@@ -22,6 +22,7 @@ import importlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from buchidet import Lasso, drw_run_eval, harness, nbw_member, normalize
@@ -143,6 +144,18 @@ def _every_start_wins(period):
     return mutant
 
 
+def _reversed_classes(step):
+    """The sweep's level step listing the classes of every level with two
+    or more in reverse rank order, parents and acceptance bits alike."""
+    def mutant(a, prev, symbol):
+        pl = step(a, prev, symbol)
+        if len(pl.classes) < 2:
+            return pl
+        return replace(pl, classes=pl.classes[::-1], parents=pl.parents[::-1],
+                       f_class=pl.f_class[::-1])
+    return mutant
+
+
 MUTANTS = [
     ("profile: good ignores acceptance", "determinize._shape",
      _good_ignores_acceptance),
@@ -160,6 +173,8 @@ MUTANTS = [
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),
     ("nbw: every start wins once some state does", "automata._nbw_period",
      _every_start_wins),
+    ("levels: classes in reverse rank order", "harness.step_level",
+     _reversed_classes),
 ]
 
 
