@@ -17,8 +17,8 @@ from .explore import StateLimitExceeded
 from .harness import CheckReport, GenSpec, check_automaton, cross_check, \
     enumerate_lassos, gen_nbw, sweep_invariants
 from .labeling import LabeledLevel, label_levels
-from .run_dag import ProfileLevel, check_level_invariants, initial_level, \
-    profile_tree, step_level
+from .run_dag import ProfileLevel, check_level, initial_level, profile_tree, \
+    step_level
 from .safra import SafraTree, determinize_safra, safra_initial, safra_successor
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "CheckReport", "StateLimitExceeded", "parse_nbw", "parse_drw", "format_nbw",
     "format_drw", "normalize", "nbw_member", "drw_run_eval", "nbw_verdicts",
     "drw_verdicts", "initial_level", "step_level", "profile_tree",
-    "check_level_invariants", "label_levels", "initial_macrostate",
+    "check_level", "label_levels", "initial_macrostate",
     "sigma_successor", "determinize_profile", "safra_initial", "safra_successor",
     "determinize_safra", "gen_nbw", "enumerate_lassos", "check_automaton",
     "cross_check", "sweep_invariants", "__version__",

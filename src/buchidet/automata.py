@@ -33,8 +33,9 @@ class Lasso:
     @classmethod
     def parse(cls, text: str) -> "Lasso":
         """Parse the ``"u;v"`` syntax, symbols separated by dots (``a;b``, ``;a.b``)."""
-        if ";" not in text:
-            raise ValueError(f"lasso {text!r} must contain ';' between prefix and period")
+        if text.count(";") != 1:
+            raise ValueError(f"lasso {text!r} must have exactly one ';', between "
+                             "prefix and period")
         u, _, v = text.partition(";")
         return cls(_symbols(u), _symbols(v))
 
@@ -73,7 +74,7 @@ def _check_names(alphabet: tuple[str, ...], states: tuple[str, ...]):
 
 def _symbols(part: str) -> tuple[str, ...]:
     part = part.strip()
-    symbols = tuple(part.split(".")) if part else ()
+    symbols = tuple(s.strip() for s in part.split(".")) if part else ()
     if "" in symbols:
         raise ValueError(f"lasso part {part!r} has an empty symbol")
     return symbols
@@ -330,17 +331,8 @@ def _nbw_period(a: NBW, v: list[int]) -> int:
 # -- deterministic Rabin automata ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class RabinCondition:
-    """Ordered list of (G, B) pairs over state ids."""
-
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
+# Ordered (G, B) pairs over state ids; ``RabinCondition(pairs)`` builds the tuple.
+RabinCondition = tuple[tuple[frozenset[int], frozenset[int]], ...]
 
 
 @dataclass(frozen=True)
@@ -609,7 +601,7 @@ def parse_drw(text: str) -> DRW:
         raise ParseError("pair indices must be contiguous from 0")
     pairs = tuple(by_idx[i] for i in range(len(by_idx)))
     return DRW(tuple(alphabet), tuple(states), initial,
-               tuple(tuple(row) for row in table), RabinCondition(pairs))
+               tuple(tuple(row) for row in table), pairs)
 
 
 def format_drw(d: DRW) -> str:

@@ -3,7 +3,7 @@ one rule that turns an explored system's good/bad events into Rabin pairs."""
 
 from typing import Callable, Sequence, TypeVar
 
-from .automata import DRW, RabinCondition
+from .automata import DRW
 
 T = TypeVar("T")
 
@@ -63,5 +63,4 @@ def rabin_drw(alphabet, prefix: str, table, payloads: Sequence) -> DRW:
     pairs = tuple((frozenset(good[e]), frozenset(bad.get(e, ())))
                   for e in sorted(good))
     return DRW(alphabet, tuple(f"{prefix}{i}" for i in range(len(payloads))), 0,
-               tuple(tuple(row) for row in table), RabinCondition(pairs),
-               tuple(payloads))
+               tuple(tuple(row) for row in table), pairs, tuple(payloads))

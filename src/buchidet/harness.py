@@ -20,7 +20,7 @@ from .determinize import determinize_profile, initial_macrostate, sigma_successo
     validate_macrostate
 from .explore import StateLimitExceeded
 from .labeling import initial_labeled, next_labeled
-from .run_dag import check_level_invariants, initial_level, step_level
+from .run_dag import check_level, initial_level, step_level
 from .safra import determinize_safra, validate_safra_tree
 
 
@@ -95,11 +95,11 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
     Along each word the run-DAG levels, the labeled levels, and the
     macrostate sequence are extended in lockstep, together with an explicit
     walk of the classes descending from each label's birth class.  The sweep
-    checks the level structure, the label laws (per-level injectivity,
-    persistence, each inherited label on the minimal class of its walk, the
-    empty-labels equivalence), the whole cousin order against the walk, and
-    that the macrostate equals the independently computed level view, field
-    by field.
+    checks each level once, where it makes it, with :func:`check_level`; the
+    label laws (per-level injectivity, persistence, each inherited label on
+    the minimal class of its walk, the empty-labels equivalence); the whole
+    cousin order against the walk; and that the macrostate equals the
+    independently computed level view, field by field.
     """
     if depth < 0:
         raise ValueError("sweep depth must be at least 0")
@@ -114,7 +114,7 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
     m0 = initial_macrostate(a)
     desc0 = {0: frozenset({0})}
 
-    def compare(word, pl, lab, m):
+    def compare(word, pl, prev_width, lab, m):
         if m.classes != pl.classes:
             note(word, f"macrostate classes {m.classes} != levels {pl.classes}")
         if m.labels != lab.lbl:
@@ -125,18 +125,16 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
             note(word, f"macrostate good {sorted(m.good)} != level {sorted(lab.good)}")
         if m.bad != lab.bad:
             note(word, f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
-        for j, group in enumerate(pl.classes):
-            bits = {1 if q in a.acc else 0 for q in group}
-            if bits != {pl.f_class[j]}:
-                note(word, f"class {j} acceptance bit is inconsistent")
+        for msg in check_level(a, pl, prev_width):
+            note(word, msg)
 
-    compare((), pl0, lab0, m0)
+    compare((), pl0, None, lab0, m0)
 
-    def extend(word, levels, lab, m, desc, budget):
+    def extend(word, pl, lab, m, desc, budget):
         for s in syms:
             symbol = a.alphabet[s]
             word2 = word + (symbol,)
-            pl2 = step_level(a, levels[-1], symbol)
+            pl2 = step_level(a, pl, symbol)
             lab2 = next_labeled(lab, pl2, a.n)
             m2 = sigma_successor(a, m, symbol)
             k2 = len(pl2.classes)
@@ -174,16 +172,12 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
                 note(word2, f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
                             "from the descendant walk")
 
-            compare(word2, pl2, lab2, m2)
-            levels2 = levels + [pl2]
+            compare(word2, pl2, len(pl.classes), lab2, m2)
             if budget > 1:
-                extend(word2, levels2, lab2, m2, desc2, budget - 1)
-            else:
-                for msg in check_level_invariants(levels2, a.n):
-                    note(word2, msg)
+                extend(word2, pl2, lab2, m2, desc2, budget - 1)
 
     if depth > 0:
-        extend((), [pl0], lab0, m0, desc0, depth)
+        extend((), pl0, lab0, m0, desc0, depth)
     return out
 
 

@@ -6,8 +6,9 @@ of each class's parent on the previous level, and each class's acceptance
 bit.  A node's rank is the rank of its class.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .automata import NBW
 
@@ -55,51 +56,48 @@ def profile_tree(a: NBW, prefix: Iterable[str]) -> list[ProfileLevel]:
     return levels
 
 
-def check_level_invariants(levels: Sequence[ProfileLevel],
-                           n_states: int) -> list[str]:
-    """Structural validation of a level sequence; violations are data, not errors.
+def check_level(a: NBW, level: ProfileLevel, prev_width: int | None) -> list[str]:
+    """The faults of one level, given the width of the level before it
+    (None at level 0); violations are data, not errors.
 
-    Checks per level: classes are nonempty and disjoint, width stays within
-    the state count, every class of level i+1 names a single parent class at
-    level i, no parent has two children with the same acceptance bit, and the
-    class order is the lexicographic (parent, acceptance) order.
+    Classes are nonempty and disjoint, each class's states share its
+    acceptance bit, and the width stays within the state count.  Level 0 is
+    one class without a parent.  Past it, every class names a class of the
+    previous level as its parent, no parent has two children with the same
+    acceptance bit, and the class order is the lexicographic (parent,
+    acceptance) order.
     """
     out = []
-    for i, pl in enumerate(levels):
-        where = f"level={i}"
-        seen: set[int] = set()
-        for j, group in enumerate(pl.classes):
-            if not group:
-                out.append(f"{where} rank={j}: empty class")
-            if seen & set(group):
-                out.append(f"{where} rank={j}: classes overlap")
-            seen |= set(group)
-        width = len(pl.classes)
-        if width > n_states:
-            out.append(f"{where}: width {width} exceeds {n_states}")
-        if not (len(pl.parents) == len(pl.classes) == len(pl.f_class)):
-            out.append(f"{where}: ragged level data")
-            continue
-        if i == 0:
-            if width > 1:
-                out.append(f"{where}: more than one root class")
-            if any(p is not None for p in pl.parents):
-                out.append(f"{where}: root class with a parent")
-            continue
-        prev_width = len(levels[i - 1].classes)
-        keys = []
-        children: dict[tuple[int, int], int] = {}
-        for j in range(width):
-            p = pl.parents[j]
-            if p is None or not 0 <= p < prev_width:
-                out.append(f"{where} rank={j}: parent {p} not a class of level {i-1}")
-                continue
-            fam = (p, pl.f_class[j])
-            children[fam] = children.get(fam, 0) + 1
-            keys.append(fam)
-        for (p, f), count in sorted(children.items()):
-            if count > 1:
-                out.append(f"{where}: parent {p} has {count} children with f={f}")
-        if keys != sorted(keys):
-            out.append(f"{where}: class order disagrees with (parent, f) order")
+    seen: set[int] = set()
+    for j, group in enumerate(level.classes):
+        if not group:
+            out.append(f"rank={j}: empty class")
+        if seen & set(group):
+            out.append(f"rank={j}: classes overlap")
+        seen |= set(group)
+    width = len(level.classes)
+    if width > a.n:
+        out.append(f"width {width} exceeds {a.n}")
+    if not len(level.parents) == width == len(level.f_class):
+        return out + ["ragged level data"]
+    for j, (group, f) in enumerate(zip(level.classes, level.f_class)):
+        if group and {int(q in a.acc) for q in group} != {f}:
+            out.append(f"class {j} acceptance bit is inconsistent")
+    if prev_width is None:
+        if width > 1:
+            out.append("more than one root class")
+        if any(p is not None for p in level.parents):
+            out.append("root class with a parent")
+        return out
+    keys = []
+    for j, (p, f) in enumerate(zip(level.parents, level.f_class)):
+        if p is None or not 0 <= p < prev_width:
+            out.append(f"rank={j}: parent {p} not a class of the previous level")
+        else:
+            keys.append((p, f))
+    for (p, f), count in sorted(Counter(keys).items()):
+        if count > 1:
+            out.append(f"parent {p} has {count} children with f={f}")
+    if keys != sorted(keys):
+        out.append("class order disagrees with (parent, f) order")
     return out

@@ -33,6 +33,18 @@ def test_lasso_empty_symbol_rejected():
             Lasso.parse(text)
 
 
+def test_lasso_refuses_a_second_separator():
+    """Else `a;b;c` parses with the period `b;c`, a symbol no automaton has."""
+    message = re.escape("lasso 'a;b;c' must have exactly one ';'")
+    with pytest.raises(ValueError, match=message):
+        Lasso.parse("a;b;c")
+
+
+def test_lasso_strips_whitespace_around_each_symbol():
+    assert Lasso.parse(";a. b") == Lasso((), ("a", "b"))
+    assert Lasso.parse(" a .b ; c ") == Lasso(("a", "b"), ("c",))
+
+
 def test_lasso_unroll():
     assert Lasso.parse("a;b.c").unroll(5) == ("a", "b", "c", "b", "c")
 
@@ -96,6 +108,13 @@ def test_normalize_initial_accepting(selfloop_accepting):
     assert triples == {("q", "a", "q"), ("q'", "a", "q")}
     assert normalize(b) is b
     assert parse_nbw(format_nbw(b)) == b
+
+
+def test_normalize_names_the_copy_past_taken_names():
+    a = nbw(["a"], ["q", "q'"], ["q"], ["q"], [("q", "a", "q'")])
+    b = normalize(a)
+    assert b.states == ("q", "q'", "q''")
+    assert [b.states[q] for q in b.initial] == ["q''"]
 
 
 def test_normalize_preserves_membership(selfloop_accepting):
@@ -239,6 +258,24 @@ def test_drw_rejects_duplicate_names_as_nbw_does(alphabet, states, message):
         NBW(alphabet, states, [0], [], [])
     with pytest.raises(ValueError, match=f"^{message}$"):
         DRW(alphabet, states, 0, ((0, 0), (0, 0)), RabinCondition(()))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NBW(["a"], ["q"], [], [], []), "initial set must be nonempty"),
+    (lambda: NBW(["a"], ["q"], [1], [], []), "state id 1 out of range"),
+    (lambda: NBW(["a"], ["q"], [0], [2], []), "state id 2 out of range"),
+    (lambda: NBW(["a"], ["q"], [0], [], [(0, 1, 0)]), "transition (0,1,0) out of range"),
+    (lambda: DRW(("a",), ("d0",), 1, ((0,),), ()), "initial state out of range"),
+    (lambda: DRW(("a", "b"), ("d0",), 0, ((0,),), ()), "transition table must be total"),
+    (lambda: DRW(("a",), ("d0",), 0, ((1,),), ()), "transition target 1 out of range"),
+    (lambda: DRW(("a",), ("d0",), 0, ((0,),), ((frozenset({1}), frozenset()),)),
+     "acceptance pair references unknown state"),
+], ids=["nbw-no-initial", "nbw-initial-out-of-range", "nbw-accepting-out-of-range",
+        "nbw-transition-out-of-range", "drw-initial-out-of-range", "drw-not-total",
+        "drw-target-out-of-range", "drw-pair-unknown-state"])
+def test_constructors_refuse_inconsistent_ids(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("symbol", ["a.b", "a;b", ".", ";"])

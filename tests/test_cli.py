@@ -108,6 +108,8 @@ def test_member_bad_word_exit_code(two_state_file, capsys):
     assert main(["member", "--in", two_state_file, "--word", ";."]) == 2
     assert main(["member", "--in", two_state_file, "--word", "a..b;a"]) == 2
     assert capsys.readouterr().out == ""
+    assert main(["member", "--in", two_state_file, "--word", "a;b;c"]) == 2
+    assert "lasso 'a;b;c' must have exactly one ';'" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -184,6 +185,31 @@ def test_validate_macrostate_flags_bad_cousin_relation():
         "cousin pair (1,0) contradicts the class order"]
 
 
+_VALID_M = Macrostate(((0,), (1, 2)), (0, 1), frozenset({(0, 0), (0, 1), (1, 1)}),
+                     frozenset({1}), frozenset({0}))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"classes": ((), (1, 2))}, "class 0 is empty"),
+    ({"classes": ((0,), (2, 1))}, "class 1 is not sorted"),
+    ({"classes": ((0, 1), (1, 2))}, "class 1 overlaps another class"),
+    ({"classes": ((0,), (1, 3))}, "state id 3 out of range"),
+    ({"labels": (0,)}, "labels and classes differ in length"),
+    ({"labels": (1, 1)}, "labels are not distinct across classes"),
+    ({"labels": (0, 7)}, "label 7 outside the pool"),
+    ({"cousin": _VALID_M.cousin | {(0, 2)}}, "cousin pair (0,2) out of range"),
+    ({"good": frozenset({7})}, "event label 7 outside the pool"),
+    ({"bad": frozenset({1})}, "good and bad label sets overlap"),
+], ids=["empty-class", "unsorted-class", "overlapping-classes",
+        "state-out-of-range", "labels-length", "repeated-label",
+        "label-outside-pool", "cousin-out-of-range", "event-outside-pool",
+        "good-and-bad-overlap"])
+def test_validate_macrostate_flags_corrupted_macrostate(changes, message):
+    a = nbw(["a"], ["x", "y", "z"], ["x"], [], [])
+    assert validate_macrostate(a, _VALID_M) == []
+    assert validate_macrostate(a, replace(_VALID_M, **changes)) == [message]
+
+
 def test_macrostate_matches_level_view():
     """The determinized state after any short word equals the level computed
     independently from the run DAG and its labeling, field by field."""
@@ -231,9 +257,9 @@ def test_rabin_drw_pairs_come_from_payload_events():
                 ev(good=(), bad=((2,), (1,), (0,))),
                 ev(good=((0, 1),), bad=((0,),))]
     d = rabin_drw(("a",), "x", [[1], [2], [3], [0]], payloads)
-    assert d.acceptance.pairs == ((frozenset({1}), frozenset({2, 3})),
-                                  (frozenset({3}), frozenset()),
-                                  (frozenset({0, 1}), frozenset({2})))
+    assert d.acceptance == ((frozenset({1}), frozenset({2, 3})),
+                            (frozenset({3}), frozenset()),
+                            (frozenset({0, 1}), frozenset({2})))
     assert d.states == ("x0", "x1", "x2", "x3")
     assert d.initial == 0 and d.trans == ((1,), (2,), (3,), (0,))
     assert all(p is q for p, q in zip(d.payloads, payloads, strict=True))

@@ -168,6 +168,19 @@ def test_check_detects_corrupted_determinization(two_state):
     assert json.dumps(res.disagreements) == json.dumps(want)
 
 
+def test_check_reports_an_invalid_injected_payload(two_state):
+    """Negative control for the per-state validation: a macrostate with an
+    event label outside the pool is a violation naming its state, and
+    leaves every verdict as it was."""
+    drw = determinize_profile(two_state)
+    payloads = list(drw.payloads)
+    payloads[1] = replace(payloads[1], good=payloads[1].good | {9})
+    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
+                          drw_profile=replace(drw, payloads=tuple(payloads)))
+    assert res.violations == ["macrostate 1: event label 9 outside the pool"]
+    assert res.disagreements == []
+
+
 def _swapped_pairs(d: DRW) -> DRW:
     return DRW(d.alphabet, d.states, d.initial, d.trans,
                RabinCondition(tuple((b, g) for g, b in d.acceptance)), d.payloads)

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from buchidet import check_level_invariants, normalize, profile_tree
+from buchidet import check_level, normalize, profile_tree
 from buchidet.harness import GenSpec, gen_nbw
 from buchidet.run_dag import ProfileLevel, initial_level, step_level
 from oracles import brute_ranks, nbw, profile_strings
@@ -75,23 +77,54 @@ def test_profile_tree_deterministic_chain(det_chain):
         assert pl.parents == ((None,) if i == 0 else (0,))
 
 
+def level_faults(a, levels):
+    """`check_level` on each level of a path, against the one before it."""
+    widths = [None] + [len(pl.classes) for pl in levels[:-1]]
+    return [msg for pl, w in zip(levels, widths) for msg in check_level(a, pl, w)]
+
+
 def test_check_level_invariants_clean(two_state):
     levels = profile_tree(two_state, ["a", "b", "b"])
-    assert check_level_invariants(levels, two_state.n) == []
-    assert check_level_invariants([], two_state.n) == []
+    assert level_faults(two_state, levels) == []
+    assert level_faults(two_state, []) == []
 
 
 def test_check_level_invariants_flags_corruption(two_state):
     levels = profile_tree(two_state, ["a", "b"])
     bad_parent = list(levels)
-    bad_parent[2] = ProfileLevel(levels[2].classes, (5, 1), levels[2].f_class)
-    assert any("parent" in v for v in check_level_invariants(bad_parent, two_state.n))
+    bad_parent[2] = replace(levels[2], parents=(5, 1))
+    assert level_faults(two_state, bad_parent) == [
+        "rank=0: parent 5 not a class of the previous level"]
     twins = list(levels)
-    twins[2] = ProfileLevel(levels[2].classes, levels[2].parents, (1, 1))
-    assert any("children" in v for v in check_level_invariants(twins, two_state.n))
+    twins[2] = replace(levels[2], f_class=(1, 1))
+    assert level_faults(two_state, twins) == [
+        "class 0 acceptance bit is inconsistent", "parent 1 has 2 children with f=1"]
     wide = list(levels)
     wide[1] = ProfileLevel(((0,), (1,), (2,)), (0, 0, 0), (0, 1, 0))
-    assert check_level_invariants(wide, 2) != []
+    assert level_faults(two_state, wide) == [
+        "width 3 exceeds 2", "parent 0 has 2 children with f=0",
+        "class order disagrees with (parent, f) order"]
+
+
+@pytest.mark.parametrize("level, changes, messages", [
+    (1, {"classes": ((), (1,))}, ["rank=0: empty class"]),
+    (1, {"classes": ((1,), (1,)), "f_class": (1, 1)},
+     ["rank=1: classes overlap", "parent 0 has 2 children with f=1"]),
+    (1, {"f_class": (0,)}, ["ragged level data"]),
+    (1, {"classes": ((1,), (0,)), "f_class": (1, 0)},
+     ["class order disagrees with (parent, f) order"]),
+    (0, {"f_class": (1,)}, ["class 0 acceptance bit is inconsistent"]),
+    (0, {"classes": ((0,), (1,)), "parents": (None, None), "f_class": (0, 1)},
+     ["more than one root class"]),
+    (0, {"parents": (0,)}, ["root class with a parent"]),
+], ids=["empty-class", "overlap", "ragged", "class-order", "impure-class",
+        "two-roots", "root-with-parent"])
+def test_check_level_flags_corrupted_level(two_state, level, changes, messages):
+    levels = profile_tree(two_state, ["a"])
+    prev_width = (None, 1)[level]
+    assert check_level(two_state, levels[level], prev_width) == []
+    assert check_level(two_state, replace(levels[level], **changes),
+                       prev_width) == messages
 
 
 def test_f_purity_and_width(two_state):

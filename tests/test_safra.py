@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -308,9 +309,17 @@ _VALID = SafraTree((((0, 1), 1), ((1,), 0)), (), ((1,),))
     (SafraTree((((0, 1), 2), ((1,), -1)), (), ((1,),)),
      "child counts do not describe exactly one tree"),
     (SafraTree((), ((),), ((0,),)), "rootless tree with good marks"),
+    (replace(_VALID, shape=(((0, 1), 1), ((), 0))), "node (0,) has an empty label"),
+    (replace(_VALID, shape=(((0, 1, 2), 2), ((1,), 0), ((1,), 0))),
+     "siblings under () share states"),
+    (replace(_VALID, shape=(((0,), 1), ((1,), 0))),
+     "node () does not contain its children"),
+    (replace(_VALID, shape=(((1,), 1), ((1,), 0))),
+     "node () equals the union of its children"),
 ], ids=["state-out-of-range", "unsorted-label", "good-name-not-a-node",
         "good-and-bad-overlap", "child-counts-too-many", "child-counts-too-few",
-        "negative-child-count", "dead-tree-with-good-marks"])
+        "negative-child-count", "dead-tree-with-good-marks", "empty-label",
+        "siblings-share-states", "children-not-contained", "node-equals-children"])
 def test_validate_safra_tree_flags_corrupted_tree(tree, message):
     a = nbw(["a"], ["x", "y", "z"], ["x"], ["y"], [("x", "a", "y")])
     assert validate_safra_tree(a, _VALID) == []
