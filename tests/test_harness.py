@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from buchidet import (DRW, Lasso, RabinCondition, drw_run_eval, format_nbw,
-                      nbw_member, normalize)
+                      harness, nbw_member, normalize)
 from buchidet.determinize import determinize_profile
 from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
@@ -168,16 +168,20 @@ def test_check_detects_corrupted_determinization(two_state):
     assert json.dumps(res.disagreements) == json.dumps(want)
 
 
-def test_check_reports_an_invalid_injected_payload(two_state):
-    """Negative control for the per-state validation: a macrostate with an
-    event label outside the pool is a violation naming its state, and
-    leaves every verdict as it was."""
-    drw = determinize_profile(two_state)
-    payloads = list(drw.payloads)
-    payloads[1] = replace(payloads[1], good=payloads[1].good | {9})
+def test_check_reports_invalid_payloads(two_state, monkeypatch):
+    """Negative control for the per-state validation: an invalid payload in
+    either DRW is a violation naming its state, and leaves every verdict as
+    it was."""
+    profile, safra = determinize_profile(two_state), determinize_safra(two_state)
+    macrostates, trees = list(profile.payloads), list(safra.payloads)
+    macrostates[1] = replace(macrostates[1], good=macrostates[1].good | {9})
+    trees[1] = replace(trees[1], good=((5,),))
+    monkeypatch.setattr(harness, "determinize_safra",
+                        lambda a, cap: replace(safra, payloads=tuple(trees)))
     res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
-                          drw_profile=replace(drw, payloads=tuple(payloads)))
-    assert res.violations == ["macrostate 1: event label 9 outside the pool"]
+                          drw_profile=replace(profile, payloads=tuple(macrostates)))
+    assert res.violations == ["macrostate 1: event label 9 outside the pool",
+                              "safra tree 1: good path (5,) is not a node"]
     assert res.disagreements == []
 
 

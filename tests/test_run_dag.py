@@ -120,11 +120,9 @@ def test_check_level_invariants_flags_corruption(two_state):
 ], ids=["empty-class", "overlap", "ragged", "class-order", "impure-class",
         "two-roots", "root-with-parent"])
 def test_check_level_flags_corrupted_level(two_state, level, changes, messages):
-    levels = profile_tree(two_state, ["a"])
-    prev_width = (None, 1)[level]
-    assert check_level(two_state, levels[level], prev_width) == []
-    assert check_level(two_state, replace(levels[level], **changes),
-                       prev_width) == messages
+    levels = profile_tree(two_state, ["a"])[:level + 1]
+    levels[level] = replace(levels[level], **changes)
+    assert level_faults(two_state, levels) == messages
 
 
 def test_f_purity_and_width(two_state):
