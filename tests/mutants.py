@@ -156,6 +156,27 @@ def _reversed_classes(step):
     return mutant
 
 
+def _first_class_twice(shape):
+    """The profile step listing the first state of its first new class twice."""
+    def mutant(*args):
+        classes2, *rest = shape(*args)
+        if classes2:
+            classes2 = ((classes2[0][0],) + classes2[0],) + classes2[1:]
+        return (classes2, *rest)
+    return mutant
+
+
+def _root_label_twice(shape):
+    """The Safra step listing the first state of its new root label twice."""
+    def mutant(*args):
+        shape2, *rest = shape(*args)
+        if shape2:
+            (label, count), *nodes = shape2
+            shape2 = (((label[0],) + label, count), *nodes)
+        return (shape2, *rest)
+    return mutant
+
+
 MUTANTS = [
     ("profile: good ignores acceptance", "determinize._shape",
      _good_ignores_acceptance),
@@ -175,6 +196,10 @@ MUTANTS = [
      _every_start_wins),
     ("levels: classes in reverse rank order", "harness.step_level",
      _reversed_classes),
+    ("profile: a class lists its first state twice", "determinize._shape",
+     _first_class_twice),
+    ("safra: the root label lists its first state twice", "safra._shape",
+     _root_label_twice),
 ]
 
 
