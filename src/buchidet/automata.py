@@ -188,6 +188,26 @@ def normalize(a: NBW) -> NBW:
     return NBW(a.alphabet, states, initial, a.accepting, edges)
 
 
+def state_set_faults(a: NBW, groups, name) -> list[str]:
+    """The faults of the sibling state sets `groups` of `a`, group i named
+    `name(i)` in the messages: each group must be nonempty, strictly
+    increasing, made of state ids of `a`, and disjoint from its siblings."""
+    out, n = [], a.n
+    seen: set[int] = set()
+    for i, group in enumerate(groups):
+        if not group:
+            out.append(f"{name(i)} is empty")
+        if list(group) != sorted(set(group)):
+            out.append(f"{name(i)} is not a sorted state set")
+        for q in group:
+            if not 0 <= q < n:
+                out.append(f"state id {q} out of range")
+        if not seen.isdisjoint(group):
+            out.append(f"{name(i)} shares states with a sibling")
+        seen.update(group)
+    return out
+
+
 # -- lasso membership ---------------------------------------------------------
 
 

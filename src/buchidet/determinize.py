@@ -25,7 +25,7 @@ shared with Safra.
 from dataclasses import dataclass
 from functools import cache
 
-from .automata import DRW, NBW
+from .automata import DRW, NBW, state_set_faults
 from .explore import explore, rabin_drw
 
 
@@ -190,19 +190,7 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
 
 def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:
     """Structural invariants of a macrostate; violations come back as messages."""
-    out = []
-    seen: set[int] = set()
-    for j, group in enumerate(m.classes):
-        if not group:
-            out.append(f"class {j} is empty")
-        if tuple(sorted(group)) != group:
-            out.append(f"class {j} is not sorted")
-        if seen & set(group):
-            out.append(f"class {j} overlaps another class")
-        seen |= set(group)
-        for q in group:
-            if not 0 <= q < a.n:
-                out.append(f"state id {q} out of range")
+    out = state_set_faults(a, m.classes, lambda j: f"class {j}")
     if len(m.labels) != len(m.classes):
         out.append("labels and classes differ in length")
     if len(set(m.labels)) != len(m.labels):

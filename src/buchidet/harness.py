@@ -104,7 +104,6 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
     if depth < 0:
         raise ValueError("sweep depth must be at least 0")
     out = []
-    syms = range(len(a.alphabet))
 
     def note(word, msg):
         out.append(f"word={'.'.join(word) or '<empty>'}: {msg}")
@@ -130,54 +129,60 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
 
     compare((), pl0, None, lab0, m0)
 
-    def extend(word, pl, lab, m, desc, budget):
-        for s in syms:
-            symbol = a.alphabet[s]
-            word2 = word + (symbol,)
-            pl2 = step_level(a, pl, symbol)
-            lab2 = next_labeled(lab, pl2, a.n)
-            m2 = sigma_successor(a, m, symbol)
-            k2 = len(pl2.classes)
-            # a label's walk that has emptied stays empty: drop its entry
-            desc2 = {lab_id: row for lab_id, ranks in desc.items()
-                     if (row := frozenset(j for j in range(k2)
-                                          if pl2.parents[j] in ranks))}
+    # The words still to check, each with the views and walk of the word it
+    # extends, popped so that a word is checked just before its extensions,
+    # in symbol order.
+    pending = []
 
-            # per-level injectivity of the global labeling
-            if len(set(lab2.gl)) != len(lab2.gl):
-                note(word2, f"duplicate global labels {lab2.gl}")
-            # a surviving label must have been in use on the previous level
-            for g in lab2.gl:
-                if g < lab.gl_watermark and g not in lab.gl:
-                    note(word2, f"label {g} reappeared after vanishing")
-            # an inherited label sits on the minimal class of its walk
-            for j, g in enumerate(lab2.gl):
-                lowest = min(desc2.get(g, ()), default=None)
-                if g < lab.gl_watermark and lowest != j:
-                    note(word2, f"label {g} sits on class {j}, descendant walk "
-                                f"says {lowest}")
-            # a class has inherited labels iff it is some walk's minimum
-            lmd_hits = {min(r) for r in desc2.values()}
-            inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
-            if lmd_hits != inherited:
-                note(word2, f"label-carrying classes {sorted(lmd_hits)} != "
-                            f"classes with inherited labels {sorted(inherited)}")
+    def extend(word, pl, lab, m, desc):
+        if len(word) < depth:
+            for symbol in reversed(a.alphabet):
+                pending.append((word + (symbol,), pl, lab, m, desc))
 
-            for g in lab2.gl:
-                if g >= lab.gl_watermark:
-                    desc2[g] = frozenset({lab2.gl.index(g)})
-            # the whole cousin order is the descendant walk of each label
-            walk = {(j, b) for j, g in enumerate(lab2.gl) for b in desc2.get(g, ())}
-            if walk != lab2.cousin:
-                note(word2, f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
-                            "from the descendant walk")
+    extend((), pl0, lab0, m0, desc0)
+    while pending:
+        word2, pl, lab, m, desc = pending.pop()
+        symbol = word2[-1]
+        pl2 = step_level(a, pl, symbol)
+        lab2 = next_labeled(lab, pl2, a.n)
+        m2 = sigma_successor(a, m, symbol)
+        k2 = len(pl2.classes)
+        # a label's walk that has emptied stays empty: drop its entry
+        desc2 = {lab_id: row for lab_id, ranks in desc.items()
+                 if (row := frozenset(j for j in range(k2)
+                                      if pl2.parents[j] in ranks))}
 
-            compare(word2, pl2, len(pl.classes), lab2, m2)
-            if budget > 1:
-                extend(word2, pl2, lab2, m2, desc2, budget - 1)
+        # per-level injectivity of the global labeling
+        if len(set(lab2.gl)) != len(lab2.gl):
+            note(word2, f"duplicate global labels {lab2.gl}")
+        # a surviving label must have been in use on the previous level
+        for g in lab2.gl:
+            if g < lab.gl_watermark and g not in lab.gl:
+                note(word2, f"label {g} reappeared after vanishing")
+        # an inherited label sits on the minimal class of its walk
+        for j, g in enumerate(lab2.gl):
+            lowest = min(desc2.get(g, ()), default=None)
+            if g < lab.gl_watermark and lowest != j:
+                note(word2, f"label {g} sits on class {j}, descendant walk "
+                            f"says {lowest}")
+        # a class has inherited labels iff it is some walk's minimum
+        lmd_hits = {min(r) for r in desc2.values()}
+        inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
+        if lmd_hits != inherited:
+            note(word2, f"label-carrying classes {sorted(lmd_hits)} != "
+                        f"classes with inherited labels {sorted(inherited)}")
 
-    if depth > 0:
-        extend((), pl0, lab0, m0, desc0, depth)
+        for g in lab2.gl:
+            if g >= lab.gl_watermark:
+                desc2[g] = frozenset({lab2.gl.index(g)})
+        # the whole cousin order is the descendant walk of each label
+        walk = {(j, b) for j, g in enumerate(lab2.gl) for b in desc2.get(g, ())}
+        if walk != lab2.cousin:
+            note(word2, f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
+                        "from the descendant walk")
+
+        compare(word2, pl2, len(pl.classes), lab2, m2)
+        extend(word2, pl2, lab2, m2, desc2)
     return out
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import NBW
+from .automata import NBW, state_set_faults
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,16 @@ def check_level(a: NBW, level: ProfileLevel, prev_width: int | None) -> list[str
     """The faults of one level, given the width of the level before it
     (None at level 0); violations are data, not errors.
 
-    Classes are nonempty and disjoint, each class's states share its
-    acceptance bit, and the width stays within the state count.  Level 0 is
-    one class without a parent.  Past it, every class names a class of the
-    previous level as its parent, no parent has two children with the same
+    The classes are well-formed sibling state sets (`state_set_faults`:
+    nonempty, sorted, in range and disjoint, so at most n of them), and
+    each class's states share its acceptance bit.  Level 0 is one class
+    without a parent.  Past it, every class names a class of the previous
+    level as its parent, no parent has two children with the same
     acceptance bit, and the class order is the lexicographic (parent,
     acceptance) order.
     """
-    out = []
-    seen: set[int] = set()
-    for j, group in enumerate(level.classes):
-        if not group:
-            out.append(f"rank={j}: empty class")
-        if seen & set(group):
-            out.append(f"rank={j}: classes overlap")
-        seen |= set(group)
+    out = state_set_faults(a, level.classes, lambda j: f"class {j}")
     width = len(level.classes)
-    if width > a.n:
-        out.append(f"width {width} exceeds {a.n}")
     if not len(level.parents) == width == len(level.f_class):
         return out + ["ragged level data"]
     for j, (group, f) in enumerate(zip(level.classes, level.f_class)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from .automata import DRW, NBW
+from .automata import DRW, NBW, state_set_faults
 from .explore import explore, rabin_drw
 
 
@@ -177,8 +177,8 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
 
 
 def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
-    """Tree well-formedness; violations come back as messages."""
-    n = a.n
+    """Tree well-formedness; violations come back as messages.  The root's
+    label and each node's child labels are checked by `state_set_faults`."""
     if not t.shape:
         return ["rootless tree with good marks"] if t.good else []
     # slots[i]: the child slots open before node i, the root's included.
@@ -188,26 +188,18 @@ def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
     slots = list(accumulate((c - 1 for c in counts), initial=1))
     if min(counts) < 0 or min(slots[:-1]) < 1 or slots[-1]:
         return ["child counts do not describe exactly one tree"]
-    out = []
     kids = _kids(t.shape)
     paths = _paths(kids)
+    out = state_set_faults(a, [t.shape[0][0]], lambda _: "node ()")
     for (lab, _), p, cs in zip(t.shape, paths, kids):
-        if not lab:
-            out.append(f"node {p} has an empty label")
-        if list(lab) != sorted(set(lab)):
-            out.append(f"node {p} label is not a sorted state set")
-        for q in lab:
-            if not 0 <= q < n:
-                out.append(f"state id {q} out of range")
-        union = set()
-        for c in cs:
-            child_lab = set(t.shape[c][0])
-            if union & child_lab:
-                out.append(f"siblings under {p} share states")
-            union |= child_lab
+        if not cs:
+            continue
+        labs = [t.shape[c][0] for c in cs]
+        out += state_set_faults(a, labs, lambda i: f"node {paths[cs[i]]}")
+        union = set().union(*labs)
         if not union <= set(lab):
             out.append(f"node {p} does not contain its children")
-        elif cs and union == set(lab):
+        elif union == set(lab):
             out.append(f"node {p} equals the union of its children")
     good = set(t.good)
     if good & set(t.bad):

@@ -230,6 +230,13 @@ def test_check_failure_exit_code(capsys):
     assert capsys.readouterr().out.endswith("FAIL\n")
 
 
+def test_check_deep_sweep_passes(capsys):
+    rc = main(["check", "--states", "2", "--alphabet", "1", "--count", "1",
+               "--sweep-depth", "1500"])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--max-u", "-1"), ("--max-v", "0"),
                                          ("--sweep-depth", "-1")])
 def test_check_negative_bound_is_usage_error(flag, value, capsys):

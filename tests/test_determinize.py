@@ -191,8 +191,9 @@ _VALID_M = Macrostate(((0,), (1, 2)), (0, 1), frozenset({(0, 0), (0, 1), (1, 1)}
 
 @pytest.mark.parametrize("changes, message", [
     ({"classes": ((), (1, 2))}, "class 0 is empty"),
-    ({"classes": ((0,), (2, 1))}, "class 1 is not sorted"),
-    ({"classes": ((0, 1), (1, 2))}, "class 1 overlaps another class"),
+    ({"classes": ((0,), (2, 1))}, "class 1 is not a sorted state set"),
+    ({"classes": ((0,), (1, 1))}, "class 1 is not a sorted state set"),
+    ({"classes": ((0, 1), (1, 2))}, "class 1 shares states with a sibling"),
     ({"classes": ((0,), (1, 3))}, "state id 3 out of range"),
     ({"labels": (0,)}, "labels and classes differ in length"),
     ({"labels": (1, 1)}, "labels are not distinct across classes"),
@@ -200,7 +201,7 @@ _VALID_M = Macrostate(((0,), (1, 2)), (0, 1), frozenset({(0, 0), (0, 1), (1, 1)}
     ({"cousin": _VALID_M.cousin | {(0, 2)}}, "cousin pair (0,2) out of range"),
     ({"good": frozenset({7})}, "event label 7 outside the pool"),
     ({"bad": frozenset({1})}, "good and bad label sets overlap"),
-], ids=["empty-class", "unsorted-class", "overlapping-classes",
+], ids=["empty-class", "unsorted-class", "repeated-state", "overlapping-classes",
         "state-out-of-range", "labels-length", "repeated-label",
         "label-outside-pool", "cousin-out-of-range", "event-outside-pool",
         "good-and-bad-overlap"])

@@ -115,6 +115,13 @@ def test_sweep_rejects_negative_depth(two_state):
         sweep_invariants(two_state, -1)
 
 
+def test_sweep_walks_deep_words_without_recursion():
+    """A one-symbol automaton has one word per length, so a deep sweep is
+    cheap; it must not grow the call stack with the word."""
+    a = normalize(gen_nbw(GenSpec(3, 1, 0.5, 0.3, 0)))
+    assert sweep_invariants(a, 2000) == []
+
+
 def test_sweep_flags_consistent_cousin_corruption(two_state, monkeypatch):
     """Negative control: both views cut the cousin order to its reflexive
     pairs in the same way, so only the descendant walk can notice."""

@@ -102,14 +102,14 @@ def test_check_level_invariants_flags_corruption(two_state):
     wide = list(levels)
     wide[1] = ProfileLevel(((0,), (1,), (2,)), (0, 0, 0), (0, 1, 0))
     assert level_faults(two_state, wide) == [
-        "width 3 exceeds 2", "parent 0 has 2 children with f=0",
+        "state id 2 out of range", "parent 0 has 2 children with f=0",
         "class order disagrees with (parent, f) order"]
 
 
 @pytest.mark.parametrize("level, changes, messages", [
-    (1, {"classes": ((), (1,))}, ["rank=0: empty class"]),
+    (1, {"classes": ((), (1,))}, ["class 0 is empty"]),
     (1, {"classes": ((1,), (1,)), "f_class": (1, 1)},
-     ["rank=1: classes overlap", "parent 0 has 2 children with f=1"]),
+     ["class 1 shares states with a sibling", "parent 0 has 2 children with f=1"]),
     (1, {"f_class": (0,)}, ["ragged level data"]),
     (1, {"classes": ((1,), (0,)), "f_class": (1, 0)},
      ["class order disagrees with (parent, f) order"]),
@@ -117,8 +117,13 @@ def test_check_level_invariants_flags_corruption(two_state):
     (0, {"classes": ((0,), (1,)), "parents": (None, None), "f_class": (0, 1)},
      ["more than one root class"]),
     (0, {"parents": (0,)}, ["root class with a parent"]),
+    (0, {"classes": ((1, 0),)},
+     ["class 0 is not a sorted state set", "class 0 acceptance bit is inconsistent"]),
+    (1, {"classes": ((0, 0), (1,))}, ["class 0 is not a sorted state set"]),
+    (1, {"classes": ((0, 2), (1,))}, ["state id 2 out of range"]),
 ], ids=["empty-class", "overlap", "ragged", "class-order", "impure-class",
-        "two-roots", "root-with-parent"])
+        "two-roots", "root-with-parent", "unsorted-class", "repeated-state",
+        "state-out-of-range"])
 def test_check_level_flags_corrupted_level(two_state, level, changes, messages):
     levels = profile_tree(two_state, ["a"])[:level + 1]
     levels[level] = replace(levels[level], **changes)

@@ -297,7 +297,7 @@ _VALID = SafraTree((((0, 1), 1), ((1,), 0)), (), ((1,),))
     (SafraTree((((0, 1, 3), 1), ((1,), 0)), (), ((1,),)),
      "state id 3 out of range"),
     (SafraTree((((1, 0), 1), ((1,), 0)), (), ((1,),)),
-     "node () label is not a sorted state set"),
+     "node () is not a sorted state set"),
     (SafraTree((((0, 1), 1), ((1,), 0)), ((1,),), ()),
      "good path (1,) is not a node"),
     (SafraTree((((0, 1), 1), ((1,), 0)), ((0,),), ((0,),)),
@@ -309,9 +309,9 @@ _VALID = SafraTree((((0, 1), 1), ((1,), 0)), (), ((1,),))
     (SafraTree((((0, 1), 2), ((1,), -1)), (), ((1,),)),
      "child counts do not describe exactly one tree"),
     (SafraTree((), ((),), ((0,),)), "rootless tree with good marks"),
-    (replace(_VALID, shape=(((0, 1), 1), ((), 0))), "node (0,) has an empty label"),
+    (replace(_VALID, shape=(((0, 1), 1), ((), 0))), "node (0,) is empty"),
     (replace(_VALID, shape=(((0, 1, 2), 2), ((1,), 0), ((1,), 0))),
-     "siblings under () share states"),
+     "node (1,) shares states with a sibling"),
     (replace(_VALID, shape=(((0,), 1), ((1,), 0))),
      "node () does not contain its children"),
     (replace(_VALID, shape=(((1,), 1), ((1,), 0))),
