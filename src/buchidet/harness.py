@@ -7,6 +7,11 @@ the start mask after each prefix; each DRW settles them once per (state
 after the prefix, period) pair, all that its verdict depends on.  Any
 disagreement is a genuine counterexample, replayable from the seed.  Bounded
 agreement is evidence, not proof; every report records the bounds it used.
+
+The invariant sweep rebuilds each word's macrostate from the run-DAG side
+and compares it with the payload of the state the word reaches in the
+profile DRW, walking the DRW's transitions: the same DRW whose lasso
+verdicts the check compares.
 """
 
 import random
@@ -15,9 +20,9 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
-from .automata import NBW, Lasso, drw_verdicts, format_nbw, nbw_verdicts, normalize
-from .determinize import determinize_profile, initial_macrostate, sigma_successor, \
-    validate_macrostate
+from .automata import DRW, NBW, Lasso, drw_verdicts, format_nbw, nbw_verdicts, \
+    normalize
+from .determinize import Macrostate, determinize_profile, validate_macrostate
 from .explore import StateLimitExceeded
 from .labeling import initial_labeled, next_labeled
 from .run_dag import check_level, initial_level, step_level
@@ -89,20 +94,33 @@ def _lassos(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[Lasso, ...]:
 # -- invariant sweeps ----------------------------------------------------------
 
 
-def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
+def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str]:
     """Walk every word up to `depth` and cross-check all three views.
 
-    Along each word the run-DAG levels, the labeled levels, and the
-    macrostate sequence are extended in lockstep, together with an explicit
-    walk of the classes descending from each label's birth class.  The sweep
-    checks each level once, where it makes it, with :func:`check_level`; the
-    label laws (per-level injectivity, persistence, each inherited label on
-    the minimal class of its walk, the empty-labels equivalence); the whole
-    cousin order against the walk; and that the macrostate equals the
-    independently computed level view, field by field.
+    Along each word the run-DAG levels and the labeled levels are extended
+    in lockstep, together with an explicit walk of the classes descending
+    from each label's birth class, while the word is followed through the
+    transitions of `drw`, the profile DRW of `a` (built here when None).
+    The sweep checks each level once, where it makes it, with
+    :func:`check_level`; the label laws (per-level injectivity,
+    persistence, each inherited label on the minimal class of its walk, the
+    empty-labels equivalence); the whole cousin order against the walk; and
+    that the payload of the DRW state the word reaches equals the
+    independently computed level view, field by field.  So it checks the
+    payloads and transitions of the DRW that the lassos judge.
     """
     if depth < 0:
         raise ValueError("sweep depth must be at least 0")
+    if drw is None:
+        drw = determinize_profile(a)
+    if drw.alphabet != a.alphabet:
+        raise ValueError(f"DRW alphabet {drw.alphabet} is not the automaton's "
+                         f"{a.alphabet}")
+    if (drw.payloads is None or len(drw.payloads) != len(drw.states)
+            or not all(isinstance(m, Macrostate) for m in drw.payloads)):
+        raise ValueError("the sweep needs a DRW with one macrostate payload "
+                         "per state")
+    trans, payloads = drw.trans, drw.payloads
     out = []
 
     def note(word, msg):
@@ -110,7 +128,6 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
 
     pl0 = initial_level(a)
     lab0 = initial_labeled(pl0)
-    m0 = initial_macrostate(a)
     desc0 = {0: frozenset({0})}
 
     def compare(word, pl, prev_width, lab, m):
@@ -127,25 +144,25 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
         for msg in check_level(a, pl, prev_width):
             note(word, msg)
 
-    compare((), pl0, None, lab0, m0)
+    compare((), pl0, None, lab0, payloads[drw.initial])
 
-    # The words still to check, each with the views and walk of the word it
-    # extends, popped so that a word is checked just before its extensions,
-    # in symbol order.
+    # The words still to check, each with the views, DRW state and walk of
+    # the word it extends, popped so that a word is checked just before its
+    # extensions, in symbol order.
     pending = []
 
-    def extend(word, pl, lab, m, desc):
+    def extend(word, pl, lab, q, desc):
         if len(word) < depth:
             for symbol in reversed(a.alphabet):
-                pending.append((word + (symbol,), pl, lab, m, desc))
+                pending.append((word + (symbol,), pl, lab, q, desc))
 
-    extend((), pl0, lab0, m0, desc0)
+    extend((), pl0, lab0, drw.initial, desc0)
     while pending:
-        word2, pl, lab, m, desc = pending.pop()
+        word2, pl, lab, q, desc = pending.pop()
         symbol = word2[-1]
         pl2 = step_level(a, pl, symbol)
         lab2 = next_labeled(lab, pl2, a.n)
-        m2 = sigma_successor(a, m, symbol)
+        q2 = trans[q][a.sym_id(symbol)]
         k2 = len(pl2.classes)
         # a label's walk that has emptied stays empty: drop its entry
         desc2 = {lab_id: row for lab_id, ranks in desc.items()
@@ -181,8 +198,8 @@ def sweep_invariants(a: NBW, depth: int = 4) -> list[str]:
             note(word2, f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
                         "from the descendant walk")
 
-        compare(word2, pl2, len(pl.classes), lab2, m2)
-        extend(word2, pl2, lab2, m2, desc2)
+        compare(word2, pl2, len(pl.classes), lab2, payloads[q2])
+        extend(word2, pl2, lab2, q2, desc2)
     return out
 
 
@@ -262,9 +279,11 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
                 max_states: int = 10 ** 6, sweep_depth: int = 4) -> CheckReport:
     """Generate `count` automata from consecutive seeds and check them all.
 
-    Per automaton: the invariant sweep, then :func:`check_automaton`, whose
-    findings are tagged with the seed and absorbed into the report.
-    Failures become report content, never exceptions.
+    Per automaton: the profile DRW, built once; the invariant sweep along
+    its transitions; then :func:`check_automaton` on the same DRW.  Their
+    findings are tagged with the seed and absorbed into the report.  A
+    profile construction that hits `max_states` leaves one violation and
+    no sweep.  Failures become report content, never exceptions.
     """
     report = CheckReport(bounds={
         "n_states": spec.n_states, "alphabet_size": spec.alphabet_size,
@@ -278,9 +297,16 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
     lassos = enumerate_lassos(_alphabet(spec.alphabet_size), max_u, max_v)
     for seed in range(spec.seed, spec.seed + count):
         aut = normalize(gen_nbw(replace(spec, seed=seed)))
-        swept = sweep_invariants(aut, sweep_depth)
-        one = check_automaton(aut, lassos, max_states)
-        one.violations = [f"seed={seed}: {msg}" for msg in swept + one.violations]
+        try:
+            dp = determinize_profile(aut, max_states)
+        except StateLimitExceeded as err:
+            one = CheckReport(automata=1,
+                              violations=[f"determinization aborted: {err}"])
+        else:
+            swept = sweep_invariants(aut, sweep_depth, dp)
+            one = check_automaton(aut, lassos, max_states, drw_profile=dp)
+            one.violations = swept + one.violations
+        one.violations = [f"seed={seed}: {msg}" for msg in one.violations]
         one.disagreements = [{"seed": seed, "automaton": format_nbw(aut), **rec}
                              for rec in one.disagreements]
         report.absorb(one)

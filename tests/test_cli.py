@@ -230,6 +230,20 @@ def test_check_failure_exit_code(capsys):
     assert capsys.readouterr().out.endswith("FAIL\n")
 
 
+def test_check_profile_abort_fails_before_the_sweep(tmp_path, capsys):
+    """At the default sweep depth, a profile construction past the cap is
+    the automaton's one violation, and the check fails."""
+    report_path = tmp_path / "report.json"
+    rc = main(["check", "--states", "4", "--count", "1", "--seed", "3",
+               "--max-u", "1", "--max-v", "1", "--max-states", "2",
+               "--json", str(report_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    payload = json.loads(report_path.read_text(encoding="utf-8"))
+    assert payload["violations"] == ["seed=3: determinization aborted: "
+                                     "exploration exceeded the cap of 2 states"]
+
+
 def test_check_deep_sweep_passes(capsys):
     rc = main(["check", "--states", "2", "--alphabet", "1", "--count", "1",
                "--sweep-depth", "1500"])

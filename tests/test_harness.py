@@ -1,12 +1,14 @@
 import hashlib
 import json
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from buchidet import (DRW, Lasso, RabinCondition, drw_run_eval, format_nbw,
-                      harness, nbw_member, normalize)
+from buchidet import (DRW, Lasso, RabinCondition, drw_run_eval, format_drw,
+                      format_nbw, harness, nbw_member, normalize, parse_drw)
 from buchidet.determinize import determinize_profile
+from buchidet.explore import StateLimitExceeded
 from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
                               sweep_invariants)
@@ -125,22 +127,65 @@ def test_sweep_walks_deep_words_without_recursion():
 def test_sweep_flags_consistent_cousin_corruption(two_state, monkeypatch):
     """Negative control: both views cut the cousin order to its reflexive
     pairs in the same way, so only the descendant walk can notice."""
-    from buchidet import harness
+    def reflexive(m):
+        return replace(m, cousin=frozenset((x, y) for x, y in m.cousin if x == y))
 
-    def reflexive(step):
-        def cut(*args):
-            out = step(*args)
-            return replace(out, cousin=frozenset((x, y) for x, y in out.cousin
-                                                 if x == y))
-        return cut
+    def cut(step):
+        return lambda *args: reflexive(step(*args))
 
-    monkeypatch.setattr(harness, "next_labeled", reflexive(harness.next_labeled))
-    monkeypatch.setattr(harness, "sigma_successor",
-                        reflexive(harness.sigma_successor))
-    out = sweep_invariants(two_state, 3)
+    monkeypatch.setattr(harness, "next_labeled", cut(harness.next_labeled))
+    drw = determinize_profile(two_state)
+    drw = replace(drw, payloads=tuple(map(reflexive, drw.payloads)))
+    out = sweep_invariants(two_state, 3, drw)
     assert any(msg.startswith("word=a: ") and "descendant walk" in msg
                for msg in out)
     assert not any("macrostate cousin order" in msg for msg in out)
+
+
+def _redirected(d: DRW, q: int, sym: int, target: int) -> DRW:
+    """`d` with its edge from state `q` on symbol id `sym` sent to `target`."""
+    trans = [list(row) for row in d.trans]
+    trans[q][sym] = target
+    return replace(d, trans=tuple(map(tuple, trans)))
+
+
+def _flagged_words(messages) -> set:
+    return {msg[len("word="):msg.index(": ")] for msg in messages}
+
+
+def test_sweep_flags_every_word_that_ends_on_a_redirected_edge(two_state):
+    """The sweep reads each word's macrostate at the DRW state the word
+    reaches, so a wrong transition is a finding on every word whose last
+    step takes it, and on no word that never takes it."""
+    d = determinize_profile(two_state)
+    q, sym, depth = 4, 0, 4
+    assert d.trans[q][sym] != 3
+    flagged = _flagged_words(sweep_invariants(two_state, depth,
+                                              _redirected(d, q, sym, 3)))
+    ending, through = set(), set()
+    for n in range(1, depth + 1):
+        for word in product(two_state.alphabet, repeat=n):
+            state, took = d.initial, False
+            for symbol in word:
+                took = (state, d.sym_id(symbol)) == (q, sym)
+                if took:
+                    through.add(".".join(word))
+                state = d.trans[state][d.sym_id(symbol)]
+            if took:
+                ending.add(".".join(word))
+    assert min(ending, key=lambda w: (len(w), w)) == "a.b.a"
+    assert ending <= flagged <= through
+
+
+def test_sweep_rejects_a_drw_it_cannot_walk(two_state):
+    d = determinize_profile(two_state)
+    for walkless in (parse_drw(format_drw(d)), determinize_safra(two_state),
+                     replace(d, payloads=d.payloads[:-1])):
+        with pytest.raises(ValueError, match="one macrostate payload per state"):
+            sweep_invariants(two_state, 4, walkless)
+    other = determinize_profile(normalize(gen_nbw(GenSpec(2, 3, 0.5, 0.3, 0))))
+    with pytest.raises(ValueError, match="alphabet"):
+        sweep_invariants(two_state, 4, other)
 
 
 def test_check_automaton_fig(two_state):
@@ -314,6 +359,55 @@ def test_cross_check_labels_each_finding_with_its_seed(monkeypatch):
                          sweep_depth=0)
     assert capped.violations[0].startswith("seed=99: determinization aborted")
     assert capped.violations[1].startswith("seed=100: determinization aborted")
+
+
+def test_cross_check_sweeps_the_drw_the_lassos_judge(monkeypatch):
+    """One profile DRW per automaton serves both the sweep and the lassos,
+    so a wrong transition in it is a sweep finding tagged with its seed."""
+    built = []
+
+    def redirected(a, *args):
+        built.append(a)
+        return _redirected(determinize_profile(a, *args), 1, 1, 3)
+
+    monkeypatch.setattr(harness, "determinize_profile", redirected)
+    report = cross_check(GenSpec(3, 2, 0.5, 0.3, 4242), 2, 3, 1)
+    assert len(built) == 1
+    assert report.violations
+    assert all(msg.startswith("seed=4242: word=") for msg in report.violations)
+    assert min(_flagged_words(msg[len("seed=4242: "):]
+                              for msg in report.violations),
+               key=lambda w: (len(w), w)) == "a.b"
+
+
+def test_cross_check_profile_abort_skips_the_sweep(monkeypatch):
+    swept = []
+    monkeypatch.setattr(harness, "sweep_invariants",
+                        lambda *args: swept.append(args) or [])
+    report = cross_check(GenSpec(4, 2, 0.8, 0.5, 99), 1, 1, 2, max_states=3)
+    assert report.violations == [
+        f"seed={seed}: determinization aborted: exploration exceeded the cap "
+        "of 3 states" for seed in (99, 100)]
+    assert report.automata == 2 and report.lassos == 0
+    assert swept == []
+
+
+def test_cross_check_reports_the_sweep_before_a_safra_abort(monkeypatch):
+    """When the profile DRW fits and Safra's construction hits the cap, the
+    sweep's findings come first and the abort last."""
+    def capped(a, max_states):
+        raise StateLimitExceeded(max_states)
+
+    monkeypatch.setattr(harness, "determinize_profile",
+                        lambda a, *args: _redirected(determinize_profile(a, *args),
+                                                     1, 1, 3))
+    monkeypatch.setattr(harness, "determinize_safra", capped)
+    report = cross_check(GenSpec(3, 2, 0.5, 0.3, 4242), 2, 3, 1, max_states=50)
+    *swept, last = report.violations
+    assert swept and all(msg.startswith("seed=4242: word=") for msg in swept)
+    assert last == ("seed=4242: determinization aborted: exploration exceeded "
+                    "the cap of 50 states")
+    assert not report.passed
 
 
 def test_report_absorb():
