@@ -424,37 +424,51 @@ def drw_run_eval(d: DRW, w: Lasso) -> bool:
 
 
 def drw_verdicts(d: DRW, lassos: list[Lasso]) -> list[bool]:
-    """``[drw_run_eval(d, w) for w in lassos]``, each distinct start and period once."""
+    """``[drw_run_eval(d, w) for w in lassos]``, walking each period on
+    from a state at most once.
+
+    Per period, the verdicts found so far are kept by period start: a
+    lasso whose start after the prefix is known takes its verdict, and any
+    other lasso's walk stops at the first known start it meets.
+    """
     trans = d.trans
 
     def decider(v):
         memo = {}
-
-        def decide(q):
-            if q not in memo:
-                memo[q] = _drw_period(d, q, v)
-            return memo[q]
-        return decide
+        return lambda q: memo[q] if q in memo else _drw_period(d, q, v, memo)
 
     return _verdicts(d._sym_id, d.initial, lambda q, s: trans[q][s], decider, lassos)
 
 
-def _drw_period(d: DRW, q: int, v: list[int]) -> bool:
-    """Whether the run from state `q` accepts ``v^w``."""
+def _drw_period(d: DRW, q: int, v: list[int], memo: dict | None = None) -> bool:
+    """Whether the run from state `q` accepts ``v^w``.
+
+    Every period start on the walk from `q` leads to the same cycle, so it
+    has the same verdict.  `memo`, when given, maps the period starts of
+    earlier walks on this `v` to their verdicts: the walk stops at the
+    first start it knows, and every start the walk visited is added to it.
+    """
     trans = d.trans
+    known = () if memo is None else memo
     starts: dict[int, int] = {}
-    while q not in starts:
+    while q not in starts and q not in known:
         starts[q] = len(starts)
         for s in v:
             q = trans[q][s]
-    marks = d.pair_marks()
-    seen = 0
-    for p in list(starts)[starts[q]:]:
-        for s in v:
-            seen |= marks[p]
-            p = trans[p][s]
-    # some pair with a G bit seen and its B bit not seen
-    return bool((seen >> len(d.acceptance)) & ~seen)
+    if q in starts:
+        marks = d.pair_marks()
+        seen = 0
+        for p in list(starts)[starts[q]:]:
+            for s in v:
+                seen |= marks[p]
+                p = trans[p][s]
+        # some pair with a G bit seen and its B bit not seen
+        verdict = bool((seen >> len(d.acceptance)) & ~seen)
+    else:
+        verdict = memo[q]
+    if memo is not None:
+        memo.update(dict.fromkeys(starts, verdict))
+    return verdict
 
 
 # -- native text format --------------------------------------------------------

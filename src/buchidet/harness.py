@@ -3,15 +3,19 @@
 Three deciders answer every membership query: the NBW cycle oracle, the
 macrostate DRW, and the Safra DRW.  The NBW settles a check's lassos once
 per period, as the mask of states from which some run accepts it, met by
-the start mask after each prefix; each DRW settles them once per (state
-after the prefix, period) pair, all that its verdict depends on.  Any
-disagreement is a genuine counterexample, replayable from the seed.  Bounded
-agreement is evidence, not proof; every report records the bounds it used.
+the start mask after each prefix.  A DRW's verdict depends only on the
+state after the prefix and the period, and all the period starts of one
+walk share it: each DRW walks a period on from a state only if no earlier
+walk on that period passed through it.  Any disagreement is a genuine
+counterexample, replayable from the seed.  Bounded agreement is evidence,
+not proof; every report records the bounds it used.
 
 The invariant sweep rebuilds each word's macrostate from the run-DAG side
 and compares it with the payload of the state the word reaches in the
 profile DRW, walking the DRW's transitions: the same DRW whose lasso
-verdicts the check compares.
+verdicts the check compares.  A step of the sweep depends only on where it
+starts, so it checks each distinct step once and names its faults under
+every word that takes it.
 """
 
 import random
@@ -108,6 +112,11 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
     that the payload of the DRW state the word reaches equals the
     independently computed level view, field by field.  So it checks the
     payloads and transitions of the DRW that the lassos judge.
+
+    An edge's successor views and faults depend only on where it starts:
+    the level, the labeled level, the DRW state, the walk and the symbol.
+    So each distinct edge is checked once per call, and every word that
+    ends on it gets its faults, under its own name and in the same order.
     """
     if depth < 0:
         raise ValueError("sweep depth must be at least 0")
@@ -123,70 +132,56 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
     trans, payloads = drw.trans, drw.payloads
     out = []
 
-    def note(word, msg):
-        out.append(f"word={'.'.join(word) or '<empty>'}: {msg}")
+    def note(word, msgs):
+        name = '.'.join(word) or '<empty>'
+        out.extend(f"word={name}: {msg}" for msg in msgs)
 
-    pl0 = initial_level(a)
-    lab0 = initial_labeled(pl0)
-    desc0 = {0: frozenset({0})}
-
-    def compare(word, pl, prev_width, lab, m):
+    def compare(pl, prev_width, lab, m):
+        msgs = []
         if m.classes != pl.classes:
-            note(word, f"macrostate classes {m.classes} != levels {pl.classes}")
+            msgs.append(f"macrostate classes {m.classes} != levels {pl.classes}")
         if m.labels != lab.lbl:
-            note(word, f"macrostate labels {m.labels} != level labels {lab.lbl}")
+            msgs.append(f"macrostate labels {m.labels} != level labels {lab.lbl}")
         if m.cousin != lab.cousin:
-            note(word, "macrostate cousin order differs from the level order")
+            msgs.append("macrostate cousin order differs from the level order")
         if m.good != lab.good:
-            note(word, f"macrostate good {sorted(m.good)} != level {sorted(lab.good)}")
+            msgs.append(f"macrostate good {sorted(m.good)} != level {sorted(lab.good)}")
         if m.bad != lab.bad:
-            note(word, f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
-        for msg in check_level(a, pl, prev_width):
-            note(word, msg)
+            msgs.append(f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
+        return msgs + check_level(a, pl, prev_width)
 
-    compare((), pl0, None, lab0, payloads[drw.initial])
+    def edge(pl, lab, q, desc, symbol):
+        """The views after one more symbol, and the faults of that step.
 
-    # The words still to check, each with the views, DRW state and walk of
-    # the word it extends, popped so that a word is checked just before its
-    # extensions, in symbol order.
-    pending = []
-
-    def extend(word, pl, lab, q, desc):
-        if len(word) < depth:
-            for symbol in reversed(a.alphabet):
-                pending.append((word + (symbol,), pl, lab, q, desc))
-
-    extend((), pl0, lab0, drw.initial, desc0)
-    while pending:
-        word2, pl, lab, q, desc = pending.pop()
-        symbol = word2[-1]
+        `desc` and the returned walk are tuples of (label, ranks) pairs.
+        """
         pl2 = step_level(a, pl, symbol)
         lab2 = next_labeled(lab, pl2, a.n)
         q2 = trans[q][a.sym_id(symbol)]
         k2 = len(pl2.classes)
         # a label's walk that has emptied stays empty: drop its entry
-        desc2 = {lab_id: row for lab_id, ranks in desc.items()
+        desc2 = {lab_id: row for lab_id, ranks in desc
                  if (row := frozenset(j for j in range(k2)
                                       if pl2.parents[j] in ranks))}
-
+        msgs = []
         # per-level injectivity of the global labeling
         if len(set(lab2.gl)) != len(lab2.gl):
-            note(word2, f"duplicate global labels {lab2.gl}")
+            msgs.append(f"duplicate global labels {lab2.gl}")
         # a surviving label must have been in use on the previous level
         for g in lab2.gl:
             if g < lab.gl_watermark and g not in lab.gl:
-                note(word2, f"label {g} reappeared after vanishing")
+                msgs.append(f"label {g} reappeared after vanishing")
         # an inherited label sits on the minimal class of its walk
         for j, g in enumerate(lab2.gl):
             lowest = min(desc2.get(g, ()), default=None)
             if g < lab.gl_watermark and lowest != j:
-                note(word2, f"label {g} sits on class {j}, descendant walk "
+                msgs.append(f"label {g} sits on class {j}, descendant walk "
                             f"says {lowest}")
         # a class has inherited labels iff it is some walk's minimum
         lmd_hits = {min(r) for r in desc2.values()}
         inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
         if lmd_hits != inherited:
-            note(word2, f"label-carrying classes {sorted(lmd_hits)} != "
+            msgs.append(f"label-carrying classes {sorted(lmd_hits)} != "
                         f"classes with inherited labels {sorted(inherited)}")
 
         for g in lab2.gl:
@@ -195,11 +190,35 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
         # the whole cousin order is the descendant walk of each label
         walk = {(j, b) for j, g in enumerate(lab2.gl) for b in desc2.get(g, ())}
         if walk != lab2.cousin:
-            note(word2, f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
+            msgs.append(f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
                         "from the descendant walk")
+        msgs += compare(pl2, len(pl.classes), lab2, payloads[q2])
+        return (pl2, lab2, q2, tuple(desc2.items())), msgs
 
-        compare(word2, pl2, len(pl.classes), lab2, payloads[q2])
-        extend(word2, pl2, lab2, q2, desc2)
+    pl0 = initial_level(a)
+    lab0 = initial_labeled(pl0)
+    note((), compare(pl0, None, lab0, payloads[drw.initial]))
+
+    # The words still to check, each with the views, DRW state and walk of
+    # the word it extends, popped so that a word is checked just before its
+    # extensions, in symbol order.
+    pending = []
+    edges = {}
+
+    def extend(word, *views):
+        if len(word) < depth:
+            for symbol in reversed(a.alphabet):
+                pending.append((word + (symbol,), views))
+
+    extend((), pl0, lab0, drw.initial, ((0, frozenset({0})),))
+    while pending:
+        word2, views = pending.pop()
+        key = (*views, word2[-1])
+        if key not in edges:
+            edges[key] = edge(*key)
+        views2, msgs = edges[key]
+        note(word2, msgs)
+        extend(word2, *views2)
     return out
 
 

@@ -266,8 +266,10 @@ def test_check_report_bytes_pinned():
 
 def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch):
     """``check_automaton`` calls the NBW period core once per distinct
-    period, and each DRW's period core once per distinct (state after the
-    prefix, period) pair, well below once per lasso."""
+    period.  Each DRW's period core runs once per (state after the prefix,
+    period) pair whose state no earlier walk on that period passed through
+    at a period start: at most once per distinct pair, and well below once
+    per lasso."""
     from buchidet import automata
 
     a = normalize(gen_nbw(GenSpec(4, 2, 0.5, 0.3, 20_264_000)))
@@ -289,17 +291,31 @@ def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch)
     res = check_automaton(a, lassos, drw_profile=profile)
     assert res.passed and res.lassos == 450
 
-    def run(d, u):
-        q = d.initial
-        for sym in u:
+    def run(d, word, q=None):
+        q = d.initial if q is None else q
+        for sym in word:
             q = d.trans[q][d.sym_id(sym)]
         return q
 
+    def walks(d):
+        """Lassos, in order, whose start after the prefix no earlier walk
+        on their period passed through at a period start."""
+        passed, count = {}, 0
+        for w in lassos:
+            seen = passed.setdefault(w.period, set())
+            q = run(d, w.prefix)
+            count += q not in seen
+            while q not in seen:
+                seen.add(q)
+                q = run(d, w.period, q)
+        return count
+
     want = {"nbw": len({w.period for w in lassos}),
-            "profile": len({(run(profile, w.prefix), w.period) for w in lassos}),
-            "safra": len({(run(safra, w.prefix), w.period) for w in lassos})}
+            "profile": walks(profile), "safra": walks(safra)}
     assert calls == want
     assert calls["nbw"] == 30
+    for name, drw in ("profile", profile), ("safra", safra):
+        assert calls[name] <= len({(run(drw, w.prefix), w.period) for w in lassos})
     assert max(calls.values()) < len(lassos)
 
 

@@ -16,6 +16,7 @@ from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safr
                       drw_run_eval, drw_verdicts, enumerate_lassos, gen_nbw,
                       nbw_member, nbw_verdicts, normalize)
 from buchidet.automata import _nbw_period
+import mutants
 from oracles import brute_member
 
 SIZES = (1, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17)
@@ -178,6 +179,43 @@ def test_batch_verdicts_match_per_lasso(spec):
     assert_batches_match(a, mixed)
     # only the longest prefixes, so no one-shorter prefix was run first
     assert_batches_match(a, [w for w in lassos if len(w.prefix) == 3])
+
+
+def _midway_hits(d, lassos) -> int:
+    """The walks that a per-period memo stops partway, taking the lassos in
+    order: a walk from a start that no earlier walk on the period passed
+    through at a period start, which meets such a start later."""
+    passed, hits = {}, 0
+    for w in lassos:
+        seen = passed.setdefault(w.period, set())
+        q = d.initial
+        for sym in w.prefix:
+            q = d.trans[q][d.sym_id(sym)]
+        walk = set()
+        while q not in seen and q not in walk:
+            walk.add(q)
+            for sym in w.period:
+                q = d.trans[q][d.sym_id(sym)]
+        hits += bool(walk) and q in seen
+        seen |= walk
+    return hits
+
+
+def test_batch_drw_verdicts_do_not_depend_on_lasso_order():
+    """On the profile and Safra DRWs of the mutant catalogue's corpus, the
+    DRW batch decider gives each lasso its run's verdict with the lassos in
+    order and reversed; reversed, some walks stop at a start that an
+    earlier walk on their period passed through."""
+    automata = mutants.corpus()
+    lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
+    midway = 0
+    for a in automata:
+        for d in (determinize_profile(a), determinize_safra(a)):
+            want = [drw_run_eval(d, w) for w in lassos]
+            assert drw_verdicts(d, lassos) == want
+            assert drw_verdicts(d, lassos[::-1])[::-1] == want
+            midway += _midway_hits(d, lassos[::-1])
+    assert midway > 0
 
 
 # Past one image table: two tables (9 and 16 states) and the chunk loop (17),
