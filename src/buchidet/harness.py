@@ -133,7 +133,7 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
     out = []
 
     def note(word, msgs):
-        name = '.'.join(word) or '<empty>'
+        name = ".".join(word) or "<empty>"
         out.extend(f"word={name}: {msg}" for msg in msgs)
 
     def compare(pl, prev_width, lab, m):
@@ -205,12 +205,12 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
     pending = []
     edges = {}
 
-    def extend(word, *views):
+    def extend(word, views):
         if len(word) < depth:
             for symbol in reversed(a.alphabet):
                 pending.append((word + (symbol,), views))
 
-    extend((), pl0, lab0, drw.initial, ((0, frozenset({0})),))
+    extend((), (pl0, lab0, drw.initial, ((0, frozenset({0})),)))
     while pending:
         word2, views = pending.pop()
         key = (*views, word2[-1])
@@ -218,7 +218,7 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
             edges[key] = edge(*key)
         views2, msgs = edges[key]
         note(word2, msgs)
-        extend(word2, *views2)
+        extend(word2, views2)
     return out
 
 
