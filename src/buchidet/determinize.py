@@ -150,21 +150,19 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     is equal to another exactly when their macrostates are.  Each step's
     shape is computed once per (sid, symbol) and shared by every macrostate
     with those preorders; only `_apply_labels` runs on every step.  Each
-    `Macrostate` is built once after exploration, sharing its classes,
-    cousin and good/bad objects with every macrostate whose fields are
-    equal.  `rabin_drw` gives one Rabin pair per label that is good on some
-    macrostate, in label order.
+    `Macrostate` is built once after exploration: the macrostates of one
+    sid share its classes and cousin objects, and equal masks share one good
+    or bad frozenset.  `rabin_drw` gives one Rabin pair per label that is
+    good on some macrostate, in label order.
     """
     sids: dict = {}
     preorders: list = []  # sid -> (classes, cousin)
-    shared: dict = {}
 
     def intern(classes, cousin) -> int:
         sid = sids.get((classes, cousin))
         if sid is None:
             sid = sids[classes, cousin] = len(preorders)
-            preorders.append((shared.setdefault(classes, classes),
-                              shared.setdefault(cousin, cousin)))
+            preorders.append((classes, cousin))
         return sid
 
     @cache

@@ -13,9 +13,9 @@ not proof; every report records the bounds it used.
 The invariant sweep rebuilds each word's macrostate from the run-DAG side
 and compares it with the payload of the state the word reaches in the
 profile DRW, walking the DRW's transitions: the same DRW whose lasso
-verdicts the check compares.  A step of the sweep depends only on where it
-starts, so it checks each distinct step once and names its faults under
-every word that takes it.
+verdicts the check compares.  Its step, `_sweep_step`, depends only on the
+word's view (labeled level, DRW state, walk) and the symbol, so it checks
+each distinct step once and names its faults under every word that takes it.
 """
 
 import random
@@ -98,13 +98,77 @@ def _lassos(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[Lasso, ...]:
 # -- invariant sweeps ----------------------------------------------------------
 
 
+def _level_faults(a: NBW, lab, prev_width: int | None, m: Macrostate) -> list[str]:
+    """How the macrostate `m` differs from the labeled level `lab`, field by
+    field, then the faults of its level (`prev_width` None at the root)."""
+    pl, msgs = lab.base, []
+    if m.classes != pl.classes:
+        msgs.append(f"macrostate classes {m.classes} != levels {pl.classes}")
+    if m.labels != lab.lbl:
+        msgs.append(f"macrostate labels {m.labels} != level labels {lab.lbl}")
+    if m.cousin != lab.cousin:
+        msgs.append("macrostate cousin order differs from the level order")
+    if m.good != lab.good:
+        msgs.append(f"macrostate good {sorted(m.good)} != level {sorted(lab.good)}")
+    if m.bad != lab.bad:
+        msgs.append(f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
+    return msgs + check_level(a, pl, prev_width)
+
+
+def _sweep_step(a: NBW, drw: DRW, view, symbol: str):
+    """The view after one more symbol, and the faults of that step.
+
+    A view is (labeled level, DRW state, walk): the run-DAG level is the
+    labeled level's `base`, and the walk is a tuple of (label, ranks) pairs.
+    """
+    lab, q, walk = view
+    pl2 = step_level(a, lab.base, symbol)
+    lab2 = next_labeled(lab, pl2, a.n)
+    q2 = drw.trans[q][a.sym_id(symbol)]
+    # a label's walk that has emptied stays empty: drop its entry
+    walk2 = {g: row for g, ranks in walk
+             if (row := frozenset(j for j, p in enumerate(pl2.parents)
+                                  if p in ranks))}
+    msgs = []
+    # per-level injectivity of the global labeling
+    if len(set(lab2.gl)) != len(lab2.gl):
+        msgs.append(f"duplicate global labels {lab2.gl}")
+    # a surviving label must have been in use on the previous level
+    for g in lab2.gl:
+        if g < lab.gl_watermark and g not in lab.gl:
+            msgs.append(f"label {g} reappeared after vanishing")
+    # an inherited label sits on the minimal class of its walk
+    for j, g in enumerate(lab2.gl):
+        lowest = min(walk2.get(g, ()), default=None)
+        if g < lab.gl_watermark and lowest != j:
+            msgs.append(f"label {g} sits on class {j}, descendant walk "
+                        f"says {lowest}")
+    # a class has inherited labels iff it is some walk's minimum
+    lmd_hits = {min(r) for r in walk2.values()}
+    inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
+    if lmd_hits != inherited:
+        msgs.append(f"label-carrying classes {sorted(lmd_hits)} != "
+                    f"classes with inherited labels {sorted(inherited)}")
+    # a fresh label's walk starts at the first class that carries it
+    for j, g in enumerate(lab2.gl):
+        if g >= lab.gl_watermark:
+            walk2.setdefault(g, frozenset({j}))
+    # the whole cousin order is the descendant walk of each label
+    pairs = {(j, b) for j, g in enumerate(lab2.gl) for b in walk2.get(g, ())}
+    if pairs != lab2.cousin:
+        msgs.append(f"cousin pairs {sorted(lab2.cousin ^ pairs)} differ "
+                    "from the descendant walk")
+    msgs += _level_faults(a, lab2, len(lab.base.classes), drw.payloads[q2])
+    return (lab2, q2, tuple(walk2.items())), msgs
+
+
 def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str]:
     """Walk every word up to `depth` and cross-check all three views.
 
-    Along each word the run-DAG levels and the labeled levels are extended
-    in lockstep, together with an explicit walk of the classes descending
-    from each label's birth class, while the word is followed through the
-    transitions of `drw`, the profile DRW of `a` (built here when None).
+    Along each word the labeled levels, whose bases are the run-DAG levels,
+    are extended together with a walk of the classes descending from each
+    label's birth class, while the word is followed through the transitions
+    of `drw`, the profile DRW of `a` (built here when None).
     The sweep checks each level once, where it makes it, with
     :func:`check_level`; the label laws (per-level injectivity,
     persistence, each inherited label on the minimal class of its walk, the
@@ -113,10 +177,9 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
     independently computed level view, field by field.  So it checks the
     payloads and transitions of the DRW that the lassos judge.
 
-    An edge's successor views and faults depend only on where it starts:
-    the level, the labeled level, the DRW state, the walk and the symbol.
-    So each distinct edge is checked once per call, and every word that
-    ends on it gets its faults, under its own name and in the same order.
+    A step's view and faults depend only on the view it starts from and its
+    symbol (:func:`_sweep_step`), so each distinct step is checked once per
+    call, and every word that ends on it gets its faults under its own name.
     """
     if depth < 0:
         raise ValueError("sweep depth must be at least 0")
@@ -129,96 +192,23 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
             or not all(isinstance(m, Macrostate) for m in drw.payloads)):
         raise ValueError("the sweep needs a DRW with one macrostate payload "
                          "per state")
-    trans, payloads = drw.trans, drw.payloads
-    out = []
-
-    def note(word, msgs):
-        name = ".".join(word) or "<empty>"
-        out.extend(f"word={name}: {msg}" for msg in msgs)
-
-    def compare(pl, prev_width, lab, m):
-        msgs = []
-        if m.classes != pl.classes:
-            msgs.append(f"macrostate classes {m.classes} != levels {pl.classes}")
-        if m.labels != lab.lbl:
-            msgs.append(f"macrostate labels {m.labels} != level labels {lab.lbl}")
-        if m.cousin != lab.cousin:
-            msgs.append("macrostate cousin order differs from the level order")
-        if m.good != lab.good:
-            msgs.append(f"macrostate good {sorted(m.good)} != level {sorted(lab.good)}")
-        if m.bad != lab.bad:
-            msgs.append(f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
-        return msgs + check_level(a, pl, prev_width)
-
-    def edge(pl, lab, q, desc, symbol):
-        """The views after one more symbol, and the faults of that step.
-
-        `desc` and the returned walk are tuples of (label, ranks) pairs.
-        """
-        pl2 = step_level(a, pl, symbol)
-        lab2 = next_labeled(lab, pl2, a.n)
-        q2 = trans[q][a.sym_id(symbol)]
-        k2 = len(pl2.classes)
-        # a label's walk that has emptied stays empty: drop its entry
-        desc2 = {lab_id: row for lab_id, ranks in desc
-                 if (row := frozenset(j for j in range(k2)
-                                      if pl2.parents[j] in ranks))}
-        msgs = []
-        # per-level injectivity of the global labeling
-        if len(set(lab2.gl)) != len(lab2.gl):
-            msgs.append(f"duplicate global labels {lab2.gl}")
-        # a surviving label must have been in use on the previous level
-        for g in lab2.gl:
-            if g < lab.gl_watermark and g not in lab.gl:
-                msgs.append(f"label {g} reappeared after vanishing")
-        # an inherited label sits on the minimal class of its walk
-        for j, g in enumerate(lab2.gl):
-            lowest = min(desc2.get(g, ()), default=None)
-            if g < lab.gl_watermark and lowest != j:
-                msgs.append(f"label {g} sits on class {j}, descendant walk "
-                            f"says {lowest}")
-        # a class has inherited labels iff it is some walk's minimum
-        lmd_hits = {min(r) for r in desc2.values()}
-        inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
-        if lmd_hits != inherited:
-            msgs.append(f"label-carrying classes {sorted(lmd_hits)} != "
-                        f"classes with inherited labels {sorted(inherited)}")
-
-        for g in lab2.gl:
-            if g >= lab.gl_watermark:
-                desc2[g] = frozenset({lab2.gl.index(g)})
-        # the whole cousin order is the descendant walk of each label
-        walk = {(j, b) for j, g in enumerate(lab2.gl) for b in desc2.get(g, ())}
-        if walk != lab2.cousin:
-            msgs.append(f"cousin pairs {sorted(lab2.cousin ^ walk)} differ "
-                        "from the descendant walk")
-        msgs += compare(pl2, len(pl.classes), lab2, payloads[q2])
-        return (pl2, lab2, q2, tuple(desc2.items())), msgs
-
-    pl0 = initial_level(a)
-    lab0 = initial_labeled(pl0)
-    note((), compare(pl0, None, lab0, payloads[drw.initial]))
-
-    # The words still to check, each with the views, DRW state and walk of
-    # the word it extends, popped so that a word is checked just before its
-    # extensions, in symbol order.
-    pending = []
-    edges = {}
-
-    def extend(word, views):
-        if len(word) < depth:
-            for symbol in reversed(a.alphabet):
-                pending.append((word + (symbol,), views))
-
-    extend((), (pl0, lab0, drw.initial, ((0, frozenset({0})),)))
+    lab0 = initial_labeled(initial_level(a))
+    out = [f"word=<empty>: {msg}"
+           for msg in _level_faults(a, lab0, None, drw.payloads[drw.initial])]
+    view0 = (lab0, drw.initial, ((0, frozenset({0})),))
+    # The words still to check, each with the view of the word it extends,
+    # popped so that a word is checked just before its extensions, in symbol order.
+    pending = [((symbol,), view0) for symbol in reversed(a.alphabet) if depth]
+    steps = {}
     while pending:
-        word2, views = pending.pop()
-        key = (*views, word2[-1])
-        if key not in edges:
-            edges[key] = edge(*key)
-        views2, msgs = edges[key]
-        note(word2, msgs)
-        extend(word2, views2)
+        word, view = pending.pop()
+        if (key := (view, word[-1])) not in steps:
+            steps[key] = _sweep_step(a, drw, *key)
+        view2, msgs = steps[key]
+        out.extend(f"word={'.'.join(word)}: {msg}" for msg in msgs)
+        if len(word) < depth:
+            pending.extend((word + (symbol,), view2)
+                           for symbol in reversed(a.alphabet))
     return out
 
 

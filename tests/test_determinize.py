@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import buchidet
 from buchidet import (Lasso, determinize, drw_run_eval, format_drw, label_levels,
                       nbw_member, normalize, profile_tree)
 from buchidet.determinize import (Macrostate, determinize_profile,
@@ -240,6 +241,13 @@ def test_state_budget_enforced(two_state):
         determinize_profile(two_state, max_states=2)
 
 
+def test_state_budget_must_allow_the_initial_state(two_state):
+    with pytest.raises(ValueError, match="max_states must be at least 1"):
+        explore(0, lambda q, sym: q, 1, max_states=0)
+    with pytest.raises(ValueError, match="max_states must be at least 1"):
+        determinize_profile(two_state, 0)
+
+
 def test_rabin_pairs_indexed_by_label(two_state):
     drw = determinize_profile(two_state)
     for g, b in drw.acceptance:
@@ -307,14 +315,16 @@ def test_profile_shape_computed_once_per_classes_cousin_and_symbol(monkeypatch):
 
 
 def test_profile_payloads_share_equal_fields():
-    """One exploration builds one object per distinct classes, cousin, good
-    and bad value and shares it among the macrostates that hold it; the
-    memory per macrostate depends on that."""
+    """One exploration builds one classes and cousin object per distinct
+    (classes, cousin) pair, and one object per distinct good and bad value,
+    and shares them among the macrostates that hold them; the memory per
+    macrostate depends on that."""
     a = normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777)))
     payloads = determinize_profile(a).payloads
-    for field in ("classes", "cousin", "good", "bad"):
-        values = [getattr(m, field) for m in payloads]
-        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+    for fields in (("classes", "cousin"), ("good",), ("bad",)):
+        values = [tuple(getattr(m, f) for f in fields) for m in payloads]
+        ids = {tuple(map(id, v)) for v in values}
+        assert len(ids) == len(set(values)) < len(values), fields
 
 
 def test_free_label_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
@@ -450,3 +460,44 @@ def test_only_automata_uses_private_attributes():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 found.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert found == []
+
+
+def _reads(node: ast.AST) -> set:
+    """The names and attribute names read anywhere under `node`."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _imports(node: ast.AST) -> list:
+    """(line, bound name, imported name) of every import under `node`."""
+    return [(n.lineno, alias.asname or alias.name.split(".")[0], alias.name)
+            for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
+            for alias in n.names]
+
+
+def test_package_has_no_unused_imports_or_private_helpers():
+    """Every name a package module imports is read in that module (or, in
+    `__init__.py`, listed in `__all__`), and every module-level private
+    function or class is read or imported by another top-level statement of
+    the package, so a simplification leaves no helper behind.  Tests do not
+    count as users."""
+    src = Path(__file__).parents[1] / "src" / "buchidet"
+    bodies = {p.name: _parse(p.stem).body for p in sorted(src.glob("*.py"))}
+    uses = {(name, i): _reads(stmt) | {imported for *_, imported in _imports(stmt)}
+            for name, body in bodies.items() for i, stmt in enumerate(body)}
+    found, privates = [], 0
+    for name, body in bodies.items():
+        reads = set().union(*map(_reads, body))
+        if name == "__init__.py":
+            reads |= set(buchidet.__all__)
+        found += [f"{name}:{line}: unused import {bound}"
+                  for stmt in body for line, bound, _ in _imports(stmt)
+                  if bound not in reads]
+        for i, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    stmt.name.startswith("_") and not stmt.name.endswith("__"):
+                privates += 1
+                if not any(stmt.name in names for where, names in uses.items()
+                           if where != (name, i)):
+                    found.append(f"{name}:{stmt.lineno}: unused {stmt.name}")
+    assert privates > 0 and found == []

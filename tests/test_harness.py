@@ -142,6 +142,61 @@ def test_sweep_flags_consistent_cousin_corruption(two_state, monkeypatch):
     assert not any("macrostate cousin order" in msg for msg in out)
 
 
+def _sweep_with_global_labels(a, monkeypatch, corrupt, depth):
+    """The sweep of `a` with each new level's global labels replaced by
+    `corrupt(prev, gl)`, where `prev` is the labeled level before it."""
+    step = harness.next_labeled
+
+    def corrupted(prev, level, n_states):
+        lab = step(prev, level, n_states)
+        return replace(lab, gl=corrupt(prev, lab.gl))
+    monkeypatch.setattr(harness, "next_labeled", corrupted)
+    return sweep_invariants(a, depth)
+
+
+def test_sweep_flags_duplicate_global_labels(two_state, monkeypatch):
+    """Every class takes the last class's label. On `a` both classes are
+    fresh, so the walk of the repeated label starts at its first class."""
+    out = _sweep_with_global_labels(two_state, monkeypatch,
+                                    lambda prev, gl: gl[-1:] * len(gl), 1)
+    assert out == [
+        "word=a: duplicate global labels (1, 1)",
+        "word=a: label-carrying classes [0] != classes with inherited labels []",
+        "word=a: cousin pairs [(0, 1), (1, 0), (1, 1)] differ from the "
+        "descendant walk",
+    ]
+
+
+def test_sweep_flags_a_label_that_reappears(two_state, monkeypatch):
+    """Fresh labels are replaced by the smallest label that vanished below
+    the watermark: label 1 dies on `a.b` and comes back on `a.b.b`."""
+    def revive(prev, gl):
+        gone = [g for g in range(prev.gl_watermark) if g not in prev.gl]
+        return tuple(gone[0] if gone and g >= prev.gl_watermark else g
+                     for g in gl)
+
+    out = _sweep_with_global_labels(two_state, monkeypatch, revive, 3)
+    assert [msg for msg in out if "reappeared" in msg] == \
+        ["word=a.b.b: label 1 reappeared after vanishing"]
+    assert "word=a.b.b: label 1 sits on class 1, descendant walk says 0" in out
+
+
+def test_sweep_flags_swapped_inherited_labels(two_state, monkeypatch):
+    """The first two classes trade their labels whenever both inherited
+    one, so each label sits off the minimum of its descendant walk."""
+    def swap(prev, gl):
+        if len(gl) > 1 and max(gl[:2]) < prev.gl_watermark:
+            return gl[1::-1] + gl[2:]
+        return gl
+
+    out = _sweep_with_global_labels(two_state, monkeypatch, swap, 3)
+    assert [msg for msg in out if msg.startswith("word=a.a: label")] == [
+        "word=a.a: label 1 sits on class 0, descendant walk says 1",
+        "word=a.a: label 0 sits on class 1, descendant walk says 0",
+    ]
+    assert "word=a.b.a: label 2 sits on class 0, descendant walk says 1" in out
+
+
 def _redirected(d: DRW, q: int, sym: int, target: int) -> DRW:
     """`d` with its edge from state `q` on symbol id `sym` sent to `target`."""
     trans = [list(row) for row in d.trans]

@@ -3,7 +3,8 @@ import pytest
 from buchidet import label_levels, normalize, profile_tree
 from buchidet.determinize import Macrostate, validate_macrostate
 from buchidet.harness import GenSpec, gen_nbw
-from buchidet.labeling import initial_labeled
+from buchidet.labeling import initial_labeled, next_labeled
+from buchidet.run_dag import ProfileLevel, initial_level
 from oracles import descendant_ranks, first_classes, labels_of_class
 
 
@@ -144,6 +145,23 @@ def test_bounded_and_global_labels_partition_alike():
 
 
 def test_initial_labeled_rejects_multi_class():
-    from buchidet.run_dag import ProfileLevel
     with pytest.raises(ValueError):
         initial_labeled(ProfileLevel(((0,), (1,)), (None, None), (0, 0)))
+
+
+def test_label_levels_of_no_levels():
+    assert label_levels([], 2) == []
+
+
+def test_free_label_pool_exhaustion_is_caught(two_state):
+    """A level with more fresh classes than free labels means the state
+    count argument is broken; the label step refuses it rather than reuse a
+    label.  Class 0 inherits the root's label 0, the others are fresh."""
+    def level(width):
+        return ProfileLevel(((0,),) * width, (0,) * width, (0,) * width)
+
+    lab0 = initial_labeled(initial_level(two_state))
+    pool = 2 * two_state.n + 1
+    assert next_labeled(lab0, level(pool), two_state.n).lbl == tuple(range(pool))
+    with pytest.raises(AssertionError, match="free-label pool exhausted"):
+        next_labeled(lab0, level(pool + 1), two_state.n)
