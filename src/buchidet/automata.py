@@ -4,6 +4,11 @@ State and symbol names are strings; internally every state gets a dense
 integer id in declaration order, so all iteration is deterministic.  All
 values are immutable after construction and every operation is pure; the
 lookup tables that only membership queries use are built on first use.
+
+Lasso membership has two forms: ``nbw_member`` and ``drw_run_eval`` decide
+one lasso, and the row deciders ``nbw_verdicts`` and ``drw_verdicts``
+decide every lasso ``prefix . period^w`` of a list of prefixes by a list of
+periods, as one int per prefix with bit j for period j.
 """
 
 import re
@@ -218,20 +223,16 @@ def _sym_ids(ids: dict, symbols) -> list[int]:
         raise ValueError(f"symbol {err.args[0]!r} not in alphabet") from None
 
 
-def _verdicts(ids: dict, start, step, decider, lassos) -> list[bool]:
-    """``decide(start after the prefix)`` per lasso, where ``decide =
-    decider(period ids)`` is built once per distinct period.  A prefix runs
-    on from its one-shorter prefix if known."""
-    after, deciders, out = {(): start}, {}, []
-    for w in lassos:
-        u, v = w.prefix, w.period
+def _prefix_starts(ids: dict, start, step, prefixes) -> list:
+    """The start after each of `prefixes`: `step` folded over its symbol
+    ids from `start`.  A prefix runs once, on from its one-shorter prefix
+    if that is known."""
+    after = {(): start}
+    for u in prefixes:
         if u not in after:
             q, rest = (after[u[:-1]], u[-1:]) if u[:-1] in after else (start, u)
             after[u] = reduce(step, _sym_ids(ids, rest), q)
-        if v not in deciders:
-            deciders[v] = decider(_sym_ids(ids, v))
-        out.append(deciders[v](after[u]))
-    return out
+    return [after[u] for u in prefixes]
 
 
 def _image_tables(adj, k: int) -> tuple:
@@ -297,20 +298,20 @@ def nbw_member(a: NBW, w: Lasso) -> bool:
     return bool(reach & _nbw_period(a, v))
 
 
-def nbw_verdicts(a: NBW, lassos: list[Lasso]) -> list[bool]:
-    """``[nbw_member(a, w) for w in lassos]``, each distinct period once.
+def nbw_verdicts(a: NBW, prefixes, periods) -> list[int]:
+    """One verdict row per prefix: bit j of row i is set iff the automaton
+    accepts ``prefixes[i] . periods[j]^w``.
 
-    Per period, one call to the period core gives the states from which some
-    run accepts ``v^w``; a lasso is accepted iff its start mask after the
-    prefix meets them.
+    One call to the period core per period gives the states from which some
+    run accepts it; a start mask after a prefix is accepted iff it meets
+    them, and each distinct start mask is decided once.
     """
     post, _, initial, _ = a._mask_tables()
-
-    def decider(v):
-        good = _nbw_period(a, v)
-        return lambda m: bool(m & good)
-
-    return _verdicts(a._sym_id, initial, lambda m, s: post[s](m), decider, lassos)
+    starts = _prefix_starts(a._sym_id, initial, lambda m, s: post[s](m), prefixes)
+    wins = [_nbw_period(a, _sym_ids(a._sym_id, v)) for v in periods]
+    rows = {m: sum(1 << j for j, good in enumerate(wins) if m & good)
+            for m in set(starts)}
+    return [rows[m] for m in starts]
 
 
 def _nbw_period(a: NBW, v: list[int]) -> int:
@@ -423,21 +424,24 @@ def drw_run_eval(d: DRW, w: Lasso) -> bool:
     return _drw_period(d, q, v)
 
 
-def drw_verdicts(d: DRW, lassos: list[Lasso]) -> list[bool]:
-    """``[drw_run_eval(d, w) for w in lassos]``, walking each period on
-    from a state at most once.
+def drw_verdicts(d: DRW, prefixes, periods) -> list[int]:
+    """One verdict row per prefix: bit j of row i is set iff the run on
+    ``prefixes[i] . periods[j]^w`` accepts.
 
-    Per period, the verdicts found so far are kept by period start: a
-    lasso whose start after the prefix is known takes its verdict, and any
-    other lasso's walk stops at the first known start it meets.
+    Per period, each distinct state after a prefix is decided once, in
+    first-seen order, and the verdicts found so far are kept by period
+    start: a start that an earlier walk passed takes its verdict, and any
+    other start's walk stops at the first known start it meets.
     """
     trans = d.trans
-
-    def decider(v):
-        memo = {}
-        return lambda q: memo[q] if q in memo else _drw_period(d, q, v, memo)
-
-    return _verdicts(d._sym_id, d.initial, lambda q, s: trans[q][s], decider, lassos)
+    starts = _prefix_starts(d._sym_id, d.initial, lambda q, s: trans[q][s], prefixes)
+    rows = dict.fromkeys(starts, 0)
+    for j, v in enumerate(periods):
+        v, memo = _sym_ids(d._sym_id, v), {}
+        for q in rows:
+            if memo[q] if q in memo else _drw_period(d, q, v, memo):
+                rows[q] |= 1 << j
+    return [rows[q] for q in starts]
 
 
 def _drw_period(d: DRW, q: int, v: list[int], memo: dict | None = None) -> bool:

@@ -1,14 +1,17 @@
 """Randomized and exhaustive cross-validation of the two determinizers.
 
 Three deciders answer every membership query: the NBW cycle oracle, the
-macrostate DRW, and the Safra DRW.  The NBW settles a check's lassos once
-per period, as the mask of states from which some run accepts it, met by
-the start mask after each prefix.  A DRW's verdict depends only on the
-state after the prefix and the period, and all the period starts of one
-walk share it: each DRW walks a period on from a state only if no earlier
-walk on that period passed through it.  Any disagreement is a genuine
-counterexample, replayable from the seed.  Bounded agreement is evidence,
-not proof; every report records the bounds it used.
+macrostate DRW, and the Safra DRW.  A check's lassos form a grid of
+distinct prefixes by distinct periods, and each decider returns one
+verdict row per prefix, bit j for period j; the check compares the rows
+whole and reads them per lasso only when they differ.  The NBW settles
+each period once, as the mask of states from which some run accepts it,
+met by the start mask after each prefix.  A DRW's verdict depends only on
+the state after the prefix and the period, and all the period starts of
+one walk share it: each DRW walks a period on from a state only if no
+earlier walk on that period passed through it.  Any disagreement is a
+genuine counterexample, replayable from the seed.  Bounded agreement is
+evidence, not proof; every report records the bounds it used.
 
 The invariant sweep rebuilds each word's macrostate from the run-DAG side
 and compares it with the payload of the state the word reaches in the
@@ -244,20 +247,40 @@ class CheckReport:
         self.max_safra_states = max(self.max_safra_states, other.max_safra_states)
 
 
-def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
-                    drw_profile=None) -> CheckReport:
+def _lasso_axes(lassos: list[Lasso]):
+    """The distinct prefixes and the distinct periods of `lassos`, each in
+    first-seen order: the axes of the verdict rows."""
+    return (list(dict.fromkeys([w.prefix for w in lassos])),
+            list(dict.fromkeys([w.period for w in lassos])))
+
+
+def _per_lasso(row_lists, lassos: list[Lasso], prefixes, periods) -> list[tuple]:
+    """Per lasso, its verdict in each of `row_lists`, each a list of verdict
+    rows over `prefixes` and `periods`."""
+    row = {u: i for i, u in enumerate(prefixes)}
+    col = {v: j for j, v in enumerate(periods)}
+    return [tuple(bool(rows[row[w.prefix]] >> col[w.period] & 1) for rows in row_lists)
+            for w in lassos]
+
+
+def check_automaton(a: NBW, lassos: list[Lasso], drw_profile: DRW,
+                    max_states: int = 10 ** 6) -> CheckReport:
     """Compare the NBW oracle with both determinizations on the given lassos.
 
-    Returns a one-automaton :class:`CheckReport`, with the two DRW sizes as
-    its state maxima, which :func:`cross_check` absorbs into its corpus
-    report.  A prebuilt profile DRW may be injected, which is also the
-    corruption hook used by the mutation tests.  Every explored construction
+    `drw_profile` is the profile DRW of `a`, built by the caller; injecting
+    another DRW is the corruption hook of the mutation tests.  The Safra
+    DRW is built here, within `max_states`.  Returns a one-automaton
+    :class:`CheckReport`, with the two DRW sizes as its state maxima, which
+    :func:`cross_check` absorbs into its corpus report.  Every construction
     state is validated.
+
+    The three deciders each return one verdict row per distinct prefix,
+    over the distinct periods, and the rows are compared whole; only when
+    they differ are the lassos walked, in order, for the records of those
+    whose three verdicts differ.
     """
     res = CheckReport(automata=1)
     try:
-        if drw_profile is None:
-            drw_profile = determinize_profile(a, max_states)
         drw_safra = determinize_safra(a, max_states)
     except StateLimitExceeded as err:
         res.violations.append(f"determinization aborted: {err}")
@@ -273,11 +296,12 @@ def check_automaton(a: NBW, lassos: list[Lasso], max_states: int = 10 ** 6,
             for msg in validate_safra_tree(a, t):
                 res.violations.append(f"safra tree {i}: {msg}")
     res.lassos = len(lassos)
-    nv = nbw_verdicts(a, lassos)
-    pv = drw_verdicts(drw_profile, lassos)
-    sv = drw_verdicts(drw_safra, lassos)
+    prefixes, periods = _lasso_axes(lassos)
+    nv = nbw_verdicts(a, prefixes, periods)
+    pv = drw_verdicts(drw_profile, prefixes, periods)
+    sv = drw_verdicts(drw_safra, prefixes, periods)
     if nv != pv or pv != sv:
-        for w, *row in zip(lassos, nv, pv, sv):
+        for w, row in zip(lassos, _per_lasso((nv, pv, sv), lassos, prefixes, periods)):
             if len(set(row)) != 1:
                 verdicts = dict(zip(("nbw", "profile", "safra"), row))
                 res.disagreements.append({"lasso": str(w), "verdicts": verdicts})
@@ -313,7 +337,7 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
                               violations=[f"determinization aborted: {err}"])
         else:
             swept = sweep_invariants(aut, sweep_depth, dp)
-            one = check_automaton(aut, lassos, max_states, drw_profile=dp)
+            one = check_automaton(aut, lassos, dp, max_states)
             one.violations = swept + one.violations
         one.violations = [f"seed={seed}: {msg}" for msg in one.violations]
         one.disagreements = [{"seed": seed, "automaton": format_nbw(aut), **rec}

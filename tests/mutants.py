@@ -7,8 +7,8 @@ parts of the cross-check that judges every change: the lasso verdicts of
 the NBW against the profile DRW and against the Safra DRW, the invariant
 sweep, and the per-state validators of both constructions.  Two more stand
 beside it: ``exact`` compares the profile and Safra DRWs' languages
-exactly, and ``reference`` checks the batch lasso verdicts against the
-single-lasso deciders run one lasso at a time.
+exactly, and ``reference`` checks the verdict rows of the lasso check,
+read per lasso, against the single-lasso deciders run one lasso at a time.
 
     PYTHONPATH=src python tests/mutants.py
 
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from buchidet import Lasso, drw_run_eval, harness, nbw_member, normalize
+from buchidet import drw_run_eval, harness, nbw_member, normalize
 from buchidet.harness import (GenSpec, check_automaton, enumerate_lassos,
                               gen_nbw, sweep_invariants)
 from oracles import drw_equivalent
@@ -112,28 +112,28 @@ def _keyed_on_first_argument(cache):
     return mutant
 
 
-def _prefix_by_first_symbol(verdicts):
-    """The shared lasso loop extending each known prefix by its first symbol
-    instead of its last.  Over a shortest-first lasso list that reads every
-    prefix as its first symbol repeated, for all three deciders alike."""
-    def mutant(ids, start, step, decider, lassos):
-        return verdicts(ids, start, step, decider,
-                        [Lasso(w.prefix[:1] * len(w.prefix), w.period)
-                         for w in lassos])
+def _prefix_by_first_symbol(starts):
+    """The shared prefix runner extending each known prefix by its first
+    symbol instead of its last.  It reads every prefix as its first symbol
+    repeated, for all three deciders alike."""
+    def mutant(ids, start, step, prefixes):
+        return starts(ids, start, step, [u[:1] * len(u) for u in prefixes])
     return mutant
 
 
 def _dead_start_accepted(verdicts):
-    """NBW verdicts that accept every lasso whose prefix kills all runs."""
+    """NBW verdict rows that accept every period after a prefix that kills
+    all runs."""
     def alive(a, prefix):
         qs = set(a.initial)
         for symbol in prefix:
             qs = {q2 for q in qs for q2 in a.succ[q][a.sym_id(symbol)]}
         return bool(qs)
 
-    def mutant(a, lassos):
-        return [v or not alive(a, w.prefix)
-                for v, w in zip(verdicts(a, lassos), lassos)]
+    def mutant(a, prefixes, periods):
+        every = (1 << len(periods)) - 1
+        return [row if alive(a, u) else every
+                for row, u in zip(verdicts(a, prefixes, periods), prefixes)]
     return mutant
 
 
@@ -189,7 +189,7 @@ MUTANTS = [
     ("safra: never good", "safra._shape", _keep_good(lambda good: ())),
     ("profile: shape memo keyed without sym", "determinize.cache",
      _keyed_on_first_argument),
-    ("lassos: prefix extended by its first symbol", "automata._verdicts",
+    ("lassos: prefix extended by its first symbol", "automata._prefix_starts",
      _prefix_by_first_symbol),
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),
     ("nbw: every start wins once some state does", "automata._nbw_period",
@@ -225,11 +225,14 @@ def corpus():
 
 
 def _batch_differs(a, profile, safra, lassos) -> bool:
-    """Whether the batch verdicts that `check_automaton` compares differ on
-    some lasso from `nbw_member` and `drw_run_eval` on that lasso alone."""
-    batch = zip(harness.nbw_verdicts(a, lassos),
-                harness.drw_verdicts(profile, lassos),
-                harness.drw_verdicts(safra, lassos))
+    """Whether the verdict rows that `check_automaton` compares, read per
+    lasso, differ on some lasso from `nbw_member` and `drw_run_eval` on
+    that lasso alone."""
+    prefixes, periods = harness._lasso_axes(lassos)
+    rows = (harness.nbw_verdicts(a, prefixes, periods),
+            harness.drw_verdicts(profile, prefixes, periods),
+            harness.drw_verdicts(safra, prefixes, periods))
+    batch = harness._per_lasso(rows, lassos, prefixes, periods)
     return any(row != (nbw_member(a, w), drw_run_eval(profile, w),
                        drw_run_eval(safra, w))
                for w, row in zip(lassos, batch))
@@ -248,7 +251,7 @@ def flagged(a, lassos, checkers) -> set:
         if "reference" in checkers and _batch_differs(a, profile, safra, lassos):
             out.add("reference")
     if {"lassos_profile", "lassos_safra", "validators"} & set(checkers):
-        rep = check_automaton(a, lassos)
+        rep = check_automaton(a, lassos, harness.determinize_profile(a))
         if any(msg.startswith("determinization aborted") for msg in rep.violations):
             raise RuntimeError(rep.violations[0])
         for d in rep.disagreements:

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+import mutants
 from buchidet import (DRW, Lasso, RabinCondition, drw_run_eval, format_drw,
                       format_nbw, harness, nbw_member, normalize, parse_drw)
 from buchidet.determinize import determinize_profile
@@ -244,7 +246,8 @@ def test_sweep_rejects_a_drw_it_cannot_walk(two_state):
 
 
 def test_check_automaton_fig(two_state):
-    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4))
+    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
+                          determinize_profile(two_state))
     assert res.disagreements == []
     assert res.violations == []
     assert res.lassos == 450
@@ -263,16 +266,72 @@ def test_check_detects_corrupted_determinization(two_state):
     res = check_automaton(two_state, lassos, drw_profile=swapped)
     assert res.disagreements
     # exactly the records of a per-lasso loop, in order, keys in order
-    safra = determinize_safra(two_state)
-    want = []
-    for w in lassos:
-        verdicts = {"nbw": nbw_member(two_state, w),
-                    "profile": drw_run_eval(swapped, w),
-                    "safra": drw_run_eval(safra, w)}
-        if len(set(verdicts.values())) != 1:
-            want.append({"lasso": str(w), "verdicts": verdicts})
+    want = _per_lasso_records(two_state, lassos, swapped, determinize_safra(two_state))
     assert res.lassos == len(lassos)
     assert json.dumps(res.disagreements) == json.dumps(want)
+
+
+def _per_lasso_records(a, lassos, profile, safra) -> list[dict]:
+    """The disagreement records of a check that decides one lasso at a time."""
+    out = []
+    for w in lassos:
+        verdicts = {"nbw": nbw_member(a, w), "profile": drw_run_eval(profile, w),
+                    "safra": drw_run_eval(safra, w)}
+        if len(set(verdicts.values())) != 1:
+            out.append({"lasso": str(w), "verdicts": verdicts})
+    return out
+
+
+def _last_pair_dropped(d: DRW) -> DRW:
+    return replace(d, acceptance=d.acceptance[:-1])
+
+
+def test_faulty_checks_report_the_per_lasso_records():
+    """With a profile DRW whose Rabin pairs are swapped, or whose last pair
+    is dropped, injected on each catalogue automaton, the check over a
+    shuffled lasso list with duplicates reports exactly the records of a
+    per-lasso check, in lasso order."""
+    automata = mutants.corpus()
+    lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
+    rng = random.Random(27)
+    mixed = rng.sample(lassos, 120) + rng.sample(lassos, 40)
+    rng.shuffle(mixed)
+    records = 0
+    for a in automata:
+        profile, safra = determinize_profile(a), determinize_safra(a)
+        for faulty in _swapped_pairs(profile), _last_pair_dropped(profile):
+            want = _per_lasso_records(a, mixed, faulty, safra)
+            assert check_automaton(a, mixed, faulty).disagreements == want
+            records += len(want)
+    assert records > 0
+
+
+def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
+    """Over the mutant catalogue's 180 automata, the check calls the NBW
+    period core once per period (30 each) and the DRW period core at most
+    47,718 times: a return to per-lasso work, or a lost per-period memo,
+    shows up here without any timing."""
+    from buchidet import automata as automata_module
+
+    automata = mutants.corpus()
+    lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
+    calls = {"nbw": 0, "drw": 0}
+    nbw_period, drw_period = automata_module._nbw_period, automata_module._drw_period
+
+    def count_nbw(*args):
+        calls["nbw"] += 1
+        return nbw_period(*args)
+
+    def count_drw(*args):
+        calls["drw"] += 1
+        return drw_period(*args)
+
+    monkeypatch.setattr(automata_module, "_nbw_period", count_nbw)
+    monkeypatch.setattr(automata_module, "_drw_period", count_drw)
+    for a in automata:
+        assert check_automaton(a, lassos, determinize_profile(a)).passed
+    assert calls["nbw"] == 180 * 30 == 5400
+    assert calls["drw"] <= 47_718
 
 
 def test_check_reports_invalid_payloads(two_state, monkeypatch):

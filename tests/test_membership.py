@@ -16,6 +16,7 @@ from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safr
                       drw_run_eval, drw_verdicts, enumerate_lassos, gen_nbw,
                       nbw_member, nbw_verdicts, normalize)
 from buchidet.automata import _nbw_period
+from buchidet.harness import _lasso_axes, _per_lasso
 import mutants
 from oracles import brute_member
 
@@ -152,69 +153,83 @@ def test_drw_run_eval_matches_member(n):
                     drw_run_eval(d, Lasso.parse(text))
 
 
-# -- batch deciders ------------------------------------------------------------
+# -- row deciders ----------------------------------------------------------------
 
 BATCH_GRID = [GenSpec(n, k, 0.5, 0.3, 7000 + 10 * n + k)
               for n in range(1, 7) for k in range(1, 4)]
 BATCH_IDS = [f"n{s.n_states}k{s.alphabet_size}" for s in BATCH_GRID]
 
 
-def assert_batches_match(a: NBW, lassos: list[Lasso]):
-    """The batch deciders return exactly the per-lasso verdict lists, for the
-    NBW and for both of its determinizations."""
-    assert nbw_verdicts(a, lassos) == [nbw_member(a, w) for w in lassos]
-    for d in (determinize_profile(a), determinize_safra(a)):
-        assert drw_verdicts(d, lassos) == [drw_run_eval(d, w) for w in lassos]
+def assert_rows_match(a: NBW, lassos: list[Lasso]):
+    """The row deciders, read per lasso, give exactly the per-lasso
+    verdicts, for the NBW and for both of its determinizations; a prefix
+    listed twice gets its row twice."""
+    prefixes, periods = _lasso_axes(lassos)
+    deciders = [(nbw_verdicts, nbw_member, a)]
+    deciders += [(drw_verdicts, drw_run_eval, d)
+                 for d in (determinize_profile(a), determinize_safra(a))]
+    for rows_of, single, aut in deciders:
+        rows = rows_of(aut, prefixes, periods)
+        assert len(rows) == len(prefixes)
+        assert all(0 <= r < 1 << len(periods) for r in rows)
+        assert _per_lasso([rows], lassos, prefixes, periods) == \
+            [(single(aut, w),) for w in lassos]
+        assert rows_of(aut, prefixes + prefixes[::-1], periods) == rows + rows[::-1]
 
 
 @pytest.mark.parametrize("spec", BATCH_GRID, ids=BATCH_IDS)
 def test_batch_verdicts_match_per_lasso(spec):
     a = normalize(gen_nbw(spec))
     lassos = enumerate_lassos(a.alphabet, 3, 4 if spec.alphabet_size < 3 else 3)
-    assert_batches_match(a, lassos)
+    assert_rows_match(a, lassos)
     # shuffled, with duplicates: a prefix may come before its shorter ones
     rng = random.Random(spec.seed)
     mixed = lassos + rng.sample(lassos, len(lassos) // 3)
     rng.shuffle(mixed)
-    assert_batches_match(a, mixed)
+    assert_rows_match(a, mixed)
     # only the longest prefixes, so no one-shorter prefix was run first
-    assert_batches_match(a, [w for w in lassos if len(w.prefix) == 3])
+    assert_rows_match(a, [w for w in lassos if len(w.prefix) == 3])
 
 
-def _midway_hits(d, lassos) -> int:
-    """The walks that a per-period memo stops partway, taking the lassos in
-    order: a walk from a start that no earlier walk on the period passed
-    through at a period start, which meets such a start later."""
-    passed, hits = {}, 0
-    for w in lassos:
-        seen = passed.setdefault(w.period, set())
-        q = d.initial
-        for sym in w.prefix:
-            q = d.trans[q][d.sym_id(sym)]
-        walk = set()
-        while q not in seen and q not in walk:
-            walk.add(q)
-            for sym in w.period:
+def _midway_hits(d, prefixes, periods) -> int:
+    """The walks that a per-period memo stops partway, taking each period's
+    prefixes in order: a walk from a start that no earlier walk on the
+    period passed through at a period start, which meets such a start later."""
+    hits = 0
+    for v in periods:
+        seen = set()
+        for u in prefixes:
+            q = d.initial
+            for sym in u:
                 q = d.trans[q][d.sym_id(sym)]
-        hits += bool(walk) and q in seen
-        seen |= walk
+            walk = set()
+            while q not in seen and q not in walk:
+                walk.add(q)
+                for sym in v:
+                    q = d.trans[q][d.sym_id(sym)]
+            hits += bool(walk) and q in seen
+            seen |= walk
     return hits
 
 
-def test_batch_drw_verdicts_do_not_depend_on_lasso_order():
+def test_drw_rows_do_not_depend_on_prefix_or_period_order():
     """On the profile and Safra DRWs of the mutant catalogue's corpus, the
-    DRW batch decider gives each lasso its run's verdict with the lassos in
-    order and reversed; reversed, some walks stop at a start that an
-    earlier walk on their period passed through."""
+    DRW row decider gives each lasso its run's verdict with the prefixes
+    and periods in order and reversed; with the prefixes reversed, some
+    walks stop at a start that an earlier walk on their period passed
+    through."""
     automata = mutants.corpus()
     lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
+    prefixes, periods = _lasso_axes(lassos)
     midway = 0
     for a in automata:
         for d in (determinize_profile(a), determinize_safra(a)):
-            want = [drw_run_eval(d, w) for w in lassos]
-            assert drw_verdicts(d, lassos) == want
-            assert drw_verdicts(d, lassos[::-1])[::-1] == want
-            midway += _midway_hits(d, lassos[::-1])
+            run = {(u, v): drw_run_eval(d, Lasso(u, v)) for u in prefixes for v in periods}
+            for us in (prefixes, prefixes[::-1]):
+                for vs in (periods, periods[::-1]):
+                    assert drw_verdicts(d, us, vs) == \
+                        [sum(run[u, v] << j for j, v in enumerate(vs)) for u in us]
+            midway += _midway_hits(d, prefixes[::-1], periods)
     assert midway > 0
 
 
@@ -245,7 +260,7 @@ def test_period_mask_is_the_winning_states(spec):
 def test_batch_verdicts_after_a_prefix_that_kills_every_run(spec):
     """With the initial states' edges on the first symbol removed, every
     prefix starting with it leaves no run alive: the NBW start is the empty
-    mask, and every such lasso is rejected."""
+    mask, and the row of every such prefix is empty."""
     g = normalize(gen_nbw(spec))
     a = NBW(g.alphabet, g.states, g.initial, g.accepting,
             [e for e in g.edges if not (e[1] == 0 and e[0] in g.initial)])
@@ -253,25 +268,30 @@ def test_batch_verdicts_after_a_prefix_that_kills_every_run(spec):
     lassos = [w for w in enumerate_lassos(a.alphabet, 3, 3) if w.prefix[:1] == (first,)]
     random.Random(spec.seed).shuffle(lassos)
     assert not any(a.succ[q][0] for q in a.initial)
-    assert not any(nbw_verdicts(a, lassos))
-    assert_batches_match(a, lassos)
+    prefixes, periods = _lasso_axes(lassos)
+    assert not any(nbw_verdicts(a, prefixes, periods))
+    assert_rows_match(a, lassos)
 
 
 def test_batch_verdicts_unknown_symbol_and_empty_list():
-    """An unknown symbol anywhere raises the single-lasso error, also in a
-    prefix that extends one already run or follows a dead run."""
+    """An unknown symbol in any prefix or period raises the single-lasso
+    error, also in a prefix that extends one already run or follows a dead
+    run.  No prefixes give no rows."""
     a = NBW(ALPHABET, ["s0"], [0], [0], [(0, 0, 0)])
     d = determinize_profile(normalize(a))
-    assert nbw_verdicts(a, []) == [] and drw_verdicts(d, []) == []
+    for periods in ([], [("a",)]):
+        assert nbw_verdicts(a, [], periods) == [] and drw_verdicts(d, [], periods) == []
+    assert nbw_verdicts(a, [()], []) == [0] and drw_verdicts(d, [()], []) == [0]
     ok = [Lasso.parse(t) for t in (";a", "a;a", "b;a")]
     for text in ("z;a", "a.z;a", "b.z;a", ";z", "a;a.z", "b;b.z"):
         bad = Lasso.parse(text)
-        for batch, single, aut in ((nbw_verdicts, nbw_member, a),
-                                   (drw_verdicts, drw_run_eval, d)):
+        for rows_of, single, aut in ((nbw_verdicts, nbw_member, a),
+                                     (drw_verdicts, drw_run_eval, d)):
             with pytest.raises(ValueError) as want:
                 single(aut, bad)
             assert str(want.value) == "symbol 'z' not in alphabet"
             for lassos in ([bad], ok + [bad], [bad] + ok):
+                prefixes, periods = _lasso_axes(lassos)
                 with pytest.raises(ValueError) as got:
-                    batch(aut, lassos)
+                    rows_of(aut, prefixes, periods)
                 assert str(got.value) == str(want.value), text
