@@ -390,9 +390,6 @@ class DRW:
         object.__setattr__(self, "_sym_id", {s: i for i, s in enumerate(self.alphabet)})
         object.__setattr__(self, "_marks", None)
 
-    def sym_id(self, symbol: str) -> int:
-        return _sym_ids(self._sym_id, (symbol,))[0]
-
     def pair_marks(self) -> tuple[int, ...]:
         """Per state, a bitmask with bit j set if it is in B_j and bit
         k + j if it is in G_j, for k pairs.  Built on first use."""

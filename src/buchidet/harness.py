@@ -1,10 +1,11 @@
 """Randomized and exhaustive cross-validation of the two determinizers.
 
 Three deciders answer every membership query: the NBW cycle oracle, the
-macrostate DRW, and the Safra DRW.  A check's lassos form a grid of
-distinct prefixes by distinct periods, and each decider returns one
-verdict row per prefix, bit j for period j; the check compares the rows
-whole and reads them per lasso only when they differ.  The NBW settles
+macrostate DRW, and the Safra DRW.  A check's lassos form a grid, every
+prefix with every period, whose order `_grid` alone defines.  Each decider
+returns one verdict row per prefix, bit j for period j; the check compares
+the rows prefix by prefix and reads a prefix's bits period by period only
+when its rows differ.  The NBW settles
 each period once, as the mask of states from which some run accepts it,
 met by the start mask after each prefix.  A DRW's verdict depends only on
 the state after the prefix and the period, and all the period starts of
@@ -12,6 +13,8 @@ one walk share it: each DRW walks a period on from a state only if no
 earlier walk on that period passed through it.  Any disagreement is a
 genuine counterexample, replayable from the seed.  Bounded agreement is
 evidence, not proof; every report records the bounds it used.
+`check_automaton` only judges the DRWs it is given: `cross_check` builds
+them and turns a construction that hits its state cap into a violation.
 
 The invariant sweep rebuilds each word's macrostate from the run-DAG side
 and compares it with the payload of the state the word reaches in the
@@ -57,8 +60,8 @@ class GenSpec:
             raise ValueError("accepting_fraction must be in [0, 1]")
 
 
-def _alphabet(size: int) -> list[str]:
-    return [string.ascii_lowercase[i] if i < 26 else f"x{i}" for i in range(size)]
+def _alphabet(size: int) -> tuple[str, ...]:
+    return tuple(string.ascii_lowercase[i] if i < 26 else f"x{i}" for i in range(size))
 
 
 def gen_nbw(spec: GenSpec) -> NBW:
@@ -79,23 +82,32 @@ def gen_nbw(spec: GenSpec) -> NBW:
 
 
 def enumerate_lassos(alphabet, max_u: int, max_v: int) -> list[Lasso]:
-    """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first.
+    """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first:
+    each prefix of :func:`_grid`, in order, with each of its periods.
 
     Each call returns a fresh list of the same frozen lassos, built once
     per (alphabet, max_u, max_v).
     """
-    if max_u < 0:
-        raise ValueError("max_u must be at least 0")
-    if max_v < 1:
-        raise ValueError("max_v must be at least 1")
     return list(_lassos(tuple(alphabet), max_u, max_v))
 
 
 @lru_cache(maxsize=16)
 def _lassos(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[Lasso, ...]:
-    prefixes = [w for n in range(max_u + 1) for w in product(syms, repeat=n)]
-    periods = [w for n in range(1, max_v + 1) for w in product(syms, repeat=n)]
+    prefixes, periods = _grid(syms, max_u, max_v)
     return tuple(Lasso(u, v) for u in prefixes for v in periods)
+
+
+@lru_cache(maxsize=16)
+def _grid(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[tuple, tuple]:
+    """The prefixes with |u| <= max_u and the periods with 1 <= |v| <= max_v,
+    each shortest first, then in symbol order: the axes of every check's
+    verdict rows, and so the order of its records."""
+    if max_u < 0:
+        raise ValueError("max_u must be at least 0")
+    if max_v < 1:
+        raise ValueError("max_v must be at least 1")
+    return (tuple(w for n in range(max_u + 1) for w in product(syms, repeat=n)),
+            tuple(w for n in range(1, max_v + 1) for w in product(syms, repeat=n)))
 
 
 # -- invariant sweeps ----------------------------------------------------------
@@ -247,64 +259,42 @@ class CheckReport:
         self.max_safra_states = max(self.max_safra_states, other.max_safra_states)
 
 
-def _lasso_axes(lassos: list[Lasso]):
-    """The distinct prefixes and the distinct periods of `lassos`, each in
-    first-seen order: the axes of the verdict rows."""
-    return (list(dict.fromkeys([w.prefix for w in lassos])),
-            list(dict.fromkeys([w.period for w in lassos])))
+def check_automaton(a: NBW, prefixes, periods, drw_profile: DRW,
+                    drw_safra: DRW) -> CheckReport:
+    """Compare the NBW oracle with both determinizations of `a` on every
+    lasso ``u . v^w`` with `u` in `prefixes` and `v` in `periods`.
 
-
-def _per_lasso(row_lists, lassos: list[Lasso], prefixes, periods) -> list[tuple]:
-    """Per lasso, its verdict in each of `row_lists`, each a list of verdict
-    rows over `prefixes` and `periods`."""
-    row = {u: i for i, u in enumerate(prefixes)}
-    col = {v: j for j, v in enumerate(periods)}
-    return [tuple(bool(rows[row[w.prefix]] >> col[w.period] & 1) for rows in row_lists)
-            for w in lassos]
-
-
-def check_automaton(a: NBW, lassos: list[Lasso], drw_profile: DRW,
-                    max_states: int = 10 ** 6) -> CheckReport:
-    """Compare the NBW oracle with both determinizations on the given lassos.
-
-    `drw_profile` is the profile DRW of `a`, built by the caller; injecting
-    another DRW is the corruption hook of the mutation tests.  The Safra
-    DRW is built here, within `max_states`.  Returns a one-automaton
+    Both DRWs are built by the caller; injecting another is the corruption
+    hook of the mutation tests.  Returns a one-automaton
     :class:`CheckReport`, with the two DRW sizes as its state maxima, which
     :func:`cross_check` absorbs into its corpus report.  Every construction
     state is validated.
 
-    The three deciders each return one verdict row per distinct prefix,
-    over the distinct periods, and the rows are compared whole; only when
-    they differ are the lassos walked, in order, for the records of those
-    whose three verdicts differ.
+    The three deciders each return one verdict row per prefix, bit j for
+    period j, and the rows are compared prefix by prefix; only a prefix
+    whose rows differ is read period by period, for the records, in grid
+    order, of the lassos whose three verdicts differ.
     """
-    res = CheckReport(automata=1)
-    try:
-        drw_safra = determinize_safra(a, max_states)
-    except StateLimitExceeded as err:
-        res.violations.append(f"determinization aborted: {err}")
-        return res
-    res.max_profile_states = len(drw_profile.states)
-    res.max_safra_states = len(drw_safra.states)
-    if drw_profile.payloads:
-        for i, m in enumerate(drw_profile.payloads):
-            for msg in validate_macrostate(a, m):
-                res.violations.append(f"macrostate {i}: {msg}")
-    if drw_safra.payloads:
-        for i, t in enumerate(drw_safra.payloads):
-            for msg in validate_safra_tree(a, t):
-                res.violations.append(f"safra tree {i}: {msg}")
-    res.lassos = len(lassos)
-    prefixes, periods = _lasso_axes(lassos)
-    nv = nbw_verdicts(a, prefixes, periods)
-    pv = drw_verdicts(drw_profile, prefixes, periods)
-    sv = drw_verdicts(drw_safra, prefixes, periods)
-    if nv != pv or pv != sv:
-        for w, row in zip(lassos, _per_lasso((nv, pv, sv), lassos, prefixes, periods)):
-            if len(set(row)) != 1:
-                verdicts = dict(zip(("nbw", "profile", "safra"), row))
-                res.disagreements.append({"lasso": str(w), "verdicts": verdicts})
+    res = CheckReport(automata=1, lassos=len(prefixes) * len(periods),
+                      max_profile_states=len(drw_profile.states),
+                      max_safra_states=len(drw_safra.states))
+    for i, m in enumerate(drw_profile.payloads):
+        for msg in validate_macrostate(a, m):
+            res.violations.append(f"macrostate {i}: {msg}")
+    for i, t in enumerate(drw_safra.payloads):
+        for msg in validate_safra_tree(a, t):
+            res.violations.append(f"safra tree {i}: {msg}")
+    rows = zip(nbw_verdicts(a, prefixes, periods),
+               drw_verdicts(drw_profile, prefixes, periods),
+               drw_verdicts(drw_safra, prefixes, periods))
+    for u, row in zip(prefixes, rows):
+        if len(set(row)) == 1:
+            continue
+        for j, v in enumerate(periods):
+            bits = [bool(r >> j & 1) for r in row]
+            if len(set(bits)) != 1:
+                verdicts = dict(zip(("nbw", "profile", "safra"), bits))
+                res.disagreements.append({"lasso": str(Lasso(u, v)), "verdicts": verdicts})
     return res
 
 
@@ -313,10 +303,12 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
     """Generate `count` automata from consecutive seeds and check them all.
 
     Per automaton: the profile DRW, built once; the invariant sweep along
-    its transitions; then :func:`check_automaton` on the same DRW.  Their
-    findings are tagged with the seed and absorbed into the report.  A
-    profile construction that hits `max_states` leaves one violation and
-    no sweep.  Failures become report content, never exceptions.
+    its transitions; the Safra DRW; then :func:`check_automaton` on both
+    DRWs over the lasso grid of `max_u` and `max_v`.  Their findings are
+    tagged with the seed and absorbed into the report.  A construction that
+    hits `max_states` ends the automaton's check with one violation, after
+    the sweep's findings when the profile DRW was built.  Failures become
+    report content, never exceptions.
     """
     report = CheckReport(bounds={
         "n_states": spec.n_states, "alphabet_size": spec.alphabet_size,
@@ -327,19 +319,20 @@ def cross_check(spec: GenSpec, max_u: int, max_v: int, count: int,
     })
     if count < 1:
         raise ValueError("count must be at least 1")
-    lassos = enumerate_lassos(_alphabet(spec.alphabet_size), max_u, max_v)
+    prefixes, periods = _grid(_alphabet(spec.alphabet_size), max_u, max_v)
     for seed in range(spec.seed, spec.seed + count):
         aut = normalize(gen_nbw(replace(spec, seed=seed)))
+        swept = []
         try:
             dp = determinize_profile(aut, max_states)
+            swept = sweep_invariants(aut, sweep_depth, dp)
+            ds = determinize_safra(aut, max_states)
         except StateLimitExceeded as err:
             one = CheckReport(automata=1,
                               violations=[f"determinization aborted: {err}"])
         else:
-            swept = sweep_invariants(aut, sweep_depth, dp)
-            one = check_automaton(aut, lassos, dp, max_states)
-            one.violations = swept + one.violations
-        one.violations = [f"seed={seed}: {msg}" for msg in one.violations]
+            one = check_automaton(aut, prefixes, periods, dp, ds)
+        one.violations = [f"seed={seed}: {msg}" for msg in swept + one.violations]
         one.disagreements = [{"seed": seed, "automaton": format_nbw(aut), **rec}
                              for rec in one.disagreements]
         report.absorb(one)

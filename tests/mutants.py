@@ -25,10 +25,9 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from buchidet import drw_run_eval, harness, nbw_member, normalize
-from buchidet.harness import (GenSpec, check_automaton, enumerate_lassos,
-                              gen_nbw, sweep_invariants)
-from oracles import drw_equivalent
+from buchidet import Lasso, drw_run_eval, harness, nbw_member, normalize
+from buchidet.harness import GenSpec, check_automaton, gen_nbw, sweep_invariants
+from oracles import drw_equivalent, per_lasso
 
 RECORD = Path(__file__).resolve().parents[1] / "MUTANTS.json"
 CHECKERS = ("lassos_profile", "lassos_safra", "sweep", "validators", "exact",
@@ -224,54 +223,54 @@ def corpus():
     return [normalize(gen_nbw(spec)) for spec in SPECS]
 
 
-def _batch_differs(a, profile, safra, lassos) -> bool:
+def _batch_differs(a, profile, safra, prefixes, periods) -> bool:
     """Whether the verdict rows that `check_automaton` compares, read per
-    lasso, differ on some lasso from `nbw_member` and `drw_run_eval` on
-    that lasso alone."""
-    prefixes, periods = harness._lasso_axes(lassos)
+    lasso, differ on some lasso of the grid from `nbw_member` and
+    `drw_run_eval` on that lasso alone."""
     rows = (harness.nbw_verdicts(a, prefixes, periods),
             harness.drw_verdicts(profile, prefixes, periods),
             harness.drw_verdicts(safra, prefixes, periods))
-    batch = harness._per_lasso(rows, lassos, prefixes, periods)
+    lassos = [Lasso(u, v) for u in prefixes for v in periods]
+    batch = per_lasso(rows, lassos, prefixes, periods)
     return any(row != (nbw_member(a, w), drw_run_eval(profile, w),
                        drw_run_eval(safra, w))
                for w, row in zip(lassos, batch))
 
 
-def flagged(a, lassos, checkers) -> set:
-    """The checkers among `checkers` that find fault with `a`."""
+def flagged(a, grid, checkers) -> set:
+    """The checkers among `checkers` that find fault with `a`, judging the
+    lassos of `grid`, a (prefixes, periods) pair."""
     out = set()
     if "sweep" in checkers and sweep_invariants(a, DEPTH):
         out.add("sweep")
-    if {"exact", "reference"} & set(checkers):
+    if set(checkers) - {"sweep"}:
         profile = harness.determinize_profile(a)
         safra = harness.determinize_safra(a)
         if "exact" in checkers and not drw_equivalent(profile, safra):
             out.add("exact")
-        if "reference" in checkers and _batch_differs(a, profile, safra, lassos):
+        if "reference" in checkers and _batch_differs(a, profile, safra, *grid):
             out.add("reference")
-    if {"lassos_profile", "lassos_safra", "validators"} & set(checkers):
-        rep = check_automaton(a, lassos, harness.determinize_profile(a))
-        if any(msg.startswith("determinization aborted") for msg in rep.violations):
-            raise RuntimeError(rep.violations[0])
-        for d in rep.disagreements:
-            v = d["verdicts"]
-            if v["nbw"] != v["profile"]:
-                out.add("lassos_profile")
-            if v["nbw"] != v["safra"]:
-                out.add("lassos_safra")
-        if rep.violations:
-            out.add("validators")
+        if {"lassos_profile", "lassos_safra", "validators"} & set(checkers):
+            rep = check_automaton(a, *grid, profile, safra)
+            for d in rep.disagreements:
+                v = d["verdicts"]
+                if v["nbw"] != v["profile"]:
+                    out.add("lassos_profile")
+                if v["nbw"] != v["safra"]:
+                    out.add("lassos_safra")
+            if rep.violations:
+                out.add("validators")
     return out & set(checkers)
 
 
-def kill_counts(automata, lassos, checkers=CHECKERS) -> dict:
+def kill_counts(automata, grid, checkers=CHECKERS) -> dict:
     """Per checker, the number of automata it flags; ``errors`` counts the
-    automata on which the checks raised."""
+    automata on which the checks raised, a construction past its state cap
+    included."""
     counts = dict.fromkeys(checkers, 0) | {"errors": 0}
     for i, a in enumerate(automata):
         try:
-            for c in flagged(a, lassos, checkers):
+            for c in flagged(a, grid, checkers):
                 counts[c] += 1
         except Exception as err:  # a mutant may break anything
             counts["errors"] += 1
@@ -279,7 +278,7 @@ def kill_counts(automata, lassos, checkers=CHECKERS) -> dict:
     return counts
 
 
-def first_kills(automata, lassos, checkers) -> set:
+def first_kills(automata, grid, checkers) -> set:
     """The checkers among `checkers` that flag some automaton, each looked
     for only until its first flagged automaton."""
     pending, found = set(checkers), set()
@@ -287,7 +286,7 @@ def first_kills(automata, lassos, checkers) -> set:
         if not pending:
             break
         try:
-            hit = flagged(a, lassos, pending)
+            hit = flagged(a, grid, pending)
         except Exception:  # an error is no kill; kill_counts tallies it
             continue
         found |= hit
@@ -297,16 +296,16 @@ def first_kills(automata, lassos, checkers) -> set:
 
 def record() -> dict:
     automata = corpus()
-    lassos = enumerate_lassos(automata[0].alphabet, MAX_U, MAX_V)
+    grid = harness._grid(automata[0].alphabet, MAX_U, MAX_V)
     out = {"corpus": {"automata": "GenSpec(n, 2, 0.5, 0.3, 20_260_000 + 1000n + i)"
                                   " for n = 2..4, i < 60",
                       "count": len(automata), "max_u": MAX_U, "max_v": MAX_V,
                       "sweep_depth": DEPTH},
-           "unmutated": kill_counts(automata, lassos),
+           "unmutated": kill_counts(automata, grid),
            "mutants": []}
     for mutant in MUTANTS:
         with active(mutant):
-            counts = kill_counts(automata, lassos)
+            counts = kill_counts(automata, grid)
         out["mutants"].append({"name": mutant[0], "target": mutant[1],
                                "flagged": counts})
         print(f"{mutant[0]}: {counts}", file=sys.stderr)

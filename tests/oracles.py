@@ -1,6 +1,7 @@
 """Brute-force reference implementations used only to check the real ones,
-explicit walks over stored run-DAG levels, an exact DRW language
-comparison, and a helper that builds test automata from names."""
+explicit walks over stored run-DAG levels, per-lasso readers of verdict
+rows, an exact DRW language comparison, and a helper that builds test
+automata from names."""
 
 import itertools
 from typing import Sequence
@@ -108,6 +109,22 @@ def all_lassos(alphabet, max_u, max_v):
             for lv in range(1, max_v + 1):
                 for v in itertools.product(syms, repeat=lv):
                     yield Lasso(u, v)
+
+
+def lasso_axes(lassos: list[Lasso]):
+    """The distinct prefixes and the distinct periods of `lassos`, each in
+    first-seen order: the axes of the verdict rows."""
+    return (list(dict.fromkeys([w.prefix for w in lassos])),
+            list(dict.fromkeys([w.period for w in lassos])))
+
+
+def per_lasso(row_lists, lassos: list[Lasso], prefixes, periods) -> list[tuple]:
+    """Per lasso, its verdict in each of `row_lists`, each a list of verdict
+    rows over `prefixes` and `periods`."""
+    row = {u: i for i, u in enumerate(prefixes)}
+    col = {v: j for j, v in enumerate(periods)}
+    return [tuple(bool(rows[row[w.prefix]] >> col[w.period] & 1) for rows in row_lists)
+            for w in lassos]
 
 
 def profile_strings(levels: Sequence[ProfileLevel]) -> list[tuple[str, ...]]:

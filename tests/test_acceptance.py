@@ -76,7 +76,7 @@ def test_determinized_run_golden_trace(two_state):
     state = drw.initial
     via_drw = [drw.payloads[state]]
     for symbol in "abb":
-        state = drw.trans[state][drw.sym_id(symbol)]
+        state = drw.trans[state][drw.alphabet.index(symbol)]
         via_drw.append(drw.payloads[state])
     elapsed = time.perf_counter() - start
     _verdict("determinized-run-golden-trace",

@@ -119,7 +119,7 @@ def test_determinize_profile_contains_reference_trace(two_state):
     state = drw.initial
     seen = [drw.payloads[state]]
     for symbol in "abb":
-        state = drw.trans[state][drw.sym_id(symbol)]
+        state = drw.trans[state][drw.alphabet.index(symbol)]
         seen.append(drw.payloads[state])
     assert seen == walk(two_state, "abb")
 
@@ -501,3 +501,31 @@ def test_package_has_no_unused_imports_or_private_helpers():
                            if where != (name, i)):
                     found.append(f"{name}:{stmt.lineno}: unused {stmt.name}")
     assert privates > 0 and found == []
+
+
+def test_every_public_package_name_has_a_caller_outside_the_tests():
+    """Every public module-level function or class of the package is read
+    or imported by another top-level statement of a package module, or by a
+    file under `bench/`.  The re-exports of `__init__.py` and the tests do
+    not count as callers."""
+    root = Path(__file__).parents[1]
+    bodies = {p.name: _parse(p.stem).body
+              for p in sorted((root / "src" / "buchidet").glob("*.py"))
+              if p.name != "__init__.py"}
+    uses = {(name, i): _reads(stmt) | {imported for *_, imported in _imports(stmt)}
+            for name, body in bodies.items() for i, stmt in enumerate(body)}
+    bench = set()
+    for path in sorted((root / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bench |= _reads(tree) | {imported for *_, imported in _imports(tree)}
+    found, public = [], 0
+    for name, body in bodies.items():
+        for i, stmt in enumerate(body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    not stmt.name.startswith("_"):
+                public += 1
+                if stmt.name not in bench and \
+                        not any(stmt.name in names for where, names in uses.items()
+                                if where != (name, i)):
+                    found.append(f"{name}:{stmt.lineno}: uncalled {stmt.name}")
+    assert public > 0 and found == []

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 from dataclasses import replace
 from itertools import product
 
@@ -224,10 +223,10 @@ def test_sweep_flags_every_word_that_ends_on_a_redirected_edge(two_state):
         for word in product(two_state.alphabet, repeat=n):
             state, took = d.initial, False
             for symbol in word:
-                took = (state, d.sym_id(symbol)) == (q, sym)
+                took = (state, d.alphabet.index(symbol)) == (q, sym)
                 if took:
                     through.add(".".join(word))
-                state = d.trans[state][d.sym_id(symbol)]
+                state = d.trans[state][d.alphabet.index(symbol)]
             if took:
                 ending.add(".".join(word))
     assert min(ending, key=lambda w: (len(w), w)) == "a.b.a"
@@ -246,8 +245,8 @@ def test_sweep_rejects_a_drw_it_cannot_walk(two_state):
 
 
 def test_check_automaton_fig(two_state):
-    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
-                          determinize_profile(two_state))
+    res = check_automaton(two_state, *harness._grid(two_state.alphabet, 3, 4),
+                          determinize_profile(two_state), determinize_safra(two_state))
     assert res.disagreements == []
     assert res.violations == []
     assert res.lassos == 450
@@ -262,11 +261,12 @@ def test_check_detects_corrupted_determinization(two_state):
     swapped = DRW(drw.alphabet, drw.states, drw.initial, drw.trans,
                   RabinCondition(tuple((b, g) for g, b in drw.acceptance)),
                   drw.payloads)
-    lassos = enumerate_lassos(two_state.alphabet, 3, 4)
-    res = check_automaton(two_state, lassos, drw_profile=swapped)
+    lassos, safra = enumerate_lassos(two_state.alphabet, 3, 4), determinize_safra(two_state)
+    res = check_automaton(two_state, *harness._grid(two_state.alphabet, 3, 4),
+                          drw_profile=swapped, drw_safra=safra)
     assert res.disagreements
     # exactly the records of a per-lasso loop, in order, keys in order
-    want = _per_lasso_records(two_state, lassos, swapped, determinize_safra(two_state))
+    want = _per_lasso_records(two_state, lassos, swapped, safra)
     assert res.lassos == len(lassos)
     assert json.dumps(res.disagreements) == json.dumps(want)
 
@@ -288,20 +288,18 @@ def _last_pair_dropped(d: DRW) -> DRW:
 
 def test_faulty_checks_report_the_per_lasso_records():
     """With a profile DRW whose Rabin pairs are swapped, or whose last pair
-    is dropped, injected on each catalogue automaton, the check over a
-    shuffled lasso list with duplicates reports exactly the records of a
-    per-lasso check, in lasso order."""
+    is dropped, injected on each catalogue automaton, the check over the
+    lasso grid reports exactly the records of a per-lasso check over
+    `enumerate_lassos`, in its order."""
     automata = mutants.corpus()
+    grid = harness._grid(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
     lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
-    rng = random.Random(27)
-    mixed = rng.sample(lassos, 120) + rng.sample(lassos, 40)
-    rng.shuffle(mixed)
     records = 0
     for a in automata:
         profile, safra = determinize_profile(a), determinize_safra(a)
         for faulty in _swapped_pairs(profile), _last_pair_dropped(profile):
-            want = _per_lasso_records(a, mixed, faulty, safra)
-            assert check_automaton(a, mixed, faulty).disagreements == want
+            want = _per_lasso_records(a, lassos, faulty, safra)
+            assert check_automaton(a, *grid, faulty, safra).disagreements == want
             records += len(want)
     assert records > 0
 
@@ -314,7 +312,7 @@ def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
     from buchidet import automata as automata_module
 
     automata = mutants.corpus()
-    lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
+    grid = harness._grid(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
     calls = {"nbw": 0, "drw": 0}
     nbw_period, drw_period = automata_module._nbw_period, automata_module._drw_period
 
@@ -329,12 +327,12 @@ def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
     monkeypatch.setattr(automata_module, "_nbw_period", count_nbw)
     monkeypatch.setattr(automata_module, "_drw_period", count_drw)
     for a in automata:
-        assert check_automaton(a, lassos, determinize_profile(a)).passed
+        assert check_automaton(a, *grid, determinize_profile(a), determinize_safra(a)).passed
     assert calls["nbw"] == 180 * 30 == 5400
     assert calls["drw"] <= 47_718
 
 
-def test_check_reports_invalid_payloads(two_state, monkeypatch):
+def test_check_reports_invalid_payloads(two_state):
     """Negative control for the per-state validation: an invalid payload in
     either DRW is a violation naming its state, and leaves every verdict as
     it was."""
@@ -342,10 +340,9 @@ def test_check_reports_invalid_payloads(two_state, monkeypatch):
     macrostates, trees = list(profile.payloads), list(safra.payloads)
     macrostates[1] = replace(macrostates[1], good=macrostates[1].good | {9})
     trees[1] = replace(trees[1], good=((5,),))
-    monkeypatch.setattr(harness, "determinize_safra",
-                        lambda a, cap: replace(safra, payloads=tuple(trees)))
-    res = check_automaton(two_state, enumerate_lassos(two_state.alphabet, 3, 4),
-                          drw_profile=replace(profile, payloads=tuple(macrostates)))
+    res = check_automaton(two_state, *harness._grid(two_state.alphabet, 3, 4),
+                          drw_profile=replace(profile, payloads=tuple(macrostates)),
+                          drw_safra=replace(safra, payloads=tuple(trees)))
     assert res.violations == ["macrostate 1: event label 9 outside the pool",
                               "safra tree 1: good path (5,) is not a node"]
     assert res.disagreements == []
@@ -367,12 +364,12 @@ def test_check_report_bytes_pinned():
     spec = GenSpec(4, 2, 0.5, 0.3, 4242)
     assert _digest(cross_check(spec, 3, 4, 50)) == \
         "b0aa9be6df0148aa5b91770fa01f5b3c6a5862521e35e9bed605b2be986b5fd8"
-    lassos = enumerate_lassos(["a", "b"], 3, 4)
+    grid = harness._grid(("a", "b"), 3, 4)
     corrupted = CheckReport()
     for seed in range(4242, 4252):
         a = normalize(gen_nbw(replace(spec, seed=seed)))
-        corrupted.absorb(check_automaton(a, lassos,
-                                         drw_profile=_swapped_pairs(determinize_profile(a))))
+        corrupted.absorb(check_automaton(a, *grid, _swapped_pairs(determinize_profile(a)),
+                                         determinize_safra(a)))
     assert len(corrupted.disagreements) == 1578
     assert _digest(corrupted) == \
         "9636058a70f2e3cf4457bc3e0bddd6576a4e2a0b590f5a17648d30399445fec1"
@@ -402,13 +399,13 @@ def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch)
 
     monkeypatch.setattr(automata, "_nbw_period", count_nbw)
     monkeypatch.setattr(automata, "_drw_period", count_drw)
-    res = check_automaton(a, lassos, drw_profile=profile)
+    res = check_automaton(a, *harness._grid(a.alphabet, 3, 4), profile, safra)
     assert res.passed and res.lassos == 450
 
     def run(d, word, q=None):
         q = d.initial if q is None else q
         for sym in word:
-            q = d.trans[q][d.sym_id(sym)]
+            q = d.trans[q][d.alphabet.index(sym)]
         return q
 
     def walks(d):
@@ -538,6 +535,9 @@ def test_cross_check_reports_the_sweep_before_a_safra_abort(monkeypatch):
     assert last == ("seed=4242: determinization aborted: exploration exceeded "
                     "the cap of 50 states")
     assert not report.passed
+    # the aborted check judged no lasso and recorded no DRW size
+    assert report.lassos == 0
+    assert report.max_profile_states == report.max_safra_states == 0
 
 
 def test_report_absorb():

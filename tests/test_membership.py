@@ -16,9 +16,8 @@ from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safr
                       drw_run_eval, drw_verdicts, enumerate_lassos, gen_nbw,
                       nbw_member, nbw_verdicts, normalize)
 from buchidet.automata import _nbw_period
-from buchidet.harness import _lasso_axes, _per_lasso
 import mutants
-from oracles import brute_member
+from oracles import brute_member, lasso_axes, per_lasso
 
 SIZES = (1, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17)
 ALPHABET = ("a", "b")
@@ -164,7 +163,7 @@ def assert_rows_match(a: NBW, lassos: list[Lasso]):
     """The row deciders, read per lasso, give exactly the per-lasso
     verdicts, for the NBW and for both of its determinizations; a prefix
     listed twice gets its row twice."""
-    prefixes, periods = _lasso_axes(lassos)
+    prefixes, periods = lasso_axes(lassos)
     deciders = [(nbw_verdicts, nbw_member, a)]
     deciders += [(drw_verdicts, drw_run_eval, d)
                  for d in (determinize_profile(a), determinize_safra(a))]
@@ -172,7 +171,7 @@ def assert_rows_match(a: NBW, lassos: list[Lasso]):
         rows = rows_of(aut, prefixes, periods)
         assert len(rows) == len(prefixes)
         assert all(0 <= r < 1 << len(periods) for r in rows)
-        assert _per_lasso([rows], lassos, prefixes, periods) == \
+        assert per_lasso([rows], lassos, prefixes, periods) == \
             [(single(aut, w),) for w in lassos]
         assert rows_of(aut, prefixes + prefixes[::-1], periods) == rows + rows[::-1]
 
@@ -201,12 +200,12 @@ def _midway_hits(d, prefixes, periods) -> int:
         for u in prefixes:
             q = d.initial
             for sym in u:
-                q = d.trans[q][d.sym_id(sym)]
+                q = d.trans[q][d.alphabet.index(sym)]
             walk = set()
             while q not in seen and q not in walk:
                 walk.add(q)
                 for sym in v:
-                    q = d.trans[q][d.sym_id(sym)]
+                    q = d.trans[q][d.alphabet.index(sym)]
             hits += bool(walk) and q in seen
             seen |= walk
     return hits
@@ -220,7 +219,7 @@ def test_drw_rows_do_not_depend_on_prefix_or_period_order():
     through."""
     automata = mutants.corpus()
     lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
-    prefixes, periods = _lasso_axes(lassos)
+    prefixes, periods = lasso_axes(lassos)
     midway = 0
     for a in automata:
         for d in (determinize_profile(a), determinize_safra(a)):
@@ -268,7 +267,7 @@ def test_batch_verdicts_after_a_prefix_that_kills_every_run(spec):
     lassos = [w for w in enumerate_lassos(a.alphabet, 3, 3) if w.prefix[:1] == (first,)]
     random.Random(spec.seed).shuffle(lassos)
     assert not any(a.succ[q][0] for q in a.initial)
-    prefixes, periods = _lasso_axes(lassos)
+    prefixes, periods = lasso_axes(lassos)
     assert not any(nbw_verdicts(a, prefixes, periods))
     assert_rows_match(a, lassos)
 
@@ -291,7 +290,7 @@ def test_batch_verdicts_unknown_symbol_and_empty_list():
                 single(aut, bad)
             assert str(want.value) == "symbol 'z' not in alphabet"
             for lassos in ([bad], ok + [bad], [bad] + ok):
-                prefixes, periods = _lasso_axes(lassos)
+                prefixes, periods = lasso_axes(lassos)
                 with pytest.raises(ValueError) as got:
                     rows_of(aut, prefixes, periods)
                 assert str(got.value) == str(want.value), text

@@ -8,7 +8,7 @@ import pytest
 
 import mutants
 from buchidet import harness
-from buchidet.harness import enumerate_lassos, sweep_invariants
+from buchidet.harness import sweep_invariants
 
 RECORD = json.loads(mutants.RECORD.read_text(encoding="utf-8"))
 
@@ -16,8 +16,8 @@ RECORD = json.loads(mutants.RECORD.read_text(encoding="utf-8"))
 @pytest.fixture(scope="module")
 def corpus():
     automata = mutants.corpus()
-    return automata, enumerate_lassos(automata[0].alphabet, mutants.MAX_U,
-                                      mutants.MAX_V)
+    return automata, harness._grid(automata[0].alphabet, mutants.MAX_U,
+                                   mutants.MAX_V)
 
 
 def test_record_matches_the_catalogue():
