@@ -20,6 +20,11 @@ mask), where sid numbers the distinct (classes, cousin) pairs of one call,
 computes each shape once per (sid, symbol), builds each `Macrostate` once
 after exploration, and hands them to `explore.rabin_drw`, the pair rule
 shared with Safra.
+
+`validate_macrostate` splits the same way.  The faults of the classes and
+of the cousin order depend on the preorder pair alone, so a caller that
+keeps one `seen` dict across a DRW's payloads checks each distinct pair
+once; the labels and events are checked per payload.
 """
 
 from dataclasses import dataclass
@@ -186,9 +191,44 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     return rabin_drw(a.alphabet, "m", table, states)
 
 
-def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:
-    """Structural invariants of a macrostate; violations come back as messages."""
-    out = state_set_faults(a, m.classes, lambda j: f"class {j}")
+def _preorder_faults(a: NBW, classes, cousin) -> tuple[list[str], list[str]]:
+    """The faults of a preorder pair: those of its classes, and those of its
+    cousin order (range, class order, reflexivity, transitivity)."""
+    out = []
+    k = len(classes)
+    for x, y in cousin:
+        if not (0 <= x < k and 0 <= y < k):
+            out.append(f"cousin pair ({x},{y}) out of range")
+        elif x > y:
+            out.append(f"cousin pair ({x},{y}) contradicts the class order")
+    for x in range(k):
+        if (x, x) not in cousin:
+            out.append(f"cousin relation misses reflexive pair ({x},{x})")
+    rows: dict[int, set] = {}
+    for x, y in cousin:
+        rows.setdefault(x, set()).add(y)
+    for x, y in cousin:
+        for z in sorted(rows.get(y, set()) - rows[x]):
+            out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
+    return state_set_faults(a, classes, lambda j: f"class {j}"), out
+
+
+def validate_macrostate(a: NBW, m: Macrostate, seen: dict | None = None) -> list[str]:
+    """Structural invariants of a macrostate; violations come back as messages.
+
+    The messages come in order: class faults, label faults, cousin faults,
+    event faults.  The class and cousin faults depend on the preorder
+    pair (classes, cousin) alone: given `seen`, a dict kept across the
+    payloads of one DRW, each distinct pair is checked once and its faults
+    are reused.  The labels and events are checked on every call.
+    """
+    if seen is None:
+        seen = {}
+    key = (m.classes, m.cousin)
+    if key not in seen:
+        seen[key] = _preorder_faults(a, *key)
+    class_faults, cousin_faults = seen[key]
+    out = list(class_faults)
     if len(m.labels) != len(m.classes):
         out.append("labels and classes differ in length")
     if len(set(m.labels)) != len(m.labels):
@@ -196,21 +236,7 @@ def validate_macrostate(a: NBW, m: Macrostate) -> list[str]:
     for lab in m.labels:
         if not 0 <= lab <= 2 * a.n:
             out.append(f"label {lab} outside the pool")
-    k = len(m.classes)
-    for x, y in m.cousin:
-        if not (0 <= x < k and 0 <= y < k):
-            out.append(f"cousin pair ({x},{y}) out of range")
-        elif x > y:
-            out.append(f"cousin pair ({x},{y}) contradicts the class order")
-    for x in range(k):
-        if (x, x) not in m.cousin:
-            out.append(f"cousin relation misses reflexive pair ({x},{x})")
-    rows: dict[int, set] = {}
-    for x, y in m.cousin:
-        rows.setdefault(x, set()).add(y)
-    for x, y in m.cousin:
-        for z in sorted(rows.get(y, set()) - rows[x]):
-            out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
+    out += cousin_faults
     for lab in m.good | m.bad:
         if not 0 <= lab <= 2 * a.n:
             out.append(f"event label {lab} outside the pool")

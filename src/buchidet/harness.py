@@ -36,7 +36,7 @@ from .determinize import Macrostate, determinize_profile, validate_macrostate
 from .explore import StateLimitExceeded
 from .labeling import initial_labeled, next_labeled
 from .run_dag import check_level, initial_level, step_level
-from .safra import determinize_safra, validate_safra_tree
+from .safra import SafraTree, determinize_safra, validate_safra_tree
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,14 @@ def _grid(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[tuple, tuple]:
         raise ValueError("max_v must be at least 1")
     return (tuple(w for n in range(max_u + 1) for w in product(syms, repeat=n)),
             tuple(w for n in range(1, max_v + 1) for w in product(syms, repeat=n)))
+
+
+def _require_payloads(drw: DRW, kind: type, need: str):
+    """Raise ValueError(`need`) unless `drw` carries one `kind` payload per
+    state."""
+    if (drw.payloads is None or len(drw.payloads) != len(drw.states)
+            or not all(isinstance(p, kind) for p in drw.payloads)):
+        raise ValueError(need)
 
 
 # -- invariant sweeps ----------------------------------------------------------
@@ -203,10 +211,8 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
     if drw.alphabet != a.alphabet:
         raise ValueError(f"DRW alphabet {drw.alphabet} is not the automaton's "
                          f"{a.alphabet}")
-    if (drw.payloads is None or len(drw.payloads) != len(drw.states)
-            or not all(isinstance(m, Macrostate) for m in drw.payloads)):
-        raise ValueError("the sweep needs a DRW with one macrostate payload "
-                         "per state")
+    _require_payloads(drw, Macrostate, "the sweep needs a DRW with one "
+                      "macrostate payload per state")
     lab0 = initial_labeled(initial_level(a))
     out = [f"word=<empty>: {msg}"
            for msg in _level_faults(a, lab0, None, drw.payloads[drw.initial])]
@@ -268,18 +274,27 @@ def check_automaton(a: NBW, prefixes, periods, drw_profile: DRW,
     hook of the mutation tests.  Returns a one-automaton
     :class:`CheckReport`, with the two DRW sizes as its state maxima, which
     :func:`cross_check` absorbs into its corpus report.  Every construction
-    state is validated.
+    state is validated: each Safra tree, and each macrostate's labels and
+    events, with the faults of each distinct (classes, cousin) pair of the
+    profile DRW checked once and named under every state that carries it.
+    A DRW without one payload of its construction per state is refused
+    with a ValueError.
 
     The three deciders each return one verdict row per prefix, bit j for
     period j, and the rows are compared prefix by prefix; only a prefix
     whose rows differ is read period by period, for the records, in grid
     order, of the lassos whose three verdicts differ.
     """
+    _require_payloads(drw_profile, Macrostate, "the check needs a profile DRW "
+                      "with one macrostate payload per state")
+    _require_payloads(drw_safra, SafraTree, "the check needs a Safra DRW with "
+                      "one Safra tree payload per state")
     res = CheckReport(automata=1, lassos=len(prefixes) * len(periods),
                       max_profile_states=len(drw_profile.states),
                       max_safra_states=len(drw_safra.states))
+    preorders = {}  # (classes, cousin) -> their faults, for this DRW only
     for i, m in enumerate(drw_profile.payloads):
-        for msg in validate_macrostate(a, m):
+        for msg in validate_macrostate(a, m, preorders):
             res.violations.append(f"macrostate {i}: {msg}")
     for i, t in enumerate(drw_safra.payloads):
         for msg in validate_safra_tree(a, t):

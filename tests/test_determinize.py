@@ -212,6 +212,53 @@ def test_validate_macrostate_flags_corrupted_macrostate(changes, message):
     assert validate_macrostate(a, replace(_VALID_M, **changes)) == [message]
 
 
+def test_validate_macrostate_shares_preorder_faults_by_the_whole_pair():
+    """Equal classes with different cousin orders are two preorder pairs:
+    sharing one `seen` dict, each is judged on its own, in either order,
+    and every call returns its own list."""
+    a = nbw(["a"], ["x", "y", "z"], ["x"], [], [])
+    classes, refl = ((0,), (1,), (2,)), {(0, 0), (1, 1), (2, 2)}
+    closed = Macrostate(classes, (0, 1, 2), frozenset(refl | {(0, 1), (1, 2), (0, 2)}),
+                        frozenset(), frozenset())
+    open_ = replace(closed, cousin=frozenset(refl | {(0, 1), (1, 2)}))
+    fault = ["cousin relation not transitive: (0,1),(1,2)"]
+    for order in ((closed, open_), (open_, closed)):
+        seen = {}
+        for m in order + order:
+            got = validate_macrostate(a, m, seen)
+            assert got == ([] if m is closed else fault)
+            got.append("scribbled")
+        assert len(seen) == 2
+
+
+def _field_corruptions(a, m):
+    """`m` and five copies, each with one field corrupted."""
+    k, top = len(m.classes), 2 * a.n + 1
+    twice = ((m.classes[0][:1] + m.classes[0],) + m.classes[1:]) if k else ((0,),)
+    return [m, replace(m, classes=twice),
+            replace(m, cousin=m.cousin | {(k, 0)}),
+            replace(m, cousin=(m.cousin | {(k - 1, 0)}) - {(0, 0)}),
+            replace(m, labels=m.labels[::-1] + (top,)),
+            replace(m, good=m.good | m.bad | {top})]
+
+
+def test_shared_preorder_faults_match_the_unshared_validator():
+    """Over the mutant catalogue's 180 profile DRWs and field-corrupted
+    copies of every payload, one `seen` dict per DRW gives each payload
+    exactly the messages that the validator gives it alone."""
+    import mutants
+
+    checked = faulty = 0
+    for a in mutants.corpus():
+        seen = {}
+        for m in determinize_profile(a).payloads:
+            for m2 in _field_corruptions(a, m):
+                want = validate_macrostate(a, m2)
+                assert validate_macrostate(a, m2, seen) == want
+                checked, faulty = checked + 1, faulty + bool(want)
+    assert checked == 6 * 4007 and faulty == 5 * 4007
+
+
 def test_macrostate_matches_level_view():
     """The determinized state after any short word equals the level computed
     independently from the run DAG and its labeling, field by field."""

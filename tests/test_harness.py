@@ -6,9 +6,10 @@ from itertools import product
 import pytest
 
 import mutants
-from buchidet import (DRW, Lasso, RabinCondition, drw_run_eval, format_drw,
-                      format_nbw, harness, nbw_member, normalize, parse_drw)
-from buchidet.determinize import determinize_profile
+from buchidet import (DRW, Lasso, RabinCondition, determinize, drw_run_eval,
+                      format_drw, format_nbw, harness, nbw_member, normalize,
+                      parse_drw)
+from buchidet.determinize import determinize_profile, validate_macrostate
 from buchidet.explore import StateLimitExceeded
 from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
@@ -244,6 +245,47 @@ def test_sweep_rejects_a_drw_it_cannot_walk(two_state):
         sweep_invariants(two_state, 4, other)
 
 
+def test_check_refuses_a_drw_without_its_payloads(two_state):
+    """Each DRW slot of the check needs one payload of its construction per
+    state: a DRW read back from text, the other construction's DRW, or one
+    payload short is refused up front, naming the need."""
+    grid = harness._grid(two_state.alphabet, 1, 1)
+    profile, safra = determinize_profile(two_state), determinize_safra(two_state)
+    for bare in (parse_drw(format_drw(profile)), safra,
+                 replace(profile, payloads=profile.payloads[:-1])):
+        with pytest.raises(ValueError, match="profile DRW with one macrostate "
+                                             "payload per state"):
+            check_automaton(two_state, *grid, bare, safra)
+    for bare in (parse_drw(format_drw(safra)), profile,
+                 replace(safra, payloads=safra.payloads[:-1])):
+        with pytest.raises(ValueError, match="Safra DRW with one Safra tree "
+                                             "payload per state"):
+            check_automaton(two_state, *grid, profile, bare)
+
+
+def test_check_names_a_shared_preorder_fault_under_every_payload(two_state):
+    """Five payloads share one preorder pair; when its first class lists a
+    state twice, the fault, checked once, is named under each of them in
+    payload order, each payload's own faults after it, exactly as the
+    validator reports every payload on its own."""
+    profile, safra = determinize_profile(two_state), determinize_safra(two_state)
+    good = ((0,), (1,))
+    payloads = [replace(m, classes=((0, 0), (1,))) if m.classes == good else m
+                for m in profile.payloads]
+    payloads[4] = replace(payloads[4], good=payloads[4].good | {9})
+    res = check_automaton(two_state, *harness._grid(two_state.alphabet, 3, 4),
+                          replace(profile, payloads=tuple(payloads)), safra)
+    twice = "class 0 is not a sorted state set"
+    assert res.violations == [
+        f"macrostate 1: {twice}", f"macrostate 3: {twice}",
+        f"macrostate 4: {twice}", "macrostate 4: event label 9 outside the pool",
+        f"macrostate 6: {twice}", f"macrostate 7: {twice}"]
+    assert res.violations == [f"macrostate {i}: {msg}"
+                              for i, m in enumerate(payloads)
+                              for msg in validate_macrostate(two_state, m)]
+    assert res.disagreements == []
+
+
 def test_check_automaton_fig(two_state):
     res = check_automaton(two_state, *harness._grid(two_state.alphabet, 3, 4),
                           determinize_profile(two_state), determinize_safra(two_state))
@@ -306,15 +348,22 @@ def test_faulty_checks_report_the_per_lasso_records():
 
 def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
     """Over the mutant catalogue's 180 automata, the check calls the NBW
-    period core once per period (30 each) and the DRW period core at most
-    47,718 times: a return to per-lasso work, or a lost per-period memo,
-    shows up here without any timing."""
+    period core once per period (30 each), the DRW period core at most
+    47,718 times, and the class check of the macrostate validator once per
+    distinct (classes, cousin) pair of each profile DRW, 1,008 times for
+    4,007 payloads: a return to per-lasso or per-payload work, or a lost
+    memo, shows up here without any timing."""
     from buchidet import automata as automata_module
 
     automata = mutants.corpus()
     grid = harness._grid(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
-    calls = {"nbw": 0, "drw": 0}
+    calls = {"nbw": 0, "drw": 0, "preorder": 0}
     nbw_period, drw_period = automata_module._nbw_period, automata_module._drw_period
+    state_set_faults = determinize.state_set_faults
+
+    def count_preorder(*args):
+        calls["preorder"] += 1
+        return state_set_faults(*args)
 
     def count_nbw(*args):
         calls["nbw"] += 1
@@ -326,10 +375,15 @@ def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
 
     monkeypatch.setattr(automata_module, "_nbw_period", count_nbw)
     monkeypatch.setattr(automata_module, "_drw_period", count_drw)
+    monkeypatch.setattr(determinize, "state_set_faults", count_preorder)
+    payloads = 0
     for a in automata:
-        assert check_automaton(a, *grid, determinize_profile(a), determinize_safra(a)).passed
+        profile = determinize_profile(a)
+        payloads += len(profile.payloads)
+        assert check_automaton(a, *grid, profile, determinize_safra(a)).passed
     assert calls["nbw"] == 180 * 30 == 5400
     assert calls["drw"] <= 47_718
+    assert calls["preorder"] == 1008 and payloads == 4007
 
 
 def test_check_reports_invalid_payloads(two_state):
