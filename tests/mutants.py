@@ -48,11 +48,11 @@ def _no_bad(apply):
     return mutant
 
 
-def _no_bad_paths(marks):
-    """The Safra mark step `_marks` reporting no bad paths."""
+def _no_bad_paths(step):
+    """The Safra step `_step` reporting no bad paths."""
     def mutant(*args):
-        good, _ = marks(*args)
-        return good, ()
+        tree2, good, _ = step(*args)
+        return tree2, good, ()
     return mutant
 
 
@@ -88,11 +88,11 @@ def _good_ignores_acceptance(shape):
 
 
 def _keep_good(select):
-    """The Safra step with its good positions passed through `select`."""
-    def wrapper(shape):
+    """The Safra step with its good paths passed through `select`."""
+    def wrapper(step):
         def mutant(*args):
-            shape2, origin, good = shape(*args)
-            return shape2, origin, select(good)
+            tree2, good, bad = step(*args)
+            return tree2, select(good), bad
         return mutant
     return wrapper
 
@@ -165,14 +165,14 @@ def _first_class_twice(shape):
     return mutant
 
 
-def _root_label_twice(shape):
+def _root_label_twice(step):
     """The Safra step listing the first state of its new root label twice."""
     def mutant(*args):
-        shape2, *rest = shape(*args)
-        if shape2:
-            (label, count), *nodes = shape2
-            shape2 = (((label[0],) + label, count), *nodes)
-        return (shape2, *rest)
+        tree2, *rest = step(*args)
+        if tree2:
+            label, children = tree2
+            tree2 = ((label[0],) + label, children)
+        return (tree2, *rest)
     return mutant
 
 
@@ -182,10 +182,10 @@ MUTANTS = [
     ("profile: no bad events", "determinize._apply_labels", _no_bad),
     ("profile: fresh labels from the highest free bit", "determinize._apply_labels",
      _highest_free(lambda a: 2 * a.n + 1)),
-    ("safra: no bad events", "safra._marks", _no_bad_paths),
-    ("safra: only the first good node per step", "safra._shape",
+    ("safra: no bad events", "safra._step", _no_bad_paths),
+    ("safra: only the first good node per step", "safra._step",
      _keep_good(lambda good: good[:1])),
-    ("safra: never good", "safra._shape", _keep_good(lambda good: ())),
+    ("safra: never good", "safra._step", _keep_good(lambda good: ())),
     ("profile: shape memo keyed without sym", "determinize.cache",
      _keyed_on_first_argument),
     ("lassos: prefix extended by its first symbol", "automata._prefix_starts",
@@ -197,7 +197,7 @@ MUTANTS = [
      _reversed_classes),
     ("profile: a class lists its first state twice", "determinize._shape",
      _first_class_twice),
-    ("safra: the root label lists its first state twice", "safra._shape",
+    ("safra: the root label lists its first state twice", "safra._step",
      _root_label_twice),
 ]
 

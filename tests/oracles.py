@@ -1,7 +1,7 @@
 """Brute-force reference implementations used only to check the real ones,
 explicit walks over stored run-DAG levels, per-lasso readers of verdict
-rows, an exact DRW language comparison, and a helper that builds test
-automata from names."""
+rows, an exact DRW language comparison, a flattening of nested Safra
+trees, and a helper that builds test automata from names."""
 
 import itertools
 from typing import Sequence
@@ -19,6 +19,16 @@ def nbw(alphabet, states, initial, accepting, transitions) -> NBW:
              "accepting: " + " ".join(accepting)]
     lines += [f"trans: {src} {sym} {dst}" for src, sym, dst in transitions]
     return parse_nbw("\n".join(lines) + "\n")
+
+
+def preorder(tree) -> tuple:
+    """A nested Safra tree `(label, children)` flattened to its preorder of
+    (label, child count) pairs; the dead tree ``()`` stays ``()``."""
+    if not tree:
+        return ()
+    label, children = tree
+    return ((label, len(children)),) + tuple(
+        node for child in children for node in preorder(child))
 
 
 def all_initial_paths(a: NBW, prefix) -> list[tuple[int, ...]]:

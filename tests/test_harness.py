@@ -15,6 +15,7 @@ from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
                               sweep_invariants)
 from buchidet.safra import determinize_safra
+from oracles import preorder
 
 GOLDEN_SEED42 = """\
 nbw
@@ -399,6 +400,19 @@ def test_check_reports_invalid_payloads(two_state):
                           drw_safra=replace(safra, payloads=tuple(trees)))
     assert res.violations == ["macrostate 1: event label 9 outside the pool",
                               "safra tree 1: good path (5,) is not a node"]
+    assert res.disagreements == []
+
+
+def test_check_reports_a_malformed_safra_shape_as_a_violation(two_state):
+    """A Safra payload whose shape is not a nested (label, children) tree,
+    here the flat preorder of the real tree, is a violation naming its
+    state, not an exception."""
+    profile, safra = determinize_profile(two_state), determinize_safra(two_state)
+    trees = list(safra.payloads)
+    trees[1] = replace(trees[1], shape=preorder(trees[1].shape))
+    res = check_automaton(two_state, *harness._grid(two_state.alphabet, 3, 4),
+                          profile, replace(safra, payloads=tuple(trees)))
+    assert res.violations == ["safra tree 1: node () is not a (label, children) pair"]
     assert res.disagreements == []
 
 

@@ -17,7 +17,7 @@ from oracles import brute_member, drw_equivalent, drw_included, nbw
 
 def test_initial_tree(two_state):
     t = safra_initial(two_state)
-    assert t == SafraTree((((0,), 0),), (), ())
+    assert t == SafraTree(((0,), ()), (), ())
     assert validate_safra_tree(two_state, t) == []
 
 
@@ -28,7 +28,7 @@ def test_initial_tree_single_state(det_chain):
 
 def test_initial_tree_two_initial():
     a = nbw(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
-    assert safra_initial(a).shape == (((0, 1), 0),)
+    assert safra_initial(a).shape == ((0, 1), ())
 
 
 def test_initial_requires_normalization(selfloop_accepting):
@@ -42,7 +42,7 @@ def test_successor_sprouts_accepting_child(two_state):
     """On a, the root grows to {q,p} and sprouts a child tracking the
     accepting intersection {p}; the sprout's path (0,) is bad."""
     t1 = safra_successor(two_state, safra_initial(two_state), "a")
-    assert t1 == SafraTree((((0, 1), 1), ((1,), 0)), (), ((0,),))
+    assert t1 == SafraTree(((0, 1), (((1,), ()),)), (), ((0,),))
     assert validate_safra_tree(two_state, t1) == []
 
 
@@ -62,7 +62,7 @@ def test_vertical_merge_marks_good():
     # and turns good; no node is left at the sprout's path
     assert t1.good == ((),)
     assert t1.bad == ()
-    assert t1.shape == (((1,), 0),)
+    assert t1.shape == ((1,), ())
     assert validate_safra_tree(a, t1) == []
 
 
@@ -72,7 +72,7 @@ def test_horizontal_merge_prefers_older_sibling(two_state):
     t = safra_initial(two_state)
     for symbol in "aa":
         t = safra_successor(two_state, t, symbol)
-    assert t.shape == (((0, 1), 1), ((1,), 0))
+    assert t.shape == ((0, 1), (((1,), ()),))
     assert (t.good, t.bad) == (((0,),), ())
     assert validate_safra_tree(two_state, t) == []
 
@@ -125,14 +125,14 @@ def test_position_rule_marks_moves_sprouts_and_good_in_place():
         assert validate_safra_tree(a, t) == []
         steps.append(t)
     # a: x sprouts under the root at (0,)
-    assert steps[0] == SafraTree((((0, 1), 1), ((1,), 0)), (), ((0,),))
+    assert steps[0] == SafraTree(((0, 1), (((1,), ()),)), (), ((0,),))
     # b: the leaf {x} turns good in place; y sprouts as its younger sibling
-    assert steps[1] == SafraTree((((0, 1, 2), 2), ((1,), 0), ((2,), 0)),
+    assert steps[1] == SafraTree(((0, 1, 2), (((1,), ()), ((2,), ()))),
                                  ((0,),), ((1,),))
     # c: {x} dies, so {y} moves from (1,) to (0,) and turns good on the way
-    assert steps[2] == SafraTree((((0, 2), 1), ((2,), 0)), (), ((0,), (1,)))
+    assert steps[2] == SafraTree(((0, 2), (((2,), ()),)), (), ((0,), (1,)))
     # c: {y} stays at (0,) and turns good there
-    assert steps[3] == SafraTree((((0, 2), 1), ((2,), 0)), ((0,),), ())
+    assert steps[3] == SafraTree(((0, 2), (((2,), ()),)), ((0,),), ())
 
 
 def test_safra_pair_count_and_determinism(two_state):
@@ -173,10 +173,10 @@ def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return shape(*args)
+        return step(*args)
 
-    shape = safra._shape
-    monkeypatch.setattr(safra, "_shape", counted)
+    step = safra._step
+    monkeypatch.setattr(safra, "_step", counted)
     a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
     d = determinize_safra(a)
     shapes = {t.shape for t in d.payloads}
@@ -192,23 +192,6 @@ def test_safra_cap_counts_trees_in_discovery_order():
     assert len(determinize_safra(a, max_states=1274).states) == 1274
 
 
-def test_safra_kids_computed_once_per_name_free_tree(monkeypatch):
-    """One exploration derives the child positions of each shape once and
-    shares them between the steps from it and its paths."""
-    calls = []
-
-    def counted(shape):
-        calls.append(shape)
-        return kids(shape)
-
-    kids = safra._kids
-    monkeypatch.setattr(safra, "_kids", counted)
-    a = normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777)))
-    d = determinize_safra(a)
-    assert sorted(calls) == sorted({t.shape for t in d.payloads})
-    assert len(calls) == 748 < len(d.states)
-
-
 def test_safra_payloads_share_good_and_bad_tuples():
     """One exploration builds one path tuple per distinct mark set and
     shares it among the trees that hold it, as good or as bad marks."""
@@ -219,10 +202,10 @@ def test_safra_payloads_share_good_and_bad_tuples():
 
 
 def test_safra_peak_memory():
-    """After exploration the step memo and the shapes' child positions and
-    paths are dropped before the trees are built: the 1,275 trees of this
-    automaton peak at about 1.4 MiB under tracemalloc, against 2.0 MiB when
-    that bookkeeping lived until the DRW was built."""
+    """After exploration the step memo is dropped before the trees are
+    built: the 1,275 trees of this automaton peak at about 1.4 MiB under
+    tracemalloc, against 2.0 MiB when per-shape bookkeeping lived until the
+    DRW was built."""
     a = normalize(gen_nbw(GenSpec(10, 3, 0.15, 0.3, 777)))
     tracemalloc.start()
     try:
@@ -290,35 +273,32 @@ def test_exact_inclusion_agrees_with_lassos_on_small_drws():
     assert refuted == 53
 
 
-_VALID = SafraTree((((0, 1), 1), ((1,), 0)), (), ((1,),))
+_VALID = SafraTree(((0, 1), (((1,), ()),)), (), ((1,),))
 
 
 @pytest.mark.parametrize("tree, message", [
-    (SafraTree((((0, 1, 3), 1), ((1,), 0)), (), ((1,),)),
-     "state id 3 out of range"),
-    (SafraTree((((1, 0), 1), ((1,), 0)), (), ((1,),)),
+    (replace(_VALID, shape=((0, 1, 3), (((1,), ()),))), "state id 3 out of range"),
+    (replace(_VALID, shape=((1, 0), (((1,), ()),))),
      "node () is not a sorted state set"),
-    (SafraTree((((0, 1), 1), ((1,), 0)), ((1,),), ()),
-     "good path (1,) is not a node"),
-    (SafraTree((((0, 1), 1), ((1,), 0)), ((0,),), ((0,),)),
-     "good and bad marks overlap"),
-    (SafraTree((((0, 1), 2), ((1,), 0)), (), ((1,),)),
-     "child counts do not describe exactly one tree"),
-    (SafraTree((((0, 1), 0), ((1,), 0)), (), ((1,),)),
-     "child counts do not describe exactly one tree"),
-    (SafraTree((((0, 1), 2), ((1,), -1)), (), ((1,),)),
-     "child counts do not describe exactly one tree"),
+    (replace(_VALID, good=((1,),), bad=()), "good path (1,) is not a node"),
+    (replace(_VALID, good=((0,),), bad=((0,),)), "good and bad marks overlap"),
+    (replace(_VALID, shape=(((0, 1), 1), ((1,), 0))),
+     "node () is not a (label, children) pair"),
+    (replace(_VALID, shape=((0, 1), (((1,),),))),
+     "node (0,) is not a (label, children) pair"),
+    (replace(_VALID, shape=((0, 1), (((1,), ()), 2))),
+     "node (1,) is not a (label, children) pair"),
     (SafraTree((), ((),), ((0,),)), "rootless tree with good marks"),
-    (replace(_VALID, shape=(((0, 1), 1), ((), 0))), "node (0,) is empty"),
-    (replace(_VALID, shape=(((0, 1, 2), 2), ((1,), 0), ((1,), 0))),
+    (replace(_VALID, shape=((0, 1), (((), ()),))), "node (0,) is empty"),
+    (replace(_VALID, shape=((0, 1, 2), (((1,), ()), ((1,), ())))),
      "node (1,) shares states with a sibling"),
-    (replace(_VALID, shape=(((0,), 1), ((1,), 0))),
+    (replace(_VALID, shape=((0,), (((1,), ()),))),
      "node () does not contain its children"),
-    (replace(_VALID, shape=(((1,), 1), ((1,), 0))),
+    (replace(_VALID, shape=((1,), (((1,), ()),))),
      "node () equals the union of its children"),
 ], ids=["state-out-of-range", "unsorted-label", "good-name-not-a-node",
-        "good-and-bad-overlap", "child-counts-too-many", "child-counts-too-few",
-        "negative-child-count", "dead-tree-with-good-marks", "empty-label",
+        "good-and-bad-overlap", "preorder-shape", "child-not-a-pair",
+        "int-among-children", "dead-tree-with-good-marks", "empty-label",
         "siblings-share-states", "children-not-contained", "node-equals-children"])
 def test_validate_safra_tree_flags_corrupted_tree(tree, message):
     a = nbw(["a"], ["x", "y", "z"], ["x"], ["y"], [("x", "a", "y")])
