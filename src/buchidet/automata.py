@@ -137,13 +137,13 @@ class NBW:
     def needs_normalization(self) -> bool:
         return bool(set(self.initial) & self.acc)
 
-    def _mask_tables(self):
+    def mask_tables(self):
         """``(post, pre, initial, accepting)`` for bitmask state sets.
 
         ``post[s](m)`` is the mask of s-successors of the states in the mask
         m, and ``pre[s](m)`` that of their s-predecessors; each is a lookup
         in tables over 8-state chunks (see :func:`_image_tables`).  Built on
-        first use, since only membership queries need them.
+        first use, since only membership queries and Safra's step use them.
         """
         if self._masks is None:
             self._masks = (_image_tables(self.succ, len(self.alphabet)),
@@ -290,7 +290,7 @@ def nbw_member(a: NBW, w: Lasso) -> bool:
     """
     u = _sym_ids(a._sym_id, w.prefix)
     v = _sym_ids(a._sym_id, w.period)
-    post, _, reach, _ = a._mask_tables()
+    post, _, reach, _ = a.mask_tables()
     for s in u:
         reach = post[s](reach)
         if not reach:
@@ -306,7 +306,7 @@ def nbw_verdicts(a: NBW, prefixes, periods) -> list[int]:
     run accepts it; a start mask after a prefix is accepted iff it meets
     them, and each distinct start mask is decided once.
     """
-    post, _, initial, _ = a._mask_tables()
+    post, _, initial, _ = a.mask_tables()
     starts = _prefix_starts(a._sym_id, initial, lambda m, s: post[s](m), prefixes)
     wins = [_nbw_period(a, _sym_ids(a._sym_id, v)) for v in periods]
     rows = {m: sum(1 << j for j, good in enumerate(wins) if m & good)
@@ -321,7 +321,7 @@ def _nbw_period(a: NBW, v: list[int]) -> int:
     greatest fixpoint Z := Z ∩ pre⁺(Z ∩ Acc) keeps exactly the (state,
     position) nodes that lie on or lead to a cycle through an accepting node.
     """
-    _, pre, _, acc = a._mask_tables()
+    _, pre, _, acc = a.mask_tables()
     back = [pre[s] for s in v]
     lv = len(v)
     last = lv - 1

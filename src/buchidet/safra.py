@@ -8,21 +8,24 @@ tuple of nodes, oldest first; ``()`` is the dead tree.  A node is named by
 its path, the child indices from the root (Schewe's history trees); the
 good/bad path marks feed the Rabin condition.
 
+Labels are canonical sorted tuples outside this module and state bitmasks
+inside the step: `_masks` and `_tuples` convert a tree between the two.
 One step, `_step`, is one recursive pass from the root that builds the new
-tree and marks paths as it goes.  Each child, oldest first, keeps its image
-minus what older siblings took, the accepting states left over sprout as a
-youngest child, and a node whose children cover its states sheds them and
-turns good.  A path is bad when the node now at it does not continue the
-node that was at it: every path of a subtree that dies or is shed, both
-paths of a node that moves because an older sibling of it or of an ancestor
-died, and a sprout's path.  A path is good when its node turned good and
-stayed there.  A node that lives forever moves only finitely often, so a
-run is accepted iff some path is good infinitely often and bad finitely
-often.
+tree and marks paths as it goes, each image one lookup in the automaton's
+`mask_tables`.  Each child, oldest first, keeps its image minus what older
+siblings took, the accepting states left over sprout as a youngest child,
+and a node whose children cover its states sheds them and turns good.  A
+path is bad when the node now at it does not continue the node that was at
+it: every path of a subtree that dies or is shed, both paths of a node that
+moves because an older sibling of it or of an ancestor died, and a sprout's
+path.  A path is good when its node turned good and stayed there.  A node
+that lives forever moves only finitely often, so a run is accepted iff some
+path is good infinitely often and bad finitely often.
 
-`safra_successor` runs the step afresh each time.  `determinize_safra`
-explores keys (sid, good paths, bad paths), sid numbering the distinct
-shapes of one call, runs the step once per (sid, symbol), and hands the
+`safra_successor` converts its tree to masks, runs the step afresh and
+converts back.  `determinize_safra` explores keys (sid, good paths, bad
+paths), sid numbering the distinct mask-labelled shapes of one call, runs
+the step once per (sid, symbol), converts each shape once, and hands the
 trees to `explore.rabin_drw`, the pair rule shared with the profile
 construction.
 """
@@ -55,15 +58,33 @@ def safra_initial(a: NBW) -> SafraTree:
     return SafraTree((tuple(sorted(a.initial)), ()), (), ())
 
 
-def _step(a: NBW, tree, sym: int):
-    """One step on the root node `tree`: the new root node and the sorted
-    good and bad paths.  `grow(node, states, old, new)` builds the node at
-    old path `old` from `states` at new path `new`."""
-    succ, acc = a.succ, a.acc
-    good, bad = [], set()
+def _masks(node):
+    """The node `node` with each label a state mask."""
+    return (sum(1 << q for q in node[0]), tuple(map(_masks, node[1]))) if node else ()
 
-    def image(qs):
-        return {q2 for q in qs for q2 in succ[q][sym]}
+
+def _states(m: int) -> tuple[int, ...]:
+    """The sorted state ids of the mask `m`."""
+    return tuple(q for q in range(m.bit_length()) if m >> q & 1)
+
+
+def _tuples(root, label):
+    """The canonical tree of the root node `root`, its labels masks: each
+    label m becomes ``label(m)``, a sorted state tuple."""
+    def node(n):
+        return label(n[0]), tuple(map(node, n[1]))
+    return node(root) if root else ()
+
+
+def _step(a: NBW, tree, sym: int):
+    """One step on the root node `tree`, its labels state masks: the new
+    root node, labelled the same way, and the sorted good and bad paths.
+    An image is one lookup in `a.mask_tables()`.  `grow(node, states, old,
+    new)` builds the node at old path `old` from the mask `states` at new
+    path `new`."""
+    post, _, _, acc = a.mask_tables()
+    image = post[sym]
+    good, bad = [], set()
 
     def shed(node, path):
         bad.add(path)
@@ -73,29 +94,29 @@ def _step(a: NBW, tree, sym: int):
     def grow(node, states, old, new):
         if old != new:
             bad.update((old, new))
-        parts, seen = [], set()
+        parts, free = [], states
         for j, child in enumerate(node[1]):
-            mine = image(child[0]) & states - seen
+            mine = image(child[0]) & free
             if mine:
                 parts.append((child, mine, old + (j,)))
-                seen |= mine
+                free ^= mine
             else:
                 shed(child, old + (j,))
-        sprout = states & acc - seen
-        if seen | sprout == states:  # states is never empty here
+        sprout = free & acc
+        if sprout == free:  # the children and the sprout cover states
             if old == new:
                 good.append(new)
             for child, _, path in parts:
                 shed(child, path)
-            return tuple(sorted(states)), ()
+            return states, ()
         kids = [grow(child, mine, path, new + (k,))
                 for k, (child, mine, path) in enumerate(parts)]
         if sprout:
             bad.add(new + (len(kids),))
-            kids.append((tuple(sorted(sprout)), ()))
-        return tuple(sorted(states)), tuple(kids)
+            kids.append((sprout, ()))
+        return states, tuple(kids)
 
-    states = image(tree[0]) if tree else None
+    states = image(tree[0]) if tree else 0
     if not states:  # the whole tree dies, or was dead
         if tree:
             shed(tree, ())
@@ -106,7 +127,8 @@ def _step(a: NBW, tree, sym: int):
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
     """One transition of the tree automaton on `symbol`."""
-    return SafraTree(*_step(a, t.shape, a.sym_id(symbol)))
+    shape, good, bad = _step(a, _masks(t.shape), a.sym_id(symbol))
+    return SafraTree(_tuples(shape, _states), good, bad)
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
@@ -114,10 +136,12 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     per path that is good on some step, in sorted path order.
 
     The exploration runs on keys (sid, good, bad), sid numbering the
-    distinct shapes met in this call; a key is equal to another exactly
-    when their trees are.  Each distinct shape and mark tuple is one
-    object.  `_step` runs once per (sid, symbol), and its memo is dropped
-    before each key becomes its `SafraTree` field for field.
+    distinct mask-labelled shapes met in this call; a key is equal to
+    another exactly when their trees are.  Each distinct shape and mark
+    tuple is one object.  `_step` runs once per (sid, symbol).  Its memo
+    and the shape index are dropped, each shape is replaced in place by its
+    canonical tree, equal labels sharing one tuple, and each key becomes
+    its `SafraTree` field for field.
     """
     sids: dict = {}
     shapes: list = []  # sid -> shape
@@ -134,10 +158,14 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
         shape2, good, bad = _step(a, shapes[sid], sym)
         return intern(shape2), shared.setdefault(good, good), shared.setdefault(bad, bad)
 
-    keys, table = explore((intern(safra_initial(a).shape), (), ()),
+    keys, table = explore((intern(_masks(safra_initial(a).shape)), (), ()),
                           lambda key, sym: steps(key[0], sym),
                           len(a.alphabet), max_states)
     steps.cache_clear()
+    sids.clear()
+    label = cache(_states)
+    for sid, shape in enumerate(shapes):
+        shapes[sid] = _tuples(shape, label)
     return rabin_drw(a.alphabet, "t", table,
                      [SafraTree(shapes[sid], good, bad) for sid, good, bad in keys])
 

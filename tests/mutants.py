@@ -165,14 +165,15 @@ def _first_class_twice(shape):
     return mutant
 
 
-def _root_label_twice(step):
-    """The Safra step listing the first state of its new root label twice."""
+def _root_label_twice(tuples):
+    """The Safra conversion from mask labels to canonical trees listing the
+    first state of the root label twice."""
     def mutant(*args):
-        tree2, *rest = step(*args)
-        if tree2:
-            label, children = tree2
-            tree2 = ((label[0],) + label, children)
-        return (tree2, *rest)
+        tree = tuples(*args)
+        if tree:
+            label, children = tree
+            tree = ((label[0],) + label, children)
+        return tree
     return mutant
 
 
@@ -197,7 +198,7 @@ MUTANTS = [
      _reversed_classes),
     ("profile: a class lists its first state twice", "determinize._shape",
      _first_class_twice),
-    ("safra: the root label lists its first state twice", "safra._step",
+    ("safra: the root label lists its first state twice", "safra._tuples",
      _root_label_twice),
 ]
 

@@ -528,6 +528,16 @@ def _imports(node: ast.AST) -> list:
             for alias in n.names]
 
 
+def test_safra_reads_automata_only_through_mask_tables():
+    """Safra's step has one image primitive: every image and the accepting
+    set come from `mask_tables()`, and `safra.py` reads no `succ`, `pred`
+    or `acc` of an automaton."""
+    reads = {n.attr for n in ast.walk(_parse("safra"))
+             if isinstance(n, ast.Attribute)}
+    assert reads & {"succ", "pred", "acc"} == set()
+    assert "mask_tables" in reads
+
+
 def test_package_has_no_unused_imports_or_private_helpers():
     """Every name a package module imports is read in that module (or, in
     `__init__.py`, listed in `__all__`), and every module-level private

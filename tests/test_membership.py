@@ -80,7 +80,7 @@ def test_image_tables_give_the_union_of_rows(n):
     the union of the ``succ`` or ``pred`` rows of its states."""
     rng = random.Random(4000 + n)
     a = random_nbw(rng, n)
-    post, pre, _, _ = a._mask_tables()
+    post, pre, _, _ = a.mask_tables()
     full = (1 << n) - 1
     masks = [0, full, *(1 << q for q in range(n)),
              *(rng.getrandbits(n) for _ in range(200))]
@@ -97,7 +97,7 @@ def test_image_tables_memory():
     a = normalize(gen_nbw(GenSpec(16, 2, 0.15, 0.1, 0)))
     tracemalloc.start()
     try:
-        a._mask_tables()
+        a.mask_tables()
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
@@ -149,6 +150,15 @@ def test_safra_state_budget(two_state):
         determinize_safra(two_state, max_states=1)
 
 
+def _matches_replay(a, d) -> bool:
+    """Whether stepping every tree of `a` afresh with `safra_successor`
+    gives the trees and transitions of `d`, in the same order."""
+    states, table = explore(safra_initial(a),
+                            lambda t, s: safra_successor(a, t, a.alphabet[s]),
+                            len(a.alphabet))
+    return d.payloads == tuple(states) and d.trans == tuple(map(tuple, table))
+
+
 def test_safra_payloads_match_safra_successor_replay():
     """`determinize_safra` reuses each step across trees with the same
     shape; stepping every tree afresh must give the same trees in the same
@@ -157,12 +167,27 @@ def test_safra_payloads_match_safra_successor_replay():
               for n in range(2, 6) for i in range(40)]
     corpus.append(normalize(gen_nbw(GenSpec(8, 2, 0.3, 0.3, 777))))
     for a in corpus:
-        states, table = explore(safra_initial(a),
-                                lambda t, s: safra_successor(a, t, a.alphabet[s]),
-                                len(a.alphabet))
-        d = determinize_safra(a)
-        assert d.payloads == tuple(states)
-        assert d.trans == tuple(tuple(row) for row in table)
+        assert _matches_replay(a, determinize_safra(a))
+
+
+@pytest.mark.parametrize("n, trees, digest", [
+    (8, 73, "f85d38a889478076a5907b0bd13cbe5bd00676798cf8630ac00c7b53b37f2ba8"),
+    (9, 65, "eb5db271ad489fc0be3d711a9ca02535fb6958c60519d3edb99f4a36ff69723d"),
+    (16, 231, "4a5ac1c68a7b0c5931cc6db809153d65706fa3d0581e557aa5fe9f1eb2619edd"),
+    (17, 327, "4aeb6cc2d974ec44e4772f666316e86266952009ca9f71fb1e64966028e928f8"),
+    (20, 155, "3348714b720a90fdc2c69ce79fc6878495d37f4ebc8804ae3c0876dc679c859c"),
+])
+def test_safra_drw_pinned_across_image_table_chunks(n, trees, digest):
+    """An image is one 8-state table lookup up to 8 states, two lookups up
+    to 16, and a loop over the chunks beyond.  On each side of both
+    boundaries, a sparse automaton's Safra DRW keeps its bytes, its
+    highest state appears in some tree, and `safra_successor` replays it."""
+    a = normalize(gen_nbw(GenSpec(n, 2, 0.15, 0.3, 777)))
+    d = determinize_safra(a)
+    assert len(d.states) == trees
+    assert max(t.shape[0][-1] for t in d.payloads if t.shape) == n - 1
+    assert hashlib.sha256(format_drw(d).encode()).hexdigest() == digest
+    assert _matches_replay(a, d)
 
 
 def test_safra_shape_computed_once_per_name_free_tree_and_symbol(monkeypatch):
@@ -202,10 +227,11 @@ def test_safra_payloads_share_good_and_bad_tuples():
 
 
 def test_safra_peak_memory():
-    """After exploration the step memo is dropped before the trees are
-    built: the 1,275 trees of this automaton peak at about 1.4 MiB under
-    tracemalloc, against 2.0 MiB when per-shape bookkeeping lived until the
-    DRW was built."""
+    """The step runs on mask labels, and after exploration its memo and
+    the shape index are dropped before the trees are built: the 1,275 trees
+    of this automaton peak at about 1.3 MiB under tracemalloc, against 1.4
+    MiB with tuple labels in the step and 2.0 MiB when per-shape
+    bookkeeping lived until the DRW was built."""
     a = normalize(gen_nbw(GenSpec(10, 3, 0.15, 0.3, 777)))
     tracemalloc.start()
     try:
