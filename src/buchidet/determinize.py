@@ -15,11 +15,11 @@ labels turn good, a function of (classes, cousin, symbol) alone.
 `_apply_labels` is the one label step: it puts a macrostate's labels on a
 shape and returns the new labels and the good/bad label masks.
 `sigma_successor` composes the two afresh on every step.
-`determinize_profile` explores compact keys (sid, labels, good mask, bad
-mask), where sid numbers the distinct (classes, cousin) pairs of one call,
-computes each shape once per (sid, symbol), builds each `Macrostate` once
-after exploration, and hands them to `explore.rabin_drw`, the pair rule
-shared with Safra.
+`determinize_profile` explores the label-free automaton of (classes,
+cousin) pairs (`_preorders`, one shape per edge), then compact keys (sid,
+labels, good mask, bad mask) over its table, builds each `Macrostate` once
+after that, and hands them to `explore.rabin_drw`, the pair rule shared
+with Safra.
 
 `validate_macrostate` splits the same way.  The faults of the classes and
 of the cousin order depend on the preorder pair alone, so a caller that
@@ -147,45 +147,49 @@ def sigma_successor(a: NBW, m: Macrostate, symbol: str) -> Macrostate:
                       _label_set(bad_mask))
 
 
+def _preorders(a: NBW, max_states: int):
+    """The label-free automaton, one exploration of (classes, cousin) pairs:
+    the pairs, and ``edges[sid][sym] = (sid2, heirs, good)`` from `_shape`.
+    No shape reads a label, so the pairs are those of the reachable
+    macrostates."""
+    k = len(a.alphabet)
+    marks = []  # (heirs, good) per step, in the order `explore` calls it
+
+    def step(pair, sym: int):
+        classes2, pairs, heirs, good = _shape(a, *pair, sym)
+        marks.append((heirs, good))
+        return classes2, pairs
+
+    m0 = initial_macrostate(a)
+    pre, table = explore((m0.classes, m0.cousin), step, k, max_states)
+    return pre, [[(sid2, *marks[sid * k + sym]) for sym, sid2 in enumerate(row)]
+                 for sid, row in enumerate(table)]
+
+
 def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
     """Explore the full macrostate automaton and package it as a DRW.
 
-    The exploration runs on keys (sid, labels, good mask, bad mask), where
-    sid numbers the distinct (classes, cousin) pairs met in this call; a key
-    is equal to another exactly when their macrostates are.  Each step's
-    shape is computed once per (sid, symbol) and shared by every macrostate
-    with those preorders; only `_apply_labels` runs on every step.  Each
-    `Macrostate` is built once after exploration: the macrostates of one
-    sid share its classes and cousin objects, and equal masks share one good
-    or bad frozenset.  `rabin_drw` gives one Rabin pair per label that is
-    good on some macrostate, in label order.
+    After `_preorders`, a second exploration under the same cap runs on
+    keys (sid, labels, good mask, bad mask) over its edges, sid indexing the
+    pairs, with one `_apply_labels` per step; a key is equal to another
+    exactly when their macrostates are.  Each `Macrostate` is built once
+    after that, sharing its sid's classes and cousin objects and one good or
+    bad frozenset per mask.  `rabin_drw` gives one Rabin pair per label
+    that is good on some macrostate, in label order.
     """
-    sids: dict = {}
-    preorders: list = []  # sid -> (classes, cousin)
-
-    def intern(classes, cousin) -> int:
-        sid = sids.get((classes, cousin))
-        if sid is None:
-            sid = sids[classes, cousin] = len(preorders)
-            preorders.append((classes, cousin))
-        return sid
-
-    @cache
-    def shapes(sid: int, sym: int):
-        classes2, pairs, heirs, good = _shape(a, *preorders[sid], sym)
-        return intern(classes2, pairs), heirs, good
+    pre, edges = _preorders(a, max_states)
 
     def step(key, sym: int):
-        sid2, heirs, good = shapes(key[0], sym)
+        sid2, heirs, good = edges[key[0]][sym]
         return (sid2, *_apply_labels(a, key[1], heirs, good))
 
-    m0 = initial_macrostate(a)  # no events yet: both masks are 0
-    keys, table = explore((intern(m0.classes, m0.cousin), m0.labels, 0, 0),
-                          step, len(a.alphabet), max_states)
+    # the initial pair is pair 0, and no events yet: both masks are 0
+    keys, table = explore((0, initial_macrostate(a).labels, 0, 0), step,
+                          len(a.alphabet), max_states)
     label_set = cache(_label_set)
     states = []
     for sid, labels, good_mask, bad_mask in keys:
-        classes, cousin = preorders[sid]
+        classes, cousin = pre[sid]
         states.append(Macrostate(classes, labels, cousin, label_set(good_mask),
                                  label_set(bad_mask)))
     return rabin_drw(a.alphabet, "m", table, states)

@@ -21,8 +21,9 @@ def explore(initial: T, step: Callable[[T, int], T], n_symbols: int,
     """Explore all states reachable from `initial` under `step`.
 
     States must be hashable; discovery order (breadth-first, symbols in
-    order) defines their indices, so the result is deterministic.  Returns
-    the state list and the dense transition table.
+    order) defines their indices, so the result is deterministic.  `step`
+    runs exactly once per (state index, symbol), in index order, then
+    symbol order.  Returns the state list and the dense transition table.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")

@@ -23,11 +23,10 @@ that lives forever moves only finitely often, so a run is accepted iff some
 path is good infinitely often and bad finitely often.
 
 `safra_successor` converts its tree to masks, runs the step afresh and
-converts back.  `determinize_safra` explores keys (sid, good paths, bad
-paths), sid numbering the distinct mask-labelled shapes of one call, runs
-the step once per (sid, symbol), converts each shape once, and hands the
-trees to `explore.rabin_drw`, the pair rule shared with the profile
-construction.
+converts back.  `determinize_safra` explores the mask-labelled shapes,
+one step per edge, then keys (sid, good paths, bad paths) over that table,
+converts each shape once, and hands the trees to `explore.rabin_drw`, the
+pair rule shared with the profile construction.
 """
 
 from dataclasses import dataclass
@@ -135,34 +134,28 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     """Explore all reachable Safra trees; `rabin_drw` gives one Rabin pair
     per path that is good on some step, in sorted path order.
 
-    The exploration runs on keys (sid, good, bad), sid numbering the
-    distinct mask-labelled shapes met in this call; a key is equal to
-    another exactly when their trees are.  Each distinct shape and mark
-    tuple is one object.  `_step` runs once per (sid, symbol).  Its memo
-    and the shape index are dropped, each shape is replaced in place by its
-    canonical tree, equal labels sharing one tuple, and each key becomes
-    its `SafraTree` field for field.
+    Two explorations, both capped at `max_states`.  The first explores the
+    mask-labelled shapes, running `_step` once per (shape, symbol) and
+    recording its marks, each distinct mark tuple one object.  The second
+    explores keys (sid, good, bad) over that table, sid indexing the
+    shapes; a key is equal to another exactly when their trees are.  The
+    edges are dropped, each shape is replaced in place by its canonical
+    tree, equal labels sharing one tuple, and each key becomes its
+    `SafraTree` field for field.
     """
-    sids: dict = {}
-    shapes: list = []  # sid -> shape
+    k = len(a.alphabet)
     shared: dict = {}  # one object per distinct mark tuple
+    marks: list = []  # (good, bad) per step, in the order `explore` calls it
 
-    def intern(shape) -> int:
-        sid = sids.setdefault(shape, len(shapes))
-        if sid == len(shapes):
-            shapes.append(shape)
-        return sid
+    def step(shape, sym: int):
+        shape2, good, bad = _step(a, shape, sym)
+        marks.append((shared.setdefault(good, good), shared.setdefault(bad, bad)))
+        return shape2
 
-    @cache
-    def steps(sid: int, sym: int):
-        shape2, good, bad = _step(a, shapes[sid], sym)
-        return intern(shape2), shared.setdefault(good, good), shared.setdefault(bad, bad)
-
-    keys, table = explore((intern(_masks(safra_initial(a).shape)), (), ()),
-                          lambda key, sym: steps(key[0], sym),
-                          len(a.alphabet), max_states)
-    steps.cache_clear()
-    sids.clear()
+    shapes, edges = explore(_masks(safra_initial(a).shape), step, k, max_states)
+    keys, table = explore((0, (), ()), lambda key, sym: (
+        edges[key[0]][sym], *marks[key[0] * k + sym]), k, max_states)
+    del edges, marks
     label = cache(_states)
     for sid, shape in enumerate(shapes):
         shapes[sid] = _tuples(shape, label)

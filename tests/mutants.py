@@ -97,17 +97,10 @@ def _keep_good(select):
     return wrapper
 
 
-def _keyed_on_first_argument(cache):
-    """`functools.cache` with the key cut to the first argument: the shape
-    memo `(sid, sym)` forgets the symbol, one-argument memos stay right."""
-    def mutant(f):
-        memo = {}
-
-        def memoized(*args):
-            if args[0] not in memo:
-                memo[args[0]] = f(*args)
-            return memo[args[0]]
-        return memoized
+def _symbol_zero(shape):
+    """The profile shape step answering every symbol with symbol 0's shape."""
+    def mutant(a, classes, cousin, sym):
+        return shape(a, classes, cousin, 0)
     return mutant
 
 
@@ -187,8 +180,8 @@ MUTANTS = [
     ("safra: only the first good node per step", "safra._step",
      _keep_good(lambda good: good[:1])),
     ("safra: never good", "safra._step", _keep_good(lambda good: ())),
-    ("profile: shape memo keyed without sym", "determinize.cache",
-     _keyed_on_first_argument),
+    ("profile: preorder step ignores the symbol", "determinize._shape",
+     _symbol_zero),
     ("lassos: prefix extended by its first symbol", "automata._prefix_starts",
      _prefix_by_first_symbol),
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),

@@ -295,6 +295,23 @@ def test_state_budget_must_allow_the_initial_state(two_state):
         determinize_profile(two_state, 0)
 
 
+def test_explore_steps_once_per_index_and_symbol_in_order():
+    """Callers record what each step yields beside the table, so `explore`
+    calls `step` exactly once per (state index, symbol), in index order,
+    then symbol order, however often a state is reached."""
+    succ = {"p": ("q", "r"), "q": ("r", "s"), "r": ("s", "p"), "s": ("s", "s")}
+    calls = []
+
+    def step(q, sym):
+        calls.append((q, sym))
+        return succ[q][sym]
+
+    states, table = explore("p", step, 2)
+    assert states == ["p", "q", "r", "s"]
+    assert table == [[1, 2], [2, 3], [3, 0], [3, 3]]
+    assert calls == [(q, sym) for q in states for sym in range(2)]
+
+
 def test_rabin_pairs_indexed_by_label(two_state):
     drw = determinize_profile(two_state)
     for g, b in drw.acceptance:
@@ -361,6 +378,41 @@ def test_profile_shape_computed_once_per_classes_cousin_and_symbol(monkeypatch):
     assert len(calls) == len(preorders) * len(a.alphabet) < len(d.states)
 
 
+@pytest.mark.parametrize("spec, pairs", [(GenSpec(10, 2, 0.25, 0.3, 778), 47),
+                                         (GenSpec(8, 2, 0.25, 0.3, 777), 127),
+                                         (GenSpec(10, 3, 0.15, 0.3, 777), 805)])
+def test_preorder_automaton_pinned(spec, pairs):
+    """The label-free automaton of (classes, cousin) pairs, explored on its
+    own: its size, and each edge is `_shape` of its source pair."""
+    a = normalize(gen_nbw(spec))
+    pre, edges = determinize._preorders(a, 10 ** 6)
+    assert len(pre) == len(edges) == pairs
+    for pair, row in zip(pre, edges, strict=True):
+        assert len(row) == len(a.alphabet)
+        for sym, (sid2, heirs, good) in enumerate(row):
+            assert determinize._shape(a, *pair, sym) == (*pre[sid2], heirs, good)
+
+
+def test_preorder_automaton_holds_the_macrostates_pairs(monkeypatch):
+    """On the largest profile benchmark job the 47 pairs are exactly the
+    distinct (classes, cousin) of the 25,980 macrostates.  The pairs are
+    explored first under the same cap: a cap below 47 stops there, before
+    any label step, and the macrostate cap edge stays at 25,980."""
+    a = normalize(gen_nbw(GenSpec(10, 2, 0.25, 0.3, 778)))
+    d = determinize_profile(a, max_states=25_980)
+    pre, _ = determinize._preorders(a, 47)
+    assert len(d.states) == 25_980
+    assert set(pre) == {(m.classes, m.cousin) for m in d.payloads}
+    with pytest.raises(StateLimitExceeded):
+        determinize_profile(a, max_states=25_979)
+    labelled = []
+    monkeypatch.setattr(determinize, "_apply_labels",
+                        lambda *args: labelled.append(args))
+    with pytest.raises(StateLimitExceeded):
+        determinize_profile(a, max_states=46)
+    assert labelled == []
+
+
 def test_profile_payloads_share_equal_fields():
     """One exploration builds one classes and cousin object per distinct
     (classes, cousin) pair, and one object per distinct good and bad value,
@@ -376,8 +428,8 @@ def test_profile_payloads_share_equal_fields():
 
 def test_free_label_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypatch):
     """A step with more fresh classes than free labels means the state
-    count argument is broken; the one-step path and the memoized exploration
-    both refuse it rather than reuse a label."""
+    count argument is broken; the one-step path and the label exploration
+    over the preorder automaton both refuse it rather than reuse a label."""
     def fresh(count):
         return lambda a, classes, cousin, sym: (((0,),) * count, frozenset(),
                                                 (None,) * count, ())
@@ -438,6 +490,14 @@ def test_whole_drw_golden_digest():
         "a4d18f816b884617371a3218360f286f1a6970e70cbaf52f6d45281d1367dbb7"
     assert _sha256(format_hoa(safra)) == \
         "c77fb84bd89c7e152ee0d5a121d69dd1779004812d0af47dd9df1ad9869a6b1b"
+
+    # the largest profile benchmark job
+    largest = determinize_profile(normalize(gen_nbw(GenSpec(10, 2, 0.25, 0.3, 778))))
+    assert len(largest.states) == 25_980
+    assert _sha256(format_drw(largest)) == \
+        "08bd0808a370f6521a87d959b05418ea39368f627ad590bf3f63d387dced8b04"
+    assert _sha256(format_hoa(largest)) == \
+        "110043971dd389429a7b4ed1d6a864300b322bfa36080a98cbface1b30b73728"
 
     big = determinize_safra(normalize(gen_nbw(GenSpec(10, 3, 0.2, 0.3, 777))))
     assert len(big.states) == 1274
