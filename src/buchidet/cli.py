@@ -119,11 +119,11 @@ def _cmd_check(args) -> int:
 
 
 # tracemalloc peak per state: about 0.8 KiB per profile macrostate of
-# GenSpec(10, 2, 0.25, 0.3, 778) (0.5 KiB retained), up to about 1.2 KiB per
+# GenSpec(10, 2, 0.25, 0.3, 778) (0.5 KiB retained), up to about 1.3 KiB per
 # Safra tree of GenSpec(13, 3, 0.12, 0.3, 777) (0.9 KiB retained)
 _MAX_STATES_HELP = ("most DRW states explored per automaton; a profile "
                     "macrostate takes about 0.8 KiB and a Safra tree up to "
-                    "1.2 KiB, so the default of 10**6 can take about 0.8 GiB "
+                    "1.3 KiB, so the default of 10**6 can take about 0.8 GiB "
                     "for profile and 1.2 GiB for Safra")
 
 

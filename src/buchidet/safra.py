@@ -3,13 +3,11 @@
 A state of the determinized automaton is a tree of state sets: every node's
 label strictly contains the union of its children's labels, sibling labels
 are disjoint, and siblings are ordered by age.  A tree is its root node
-(label, children), the label a sorted state-id tuple and the children a
-tuple of nodes, oldest first; ``()`` is the dead tree.  A node is named by
-its path, the child indices from the root (Schewe's history trees); the
-good/bad path marks feed the Rabin condition.
+(label, children), the label a state bitmask (bit q for state q) and the
+children a tuple of nodes, oldest first; ``()`` is the dead tree.  A node
+is named by its path, the child indices from the root (Schewe's history
+trees); the good/bad path marks feed the Rabin condition.
 
-Labels are canonical sorted tuples outside this module and state bitmasks
-inside the step: `_masks` and `_tuples` convert a tree between the two.
 One step, `_step`, is one recursive pass from the root that builds the new
 tree and marks paths as it goes, each image one lookup in the automaton's
 `mask_tables`.  Each child, oldest first, keeps its image minus what older
@@ -22,15 +20,13 @@ path.  A path is good when its node turned good and stayed there.  A node
 that lives forever moves only finitely often, so a run is accepted iff some
 path is good infinitely often and bad finitely often.
 
-`safra_successor` converts its tree to masks, runs the step afresh and
-converts back.  `determinize_safra` explores the mask-labelled shapes,
-one step per edge, then keys (sid, good paths, bad paths) over that table,
-converts each shape once, and hands the trees to `explore.rabin_drw`, the
-pair rule shared with the profile construction.
+`safra_successor` runs the step afresh.  `determinize_safra` explores the
+shapes, one step per edge, then keys (sid, good paths, bad paths) over that
+table, and hands the trees to `explore.rabin_drw`, the pair rule shared
+with the profile construction.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 from .automata import DRW, NBW, state_set_faults
 from .explore import explore, rabin_drw
@@ -40,9 +36,10 @@ from .explore import explore, rabin_drw
 class SafraTree:
     """Canonical Safra tree.
 
-    `shape` is the root node (label, children), or ``()`` for the dead tree
-    (all runs dead), which acts as the rejecting sink.  `good` and `bad`
-    are the sorted paths marked on the step into the tree.
+    `shape` is the root node (label, children), each label a state mask, or
+    ``()`` for the dead tree (all runs dead), which acts as the rejecting
+    sink.  `good` and `bad` are the sorted paths marked on the step into
+    the tree.
     """
 
     shape: tuple
@@ -54,12 +51,7 @@ def safra_initial(a: NBW) -> SafraTree:
     """Single root labeled with the initial set, no marks."""
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
-    return SafraTree((tuple(sorted(a.initial)), ()), (), ())
-
-
-def _masks(node):
-    """The node `node` with each label a state mask."""
-    return (sum(1 << q for q in node[0]), tuple(map(_masks, node[1]))) if node else ()
+    return SafraTree((a.mask_tables()[2], ()), (), ())
 
 
 def _states(m: int) -> tuple[int, ...]:
@@ -67,20 +59,11 @@ def _states(m: int) -> tuple[int, ...]:
     return tuple(q for q in range(m.bit_length()) if m >> q & 1)
 
 
-def _tuples(root, label):
-    """The canonical tree of the root node `root`, its labels masks: each
-    label m becomes ``label(m)``, a sorted state tuple."""
-    def node(n):
-        return label(n[0]), tuple(map(node, n[1]))
-    return node(root) if root else ()
-
-
 def _step(a: NBW, tree, sym: int):
-    """One step on the root node `tree`, its labels state masks: the new
-    root node, labelled the same way, and the sorted good and bad paths.
-    An image is one lookup in `a.mask_tables()`.  `grow(node, states, old,
-    new)` builds the node at old path `old` from the mask `states` at new
-    path `new`."""
+    """One step on the root node `tree`: the new root node and the sorted
+    good and bad paths.  An image is one lookup in `a.mask_tables()`.
+    `grow(node, states, old, new)` builds the node at old path `old` from
+    the mask `states` at new path `new`."""
     post, _, _, acc = a.mask_tables()
     image = post[sym]
     good, bad = [], set()
@@ -126,8 +109,7 @@ def _step(a: NBW, tree, sym: int):
 
 def safra_successor(a: NBW, t: SafraTree, symbol: str) -> SafraTree:
     """One transition of the tree automaton on `symbol`."""
-    shape, good, bad = _step(a, _masks(t.shape), a.sym_id(symbol))
-    return SafraTree(_tuples(shape, _states), good, bad)
+    return SafraTree(*_step(a, t.shape, a.sym_id(symbol)))
 
 
 def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
@@ -135,13 +117,12 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
     per path that is good on some step, in sorted path order.
 
     Two explorations, both capped at `max_states`.  The first explores the
-    mask-labelled shapes, running `_step` once per (shape, symbol) and
-    recording its marks, each distinct mark tuple one object.  The second
-    explores keys (sid, good, bad) over that table, sid indexing the
-    shapes; a key is equal to another exactly when their trees are.  The
-    edges are dropped, each shape is replaced in place by its canonical
-    tree, equal labels sharing one tuple, and each key becomes its
-    `SafraTree` field for field.
+    shapes, running `_step` once per (shape, symbol) and recording its
+    marks, each distinct mark tuple one object.  The second explores keys
+    (sid, good, bad) over that table, sid indexing the shapes; a key is
+    equal to another exactly when their trees are.  The edges are dropped,
+    and each key becomes its `SafraTree` field for field, sharing the
+    explored shape.
     """
     k = len(a.alphabet)
     shared: dict = {}  # one object per distinct mark tuple
@@ -152,22 +133,20 @@ def determinize_safra(a: NBW, max_states: int = 10 ** 6) -> DRW:
         marks.append((shared.setdefault(good, good), shared.setdefault(bad, bad)))
         return shape2
 
-    shapes, edges = explore(_masks(safra_initial(a).shape), step, k, max_states)
+    shapes, edges = explore(safra_initial(a).shape, step, k, max_states)
     keys, table = explore((0, (), ()), lambda key, sym: (
         edges[key[0]][sym], *marks[key[0] * k + sym]), k, max_states)
     del edges, marks
-    label = cache(_states)
-    for sid, shape in enumerate(shapes):
-        shapes[sid] = _tuples(shape, label)
     return rabin_drw(a.alphabet, "t", table,
                      [SafraTree(shapes[sid], good, bad) for sid, good, bad in keys])
 
 
 def _preorder(path, node):
     """(path, node) for `node` at `path` and its descendants, in preorder; a
-    node that is not a (label of ints, children) pair comes as (path, None)."""
-    if not (type(node) is tuple and len(node) == 2 and type(node[1]) is tuple
-            and type(node[0]) is tuple and all(type(q) is int for q in node[0])):
+    node that is not a (nonnegative int label, children) pair comes as
+    (path, None)."""
+    if not (type(node) is tuple and len(node) == 2 and type(node[0]) is int
+            and node[0] >= 0 and type(node[1]) is tuple):
         yield path, None
         return
     yield path, node
@@ -177,24 +156,28 @@ def _preorder(path, node):
 
 def validate_safra_tree(a: NBW, t: SafraTree) -> list[str]:
     """Tree well-formedness; violations come back as messages.  The root's
-    label and each node's child labels are checked by `state_set_faults`."""
-    if not t.shape:
+    label and each node's child labels, decoded to state ids, are checked
+    by `state_set_faults`."""
+    if t.shape == ():
         return ["rootless tree with good marks"] if t.good else []
     nodes = list(_preorder((), t.shape))
     out = [f"node {p} is not a (label, children) pair"
            for p, node in nodes if node is None]
     if out:
         return out
-    out = state_set_faults(a, [t.shape[0]], lambda _: "node ()")
+    out = state_set_faults(a, [_states(t.shape[0])], lambda _: "node ()")
     for p, (label, children) in nodes:
         if not children:
             continue
         labels = [child[0] for child in children]
-        out += state_set_faults(a, labels, lambda i: f"node {p + (i,)}")
-        union = set().union(*labels)
-        if not union <= set(label):
+        out += state_set_faults(a, list(map(_states, labels)),
+                                lambda i: f"node {p + (i,)}")
+        union = 0
+        for m in labels:
+            union |= m
+        if union & ~label:
             out.append(f"node {p} does not contain its children")
-        elif union == set(label):
+        elif union == label:
             out.append(f"node {p} equals the union of its children")
     good = set(t.good)
     if good & set(t.bad):

@@ -158,15 +158,15 @@ def _first_class_twice(shape):
     return mutant
 
 
-def _root_label_twice(tuples):
-    """The Safra conversion from mask labels to canonical trees listing the
-    first state of the root label twice."""
+def _root_copy_as_child(step):
+    """The Safra step giving a live root a copy of itself as its youngest
+    child."""
     def mutant(*args):
-        tree = tuples(*args)
-        if tree:
-            label, children = tree
-            tree = ((label[0],) + label, children)
-        return tree
+        tree2, good, bad = step(*args)
+        if tree2:
+            label, kids = tree2
+            tree2 = (label, kids + ((label, ()),))
+        return tree2, good, bad
     return mutant
 
 
@@ -191,8 +191,8 @@ MUTANTS = [
      _reversed_classes),
     ("profile: a class lists its first state twice", "determinize._shape",
      _first_class_twice),
-    ("safra: the root label lists its first state twice", "safra._tuples",
-     _root_label_twice),
+    ("safra: a live root gets a copy of itself as its youngest child",
+     "safra._step", _root_copy_as_child),
 ]
 
 

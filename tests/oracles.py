@@ -23,10 +23,12 @@ def nbw(alphabet, states, initial, accepting, transitions) -> NBW:
 
 def preorder(tree) -> tuple:
     """A nested Safra tree `(label, children)` flattened to its preorder of
-    (label, child count) pairs; the dead tree ``()`` stays ``()``."""
+    (label, child count) pairs, each state-mask label decoded to its sorted
+    state tuple; the dead tree ``()`` stays ``()``."""
     if not tree:
         return ()
-    label, children = tree
+    mask, children = tree
+    label = tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
     return ((label, len(children)),) + tuple(
         node for child in children for node in preorder(child))
 

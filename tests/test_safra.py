@@ -18,7 +18,7 @@ from oracles import brute_member, drw_equivalent, drw_included, nbw
 
 def test_initial_tree(two_state):
     t = safra_initial(two_state)
-    assert t == SafraTree(((0,), ()), (), ())
+    assert t == SafraTree((0b1, ()), (), ())
     assert validate_safra_tree(two_state, t) == []
 
 
@@ -29,7 +29,7 @@ def test_initial_tree_single_state(det_chain):
 
 def test_initial_tree_two_initial():
     a = nbw(["a"], ["x", "y"], ["x", "y"], [], [("x", "a", "x")])
-    assert safra_initial(a).shape == ((0, 1), ())
+    assert safra_initial(a).shape == (0b11, ())
 
 
 def test_initial_requires_normalization(selfloop_accepting):
@@ -43,7 +43,7 @@ def test_successor_sprouts_accepting_child(two_state):
     """On a, the root grows to {q,p} and sprouts a child tracking the
     accepting intersection {p}; the sprout's path (0,) is bad."""
     t1 = safra_successor(two_state, safra_initial(two_state), "a")
-    assert t1 == SafraTree(((0, 1), (((1,), ()),)), (), ((0,),))
+    assert t1 == SafraTree((0b11, ((0b10, ()),)), (), ((0,),))
     assert validate_safra_tree(two_state, t1) == []
 
 
@@ -63,7 +63,7 @@ def test_vertical_merge_marks_good():
     # and turns good; no node is left at the sprout's path
     assert t1.good == ((),)
     assert t1.bad == ()
-    assert t1.shape == ((1,), ())
+    assert t1.shape == (0b10, ())
     assert validate_safra_tree(a, t1) == []
 
 
@@ -73,7 +73,7 @@ def test_horizontal_merge_prefers_older_sibling(two_state):
     t = safra_initial(two_state)
     for symbol in "aa":
         t = safra_successor(two_state, t, symbol)
-    assert t.shape == ((0, 1), (((1,), ()),))
+    assert t.shape == (0b11, ((0b10, ()),))
     assert (t.good, t.bad) == (((0,),), ())
     assert validate_safra_tree(two_state, t) == []
 
@@ -126,14 +126,14 @@ def test_position_rule_marks_moves_sprouts_and_good_in_place():
         assert validate_safra_tree(a, t) == []
         steps.append(t)
     # a: x sprouts under the root at (0,)
-    assert steps[0] == SafraTree(((0, 1), (((1,), ()),)), (), ((0,),))
+    assert steps[0] == SafraTree((0b011, ((0b010, ()),)), (), ((0,),))
     # b: the leaf {x} turns good in place; y sprouts as its younger sibling
-    assert steps[1] == SafraTree(((0, 1, 2), (((1,), ()), ((2,), ()))),
+    assert steps[1] == SafraTree((0b111, ((0b010, ()), (0b100, ()))),
                                  ((0,),), ((1,),))
     # c: {x} dies, so {y} moves from (1,) to (0,) and turns good on the way
-    assert steps[2] == SafraTree(((0, 2), (((2,), ()),)), (), ((0,), (1,)))
+    assert steps[2] == SafraTree((0b101, ((0b100, ()),)), (), ((0,), (1,)))
     # c: {y} stays at (0,) and turns good there
-    assert steps[3] == SafraTree(((0, 2), (((2,), ()),)), ((0,),), ())
+    assert steps[3] == SafraTree((0b101, ((0b100, ()),)), ((0,),), ())
 
 
 def test_safra_pair_count_and_determinism(two_state):
@@ -170,6 +170,14 @@ def test_safra_payloads_match_safra_successor_replay():
         assert _matches_replay(a, determinize_safra(a))
 
 
+def _labels(node):
+    """Every label of the root node `node` and its descendants."""
+    if node:
+        yield node[0]
+        for child in node[1]:
+            yield from _labels(child)
+
+
 @pytest.mark.parametrize("n, trees, digest", [
     (8, 73, "f85d38a889478076a5907b0bd13cbe5bd00676798cf8630ac00c7b53b37f2ba8"),
     (9, 65, "eb5db271ad489fc0be3d711a9ca02535fb6958c60519d3edb99f4a36ff69723d"),
@@ -180,12 +188,15 @@ def test_safra_payloads_match_safra_successor_replay():
 def test_safra_drw_pinned_across_image_table_chunks(n, trees, digest):
     """An image is one 8-state table lookup up to 8 states, two lookups up
     to 16, and a loop over the chunks beyond.  On each side of both
-    boundaries, a sparse automaton's Safra DRW keeps its bytes, its
-    highest state appears in some tree, and `safra_successor` replays it."""
+    boundaries, a sparse automaton's Safra DRW keeps its bytes, every
+    label of every tree is a state mask, its highest state appears in some
+    tree, and `safra_successor` replays it."""
     a = normalize(gen_nbw(GenSpec(n, 2, 0.15, 0.3, 777)))
     d = determinize_safra(a)
     assert len(d.states) == trees
-    assert max(t.shape[0][-1] for t in d.payloads if t.shape) == n - 1
+    assert all(type(m) is int and m > 0
+               for t in d.payloads for m in _labels(t.shape))
+    assert max(t.shape[0].bit_length() for t in d.payloads if t.shape) == n
     assert hashlib.sha256(format_drw(d).encode()).hexdigest() == digest
     assert _matches_replay(a, d)
 
@@ -227,11 +238,9 @@ def test_safra_payloads_share_good_and_bad_tuples():
 
 
 def test_safra_peak_memory():
-    """The step runs on mask labels, and after exploration its memo and
-    the shape index are dropped before the trees are built: the 1,275 trees
-    of this automaton peak at about 1.3 MiB under tracemalloc, against 1.4
-    MiB with tuple labels in the step and 2.0 MiB when per-shape
-    bookkeeping lived until the DRW was built."""
+    """Trees keep the step's mask labels, and the exploration edges are
+    dropped before the trees are built: the 1,275 trees of this automaton
+    peak at about 1.3 MiB under tracemalloc."""
     a = normalize(gen_nbw(GenSpec(10, 3, 0.15, 0.3, 777)))
     tracemalloc.start()
     try:
@@ -299,33 +308,42 @@ def test_exact_inclusion_agrees_with_lassos_on_small_drws():
     assert refuted == 53
 
 
-_VALID = SafraTree(((0, 1), (((1,), ()),)), (), ((1,),))
+_VALID = SafraTree((0b011, ((0b010, ()),)), (), ((1,),))
+_NOT_A_ROOT = "node () is not a (label, children) pair"
 
 
 @pytest.mark.parametrize("tree, message", [
-    (replace(_VALID, shape=((0, 1, 3), (((1,), ()),))), "state id 3 out of range"),
-    (replace(_VALID, shape=((1, 0), (((1,), ()),))),
-     "node () is not a sorted state set"),
+    (replace(_VALID, shape=(0b1011, ((0b010, ()),))), "state id 3 out of range"),
     (replace(_VALID, good=((1,),), bad=()), "good path (1,) is not a node"),
     (replace(_VALID, good=((0,),), bad=((0,),)), "good and bad marks overlap"),
-    (replace(_VALID, shape=(((0, 1), 1), ((1,), 0))),
-     "node () is not a (label, children) pair"),
-    (replace(_VALID, shape=((0, 1), (((1,),),))),
+    (replace(_VALID, shape=((0b011, 1), (0b010, 0))), _NOT_A_ROOT),
+    (replace(_VALID, shape=(0b011, ((0b010,),))),
      "node (0,) is not a (label, children) pair"),
-    (replace(_VALID, shape=((0, 1), (((1,), ()), 2))),
+    (replace(_VALID, shape=(0b011, ((0b010, ()), 2))),
      "node (1,) is not a (label, children) pair"),
+    (replace(_VALID, shape=(0b011, ((-0b010, ()),))),
+     "node (0,) is not a (label, children) pair"),
+    (replace(_VALID, shape=(True, ())), _NOT_A_ROOT),
+    (replace(_VALID, shape=((0, 1), (((1,), ()),))), _NOT_A_ROOT),
+    (replace(_VALID, shape=None), _NOT_A_ROOT),
+    (replace(_VALID, shape=0), _NOT_A_ROOT),
+    (replace(_VALID, shape=[]), _NOT_A_ROOT),
+    (replace(_VALID, shape=""), _NOT_A_ROOT),
+    (replace(_VALID, shape=False), _NOT_A_ROOT),
     (SafraTree((), ((),), ((0,),)), "rootless tree with good marks"),
-    (replace(_VALID, shape=((0, 1), (((), ()),))), "node (0,) is empty"),
-    (replace(_VALID, shape=((0, 1, 2), (((1,), ()), ((1,), ())))),
+    (replace(_VALID, shape=(0b011, ((0, ()),))), "node (0,) is empty"),
+    (replace(_VALID, shape=(0b111, ((0b010, ()), (0b010, ())))),
      "node (1,) shares states with a sibling"),
-    (replace(_VALID, shape=((0,), (((1,), ()),))),
+    (replace(_VALID, shape=(0b001, ((0b010, ()),))),
      "node () does not contain its children"),
-    (replace(_VALID, shape=((1,), (((1,), ()),))),
+    (replace(_VALID, shape=(0b010, ((0b010, ()),))),
      "node () equals the union of its children"),
-], ids=["state-out-of-range", "unsorted-label", "good-name-not-a-node",
-        "good-and-bad-overlap", "preorder-shape", "child-not-a-pair",
-        "int-among-children", "dead-tree-with-good-marks", "empty-label",
-        "siblings-share-states", "children-not-contained", "node-equals-children"])
+], ids=["state-out-of-range", "good-name-not-a-node", "good-and-bad-overlap",
+        "preorder-shape", "child-not-a-pair", "int-among-children",
+        "negative-label", "bool-label", "tuple-label", "none-shape",
+        "zero-shape", "list-shape", "str-shape", "false-shape",
+        "dead-tree-with-good-marks", "empty-label", "siblings-share-states",
+        "children-not-contained", "node-equals-children"])
 def test_validate_safra_tree_flags_corrupted_tree(tree, message):
     a = nbw(["a"], ["x", "y", "z"], ["x"], ["y"], [("x", "a", "y")])
     assert validate_safra_tree(a, _VALID) == []
