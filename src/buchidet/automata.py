@@ -8,12 +8,16 @@ lookup tables that only membership queries use are built on first use.
 Lasso membership has two forms: ``nbw_member`` and ``drw_run_eval`` decide
 one lasso, and the row deciders ``nbw_verdicts`` and ``drw_verdicts``
 decide every lasso ``prefix . period^w`` of a list of prefixes by a list of
-periods, as one int per prefix with bit j for period j.
+periods, as one int per prefix with bit j for period j.  The row deciders
+write each period's word as ``x . c^w``, c the least rotation of its
+primitive root, and decide each such c once; the single-lasso deciders
+run every period as given, so they are the rows' independent reference.
 """
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 
 class ParseError(ValueError):
@@ -302,19 +306,47 @@ def nbw_verdicts(a: NBW, prefixes, periods) -> list[int]:
     """One verdict row per prefix: bit j of row i is set iff the automaton
     accepts ``prefixes[i] . periods[j]^w``.
 
-    One call to the period core per period gives the states from which some
-    run accepts it; a start mask after a prefix is accepted iff it meets
-    them, and each distinct start mask is decided once.
+    The period core runs once per rotation class (see :func:`_rotations`):
+    for ``v^w = x . c^w`` the states from which some run accepts ``v^w`` are
+    the x-predecessors of those for ``c^w``.  A start mask after a prefix
+    is accepted iff it meets them, and each distinct start mask is decided
+    once.
     """
-    post, _, initial, _ = a.mask_tables()
+    post, pre, initial, _ = a.mask_tables()
     starts = _prefix_starts(a._sym_id, initial, lambda m, s: post[s](m), prefixes)
-    wins = [_nbw_period(a, _sym_ids(a._sym_id, v)) for v in periods]
+    cores, members = _rotations(a.alphabet, tuple(periods))
+    core_wins = [_nbw_period(a, c) for c in cores]
+    wins = [reduce(lambda m, s: pre[s](m), reversed(x), core_wins[k])
+            for x, k in members]
     rows = {m: sum(1 << j for j, good in enumerate(wins) if m & good)
             for m in set(starts)}
     return [rows[m] for m in starts]
 
 
-def _nbw_period(a: NBW, v: list[int]) -> int:
+@lru_cache(maxsize=16)
+def _rotations(alphabet: tuple[str, ...], periods: tuple) -> tuple[tuple, tuple]:
+    """The rotation classes of `periods`, as symbol ids: ``(cores,
+    members)``, with one ``(x, k)`` member per period v such that ``v^w =
+    x . cores[k]^w`` and ``|x| < |cores[k]|``.
+
+    A core is the least rotation of a primitive root, so all the periods of
+    one ultimately periodic word share it; cores are listed in first-seen
+    order.  Symbols become ids before any rotation, so an unknown one
+    raises the error that the single-lasso deciders raise.
+    """
+    ids = {s: i for i, s in enumerate(alphabet)}
+    cores: dict[tuple, int] = {}
+    members = []
+    for v in periods:
+        v = tuple(_sym_ids(ids, v))
+        root = next(v[:n] for n in range(1, len(v) + 1)
+                    if len(v) % n == 0 and v[:n] * (len(v) // n) == v)
+        i = min(range(len(root)), key=lambda i: root[i:] + root[:i])
+        members.append((root[:i], cores.setdefault(root[i:] + root[:i], len(cores))))
+    return tuple(cores), tuple(members)
+
+
+def _nbw_period(a: NBW, v: Sequence[int]) -> int:
     """The mask of states from which some run accepts ``v^w``; 0 if none.
 
     One state mask per period position, all states at first.  The Emerson-Lei
@@ -425,23 +457,30 @@ def drw_verdicts(d: DRW, prefixes, periods) -> list[int]:
     """One verdict row per prefix: bit j of row i is set iff the run on
     ``prefixes[i] . periods[j]^w`` accepts.
 
-    Per period, each distinct state after a prefix is decided once, in
-    first-seen order, and the verdicts found so far are kept by period
-    start: a start that an earlier walk passed takes its verdict, and any
-    other start's walk stops at the first known start it meets.
+    For ``v^w = x . c^w`` (see :func:`_rotations`), each distinct state
+    after a prefix is run along x and then decided on c, in first-seen
+    order.  The verdicts found so far are kept by period start, one memo
+    per rotation class: a start that an earlier walk on c passed takes its
+    verdict, and any other start's walk stops at the first known start it
+    meets.
     """
     trans = d.trans
     starts = _prefix_starts(d._sym_id, d.initial, lambda q, s: trans[q][s], prefixes)
+    cores, members = _rotations(d.alphabet, tuple(periods))
+    memos = [{} for _ in cores]
     rows = dict.fromkeys(starts, 0)
-    for j, v in enumerate(periods):
-        v, memo = _sym_ids(d._sym_id, v), {}
+    for j, (x, k) in enumerate(members):
+        c, memo = cores[k], memos[k]
         for q in rows:
-            if memo[q] if q in memo else _drw_period(d, q, v, memo):
+            p = q
+            for s in x:
+                p = trans[p][s]
+            if memo[p] if p in memo else _drw_period(d, p, c, memo):
                 rows[q] |= 1 << j
     return [rows[q] for q in starts]
 
 
-def _drw_period(d: DRW, q: int, v: list[int], memo: dict | None = None) -> bool:
+def _drw_period(d: DRW, q: int, v: Sequence[int], memo: dict | None = None) -> bool:
     """Whether the run from state `q` accepts ``v^w``.
 
     Every period start on the walk from `q` leads to the same cycle, so it

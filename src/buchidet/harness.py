@@ -5,12 +5,14 @@ macrostate DRW, and the Safra DRW.  A check's lassos form a grid, every
 prefix with every period, whose order `_grid` alone defines.  Each decider
 returns one verdict row per prefix, bit j for period j; the check compares
 the rows prefix by prefix and reads a prefix's bits period by period only
-when its rows differ.  The NBW settles
-each period once, as the mask of states from which some run accepts it,
+when its rows differ.  Periods that spell one word up to a shift, ``v^w =
+x . c^w`` with c the least rotation of v's primitive root, are settled
+together.  The NBW settles each such c once, as the mask of states from
+which some run accepts it; a period's mask is the x-predecessors of c's,
 met by the start mask after each prefix.  A DRW's verdict depends only on
 the state after the prefix and the period, and all the period starts of
-one walk share it: each DRW walks a period on from a state only if no
-earlier walk on that period passed through it.  Any disagreement is a
+one walk share it: each DRW runs a start along x and walks c on from there
+only if no earlier walk on c passed through it.  Any disagreement is a
 genuine counterexample, replayable from the seed.  Bounded agreement is
 evidence, not proof; every report records the bounds it used.
 `check_automaton` only judges the DRWs it is given: `cross_check` builds
@@ -281,9 +283,10 @@ def check_automaton(a: NBW, prefixes, periods, drw_profile: DRW,
     with a ValueError.
 
     The three deciders each return one verdict row per prefix, bit j for
-    period j, and the rows are compared prefix by prefix; only a prefix
-    whose rows differ is read period by period, for the records, in grid
-    order, of the lassos whose three verdicts differ.
+    period j, each deciding once per rotation class of the periods (see
+    :func:`automata.nbw_verdicts`), and the rows are compared prefix by
+    prefix; only a prefix whose rows differ is read period by period, for
+    the records, in grid order, of the lassos whose three verdicts differ.
     """
     _require_payloads(drw_profile, Macrostate, "the check needs a profile DRW "
                       "with one macrostate payload per state")

@@ -130,6 +130,20 @@ def lasso_axes(lassos: list[Lasso]):
             list(dict.fromkeys([w.period for w in lassos])))
 
 
+def rotation_class(v: tuple) -> tuple[tuple, tuple]:
+    """``(x, c)`` with ``v^w = x . c^w``, found by trying words rather than
+    by rotating: c is the shortest, then least, word whose power spells
+    ``v^w`` from some shift below |v| on, and x is ``v^w`` up to the first
+    such shift."""
+    span = 2 * len(v) * len(v)
+    word = Lasso((), v).unroll(len(v) + span)
+    shifted = [(length, word[i:i + length], i)
+               for i in range(len(v)) for length in range(1, len(v) + 1)
+               if Lasso((), word[i:i + length]).unroll(span) == word[i:i + span]]
+    _, c, shift = min(shifted)
+    return word[:shift], c
+
+
 def per_lasso(row_lists, lassos: list[Lasso], prefixes, periods) -> list[tuple]:
     """Per lasso, its verdict in each of `row_lists`, each a list of verdict
     rows over `prefixes` and `periods`."""

@@ -15,7 +15,7 @@ from buchidet.harness import (CheckReport, GenSpec, check_automaton,
                               cross_check, enumerate_lassos, gen_nbw,
                               sweep_invariants)
 from buchidet.safra import determinize_safra
-from oracles import preorder
+from oracles import preorder, rotation_class
 
 GOLDEN_SEED42 = """\
 nbw
@@ -349,11 +349,12 @@ def test_faulty_checks_report_the_per_lasso_records():
 
 def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
     """Over the mutant catalogue's 180 automata, the check calls the NBW
-    period core once per period (30 each), the DRW period core at most
-    47,718 times, and the class check of the macrostate validator once per
-    distinct (classes, cousin) pair of each profile DRW, 1,008 times for
-    4,007 payloads: a return to per-lasso or per-payload work, or a lost
-    memo, shows up here without any timing."""
+    period core once per rotation class of the grid's periods (8 of 30),
+    the DRW period core at most 12,928 times, and the class check of the
+    macrostate validator once per distinct (classes, cousin) pair of each
+    profile DRW, 1,008 times for 4,007 payloads: a return to per-period,
+    per-lasso or per-payload work, or a lost memo, shows up here without
+    any timing."""
     from buchidet import automata as automata_module
 
     automata = mutants.corpus()
@@ -382,8 +383,9 @@ def test_check_work_counts_over_the_catalogue_corpus(monkeypatch):
         profile = determinize_profile(a)
         payloads += len(profile.payloads)
         assert check_automaton(a, *grid, profile, determinize_safra(a)).passed
-    assert calls["nbw"] == 180 * 30 == 5400
-    assert calls["drw"] <= 47_718
+    classes = len({rotation_class(v)[1] for v in grid[1]})
+    assert calls["nbw"] == 180 * classes == 1440
+    assert calls["drw"] <= 12_928
     assert calls["preorder"] == 1008 and payloads == 4007
 
 
@@ -444,15 +446,17 @@ def test_check_report_bytes_pinned():
 
 
 def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch):
-    """``check_automaton`` calls the NBW period core once per distinct
-    period.  Each DRW's period core runs once per (state after the prefix,
-    period) pair whose state no earlier walk on that period passed through
-    at a period start: at most once per distinct pair, and well below once
-    per lasso."""
+    """``check_automaton`` calls the NBW period core once per rotation
+    class c of the periods, where ``v^w = x . c^w``.  Each DRW's period
+    core runs once per (state after the prefix and x, c) pair whose state no
+    earlier walk on c passed through at a period start, periods taken in
+    grid order: at most once per distinct pair, and well below once per
+    lasso."""
     from buchidet import automata
 
     a = normalize(gen_nbw(GenSpec(4, 2, 0.5, 0.3, 20_264_000)))
     profile, safra = determinize_profile(a), determinize_safra(a)
+    prefixes, periods = harness._grid(a.alphabet, 3, 4)
     lassos = enumerate_lassos(a.alphabet, 3, 4)
     calls = {"nbw": 0, "profile": 0, "safra": 0}
     nbw_period, drw_period = automata._nbw_period, automata._drw_period
@@ -467,7 +471,7 @@ def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch)
 
     monkeypatch.setattr(automata, "_nbw_period", count_nbw)
     monkeypatch.setattr(automata, "_drw_period", count_drw)
-    res = check_automaton(a, *harness._grid(a.alphabet, 3, 4), profile, safra)
+    res = check_automaton(a, prefixes, periods, profile, safra)
     assert res.passed and res.lassos == 450
 
     def run(d, word, q=None):
@@ -477,24 +481,29 @@ def test_check_decides_nbw_per_period_and_drws_per_start_and_period(monkeypatch)
         return q
 
     def walks(d):
-        """Lassos, in order, whose start after the prefix no earlier walk
-        on their period passed through at a period start."""
+        """Starts, period by period and prefix by prefix, whose state after
+        the prefix and x no earlier walk on c passed through at a period
+        start."""
         passed, count = {}, 0
-        for w in lassos:
-            seen = passed.setdefault(w.period, set())
-            q = run(d, w.prefix)
-            count += q not in seen
-            while q not in seen:
-                seen.add(q)
-                q = run(d, w.period, q)
+        for v in periods:
+            x, c = rotation_class(v)
+            seen = passed.setdefault(c, set())
+            for u in prefixes:
+                q = run(d, u + x)
+                count += q not in seen
+                while q not in seen:
+                    seen.add(q)
+                    q = run(d, c, q)
         return count
 
-    want = {"nbw": len({w.period for w in lassos}),
-            "profile": walks(profile), "safra": walks(safra)}
+    cores = {rotation_class(v)[1] for v in periods}
+    want = {"nbw": len(cores), "profile": walks(profile), "safra": walks(safra)}
     assert calls == want
-    assert calls["nbw"] == 30
+    assert calls["nbw"] == 8
     for name, drw in ("profile", profile), ("safra", safra):
-        assert calls[name] <= len({(run(drw, w.prefix), w.period) for w in lassos})
+        pairs = {(run(drw, w.prefix + x), c)
+                 for w in lassos for x, c in [rotation_class(w.period)]}
+        assert calls[name] <= len(pairs)
     assert max(calls.values()) < len(lassos)
 
 

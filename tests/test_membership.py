@@ -11,13 +11,14 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safra,
                       drw_run_eval, drw_verdicts, enumerate_lassos, gen_nbw,
-                      nbw_member, nbw_verdicts, normalize)
-from buchidet.automata import _nbw_period
+                      harness, nbw_member, nbw_verdicts, normalize)
+from buchidet.automata import _nbw_period, _rotations
 import mutants
-from oracles import brute_member, lasso_axes, per_lasso
+from oracles import brute_member, lasso_axes, per_lasso, rotation_class
 
 SIZES = (1, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17)
 ALPHABET = ("a", "b")
@@ -190,22 +191,61 @@ def test_batch_verdicts_match_per_lasso(spec):
     assert_rows_match(a, [w for w in lassos if len(w.prefix) == 3])
 
 
+@pytest.mark.parametrize("spec", [GenSpec(n, k, 0.5, 0.3, 7000 + 10 * n + k)
+                                  for n, k in ((3, 2), (6, 2), (3, 3), (5, 3))],
+                         ids=["n3k2", "n6k2", "n3k3", "n5k3"])
+def test_batch_verdicts_match_per_lasso_on_wider_grids(spec):
+    """Binary periods up to length 6 and ternary ones up to 4: squares and
+    cubes of periods of length 2 and 3, and rotations whose prefix x has up
+    to 5 symbols."""
+    a = normalize(gen_nbw(spec))
+    max_v = 6 if spec.alphabet_size == 2 else 4
+    assert_rows_match(a, enumerate_lassos(a.alphabet, 2, max_v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1,
+                                             max_size=8))))
+def test_rotation_class_spells_the_same_word(case):
+    """A period v maps to (x, c) with ``x . c^w`` equal to ``v^w``, c
+    primitive and the least of its rotations, and |x| < |c|; v's powers and
+    rotations map to the same c, and the smallest grid holding v holds c."""
+    k, ids = case
+    alphabet = ("a", "b", "c")[:k]
+    v = tuple(alphabet[i] for i in ids)
+    cores, ((x, index),) = _rotations(alphabet, (v,))
+    assert index == 0 and len(cores) == 1
+    c = cores[0]
+    x_syms, c_syms = (tuple(alphabet[i] for i in w) for w in (x, c))
+    length = len(x) + 2 * len(v) * len(c)
+    assert Lasso(x_syms, c_syms).unroll(length) == Lasso((), v).unroll(length)
+    turns = [c[i:] + c[:i] for i in range(len(c))]
+    assert min(turns) == c and turns.count(c) == 1
+    assert len(x) < len(c)
+    assert _rotations(alphabet, (v, v + v, v[1:] + v[:1]))[0] == cores
+    assert c_syms in harness._grid(alphabet, 0, len(v))[1]
+
+
 def _midway_hits(d, prefixes, periods) -> int:
-    """The walks that a per-period memo stops partway, taking each period's
-    prefixes in order: a walk from a start that no earlier walk on the
-    period passed through at a period start, which meets such a start later."""
-    hits = 0
+    """The walks that a per-class memo stops partway, taking the periods in
+    order and each period's prefixes in order: a walk on c, from the state
+    after the prefix and x, that no earlier walk on c passed through at a
+    period start, which meets such a start later."""
+    def run(q, word):
+        for sym in word:
+            q = d.trans[q][d.alphabet.index(sym)]
+        return q
+
+    hits, passed = 0, {}
     for v in periods:
-        seen = set()
+        x, c = rotation_class(v)
+        seen = passed.setdefault(c, set())
         for u in prefixes:
-            q = d.initial
-            for sym in u:
-                q = d.trans[q][d.alphabet.index(sym)]
-            walk = set()
+            q, walk = run(d.initial, u + x), set()
             while q not in seen and q not in walk:
                 walk.add(q)
-                for sym in v:
-                    q = d.trans[q][d.alphabet.index(sym)]
+                q = run(q, c)
             hits += bool(walk) and q in seen
             seen |= walk
     return hits
@@ -215,8 +255,8 @@ def test_drw_rows_do_not_depend_on_prefix_or_period_order():
     """On the profile and Safra DRWs of the mutant catalogue's corpus, the
     DRW row decider gives each lasso its run's verdict with the prefixes
     and periods in order and reversed; with the prefixes reversed, some
-    walks stop at a start that an earlier walk on their period passed
-    through."""
+    walks stop at a start that an earlier walk on their period's rotation
+    class passed through."""
     automata = mutants.corpus()
     lassos = enumerate_lassos(automata[0].alphabet, mutants.MAX_U, mutants.MAX_V)
     prefixes, periods = lasso_axes(lassos)
@@ -275,14 +315,15 @@ def test_batch_verdicts_after_a_prefix_that_kills_every_run(spec):
 def test_batch_verdicts_unknown_symbol_and_empty_list():
     """An unknown symbol in any prefix or period raises the single-lasso
     error, also in a prefix that extends one already run or follows a dead
-    run.  No prefixes give no rows."""
+    run, and in a period whose least rotation starts with another unknown
+    symbol.  No prefixes give no rows."""
     a = NBW(ALPHABET, ["s0"], [0], [0], [(0, 0, 0)])
     d = determinize_profile(normalize(a))
     for periods in ([], [("a",)]):
         assert nbw_verdicts(a, [], periods) == [] and drw_verdicts(d, [], periods) == []
     assert nbw_verdicts(a, [()], []) == [0] and drw_verdicts(d, [()], []) == [0]
     ok = [Lasso.parse(t) for t in (";a", "a;a", "b;a")]
-    for text in ("z;a", "a.z;a", "b.z;a", ";z", "a;a.z", "b;b.z"):
+    for text in ("z;a", "a.z;a", "b.z;a", ";z", "a;a.z", "b;b.z", ";z.y"):
         bad = Lasso.parse(text)
         for rows_of, single, aut in ((nbw_verdicts, nbw_member, a),
                                      (drw_verdicts, drw_run_eval, d)):
