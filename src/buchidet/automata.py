@@ -10,8 +10,10 @@ one lasso, and the row deciders ``nbw_verdicts`` and ``drw_verdicts``
 decide every lasso ``prefix . period^w`` of a list of prefixes by a list of
 periods, as one int per prefix with bit j for period j.  The row deciders
 write each period's word as ``x . c^w``, c the least rotation of its
-primitive root, and decide each such c once; the single-lasso deciders
-run every period as given, so they are the rows' independent reference.
+primitive root, and decide each such c once.  Each runs every prefix on
+its own, so the two share only that rotation map and the symbol lookup.
+The single-lasso deciders run every period as given, so they are the
+rows' independent reference.
 """
 
 import re
@@ -227,18 +229,6 @@ def _sym_ids(ids: dict, symbols) -> list[int]:
         raise ValueError(f"symbol {err.args[0]!r} not in alphabet") from None
 
 
-def _prefix_starts(ids: dict, start, step, prefixes) -> list:
-    """The start after each of `prefixes`: `step` folded over its symbol
-    ids from `start`.  A prefix runs once, on from its one-shorter prefix
-    if that is known."""
-    after = {(): start}
-    for u in prefixes:
-        if u not in after:
-            q, rest = (after[u[:-1]], u[-1:]) if u[:-1] in after else (start, u)
-            after[u] = reduce(step, _sym_ids(ids, rest), q)
-    return [after[u] for u in prefixes]
-
-
 def _image_tables(adj, k: int) -> tuple:
     """Per symbol, the function from a state mask to the union of its
     states' `adj` rows, as a bitmask.
@@ -313,7 +303,8 @@ def nbw_verdicts(a: NBW, prefixes, periods) -> list[int]:
     once.
     """
     post, pre, initial, _ = a.mask_tables()
-    starts = _prefix_starts(a._sym_id, initial, lambda m, s: post[s](m), prefixes)
+    starts = [reduce(lambda m, s: post[s](m), _sym_ids(a._sym_id, u), initial)
+              for u in prefixes]
     cores, members = _rotations(a.alphabet, tuple(periods))
     core_wins = [_nbw_period(a, c) for c in cores]
     wins = [reduce(lambda m, s: pre[s](m), reversed(x), core_wins[k])
@@ -332,13 +323,16 @@ def _rotations(alphabet: tuple[str, ...], periods: tuple) -> tuple[tuple, tuple]
     A core is the least rotation of a primitive root, so all the periods of
     one ultimately periodic word share it; cores are listed in first-seen
     order.  Symbols become ids before any rotation, so an unknown one
-    raises the error that the single-lasso deciders raise.
+    raises the error that the single-lasso deciders raise; an empty period
+    raises the error that :class:`Lasso` raises.
     """
     ids = {s: i for i, s in enumerate(alphabet)}
     cores: dict[tuple, int] = {}
     members = []
     for v in periods:
         v = tuple(_sym_ids(ids, v))
+        if not v:
+            raise ValueError("lasso period must be nonempty")
         root = next(v[:n] for n in range(1, len(v) + 1)
                     if len(v) % n == 0 and v[:n] * (len(v) // n) == v)
         i = min(range(len(root)), key=lambda i: root[i:] + root[:i])
@@ -465,7 +459,8 @@ def drw_verdicts(d: DRW, prefixes, periods) -> list[int]:
     meets.
     """
     trans = d.trans
-    starts = _prefix_starts(d._sym_id, d.initial, lambda q, s: trans[q][s], prefixes)
+    starts = [reduce(lambda q, s: trans[q][s], _sym_ids(d._sym_id, u), d.initial)
+              for u in prefixes]
     cores, members = _rotations(d.alphabet, tuple(periods))
     memos = [{} for _ in cores]
     rows = dict.fromkeys(starts, 0)

@@ -3,16 +3,11 @@
 Three deciders answer every membership query: the NBW cycle oracle, the
 macrostate DRW, and the Safra DRW.  A check's lassos form a grid, every
 prefix with every period, whose order `_grid` alone defines.  Each decider
-returns one verdict row per prefix, bit j for period j; the check compares
-the rows prefix by prefix and reads a prefix's bits period by period only
-when its rows differ.  Periods that spell one word up to a shift, ``v^w =
-x . c^w`` with c the least rotation of v's primitive root, are settled
-together.  The NBW settles each such c once, as the mask of states from
-which some run accepts it; a period's mask is the x-predecessors of c's,
-met by the start mask after each prefix.  A DRW's verdict depends only on
-the state after the prefix and the period, and all the period starts of
-one walk share it: each DRW runs a start along x and walks c on from there
-only if no earlier walk on c passed through it.  Any disagreement is a
+returns one verdict row per prefix, bit j for period j; how the row
+deciders settle the periods of one word ``x . c^w`` together is told in
+`automata.py`.  The check compares the rows prefix by prefix and reads a
+prefix's bits period by period only when its rows differ, for the records,
+in grid order, of the lassos whose verdicts differ.  Any disagreement is a
 genuine counterexample, replayable from the seed.  Bounded agreement is
 evidence, not proof; every report records the bounds it used.
 `check_automaton` only judges the DRWs it is given: `cross_check` builds
@@ -29,7 +24,6 @@ each distinct step once and names its faults under every word that takes it.
 import random
 import string
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 from itertools import product
 
 from .automata import DRW, NBW, Lasso, drw_verdicts, format_nbw, nbw_verdicts, \
@@ -86,20 +80,11 @@ def gen_nbw(spec: GenSpec) -> NBW:
 def enumerate_lassos(alphabet, max_u: int, max_v: int) -> list[Lasso]:
     """All lassos with |u| <= max_u and 1 <= |v| <= max_v, shortest first:
     each prefix of :func:`_grid`, in order, with each of its periods.
-
-    Each call returns a fresh list of the same frozen lassos, built once
-    per (alphabet, max_u, max_v).
-    """
-    return list(_lassos(tuple(alphabet), max_u, max_v))
+    Each call builds a new list."""
+    prefixes, periods = _grid(tuple(alphabet), max_u, max_v)
+    return [Lasso(u, v) for u in prefixes for v in periods]
 
 
-@lru_cache(maxsize=16)
-def _lassos(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[Lasso, ...]:
-    prefixes, periods = _grid(syms, max_u, max_v)
-    return tuple(Lasso(u, v) for u in prefixes for v in periods)
-
-
-@lru_cache(maxsize=16)
 def _grid(syms: tuple[str, ...], max_u: int, max_v: int) -> tuple[tuple, tuple]:
     """The prefixes with |u| <= max_u and the periods with 1 <= |v| <= max_v,
     each shortest first, then in symbol order: the axes of every check's
@@ -283,10 +268,10 @@ def check_automaton(a: NBW, prefixes, periods, drw_profile: DRW,
     with a ValueError.
 
     The three deciders each return one verdict row per prefix, bit j for
-    period j, each deciding once per rotation class of the periods (see
-    :func:`automata.nbw_verdicts`), and the rows are compared prefix by
-    prefix; only a prefix whose rows differ is read period by period, for
-    the records, in grid order, of the lassos whose three verdicts differ.
+    period j (how they decide is told in `automata.py`), and the rows are
+    compared prefix by prefix; only a prefix whose rows differ is read
+    period by period, for the records, in grid order, of the lassos whose
+    three verdicts differ.
     """
     _require_payloads(drw_profile, Macrostate, "the check needs a profile DRW "
                       "with one macrostate payload per state")

@@ -104,12 +104,11 @@ def _symbol_zero(shape):
     return mutant
 
 
-def _prefix_by_first_symbol(starts):
-    """The shared prefix runner extending each known prefix by its first
-    symbol instead of its last.  It reads every prefix as its first symbol
-    repeated, for all three deciders alike."""
-    def mutant(ids, start, step, prefixes):
-        return starts(ids, start, step, [u[:1] * len(u) for u in prefixes])
+def _prefix_by_first_symbol(verdicts):
+    """Verdict rows of one decider that read every prefix as its first
+    symbol repeated."""
+    def mutant(aut, prefixes, periods):
+        return verdicts(aut, [u[:1] * len(u) for u in prefixes], periods)
     return mutant
 
 
@@ -182,8 +181,6 @@ MUTANTS = [
     ("safra: never good", "safra._step", _keep_good(lambda good: ())),
     ("profile: preorder step ignores the symbol", "determinize._shape",
      _symbol_zero),
-    ("lassos: prefix extended by its first symbol", "automata._prefix_starts",
-     _prefix_by_first_symbol),
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),
     ("nbw: every start wins once some state does", "automata._nbw_period",
      _every_start_wins),
@@ -193,6 +190,10 @@ MUTANTS = [
      _first_class_twice),
     ("safra: a live root gets a copy of itself as its youngest child",
      "safra._step", _root_copy_as_child),
+    ("nbw rows: each prefix read as its first symbol repeated",
+     "harness.nbw_verdicts", _prefix_by_first_symbol),
+    ("drw rows: each prefix read as its first symbol repeated",
+     "harness.drw_verdicts", _prefix_by_first_symbol),
 ]
 
 

@@ -598,6 +598,26 @@ def test_safra_reads_automata_only_through_mask_tables():
     assert "mask_tables" in reads
 
 
+def test_verdict_rows_share_only_the_rotation_map_and_symbol_lookup():
+    """The NBW row and the DRW rows check each other only while they decide
+    apart: of the module-level private helpers of `automata.py` that each
+    row decider reads, directly or through other such helpers, they share
+    only the rotation map and the symbol lookup."""
+    body = {stmt.name: stmt for stmt in _parse("automata").body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    private = {name for name in body if name.startswith("_")}
+
+    def helpers(name):
+        found, todo = set(), [name]
+        while todo:
+            for used in _reads(body[todo.pop()]) & private - found:
+                found.add(used)
+                todo.append(used)
+        return found
+    assert helpers("nbw_verdicts") & helpers("drw_verdicts") == \
+        {"_rotations", "_sym_ids"}
+
+
 def test_package_has_no_unused_imports_or_private_helpers():
     """Every name a package module imports is read in that module (or, in
     `__init__.py`, listed in `__all__`), and every module-level private

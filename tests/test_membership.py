@@ -316,7 +316,8 @@ def test_batch_verdicts_unknown_symbol_and_empty_list():
     """An unknown symbol in any prefix or period raises the single-lasso
     error, also in a prefix that extends one already run or follows a dead
     run, and in a period whose least rotation starts with another unknown
-    symbol.  No prefixes give no rows."""
+    symbol.  An empty period raises the error that `Lasso` raises.  No
+    prefixes give no rows."""
     a = NBW(ALPHABET, ["s0"], [0], [0], [(0, 0, 0)])
     d = determinize_profile(normalize(a))
     for periods in ([], [("a",)]):
@@ -335,3 +336,10 @@ def test_batch_verdicts_unknown_symbol_and_empty_list():
                 with pytest.raises(ValueError) as got:
                     rows_of(aut, prefixes, periods)
                 assert str(got.value) == str(want.value), text
+    with pytest.raises(ValueError) as want:
+        Lasso((), ())
+    for rows_of, aut in ((nbw_verdicts, a), (drw_verdicts, d)):
+        for periods in ([()], [("a",), ()]):
+            with pytest.raises(ValueError) as got:
+                rows_of(aut, [()], periods)
+            assert str(got.value) == str(want.value)

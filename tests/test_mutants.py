@@ -2,6 +2,7 @@
 mutant in MUTANTS.json still flags it on some corpus automaton."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -25,6 +26,15 @@ def test_record_matches_the_catalogue():
         [m[:2] for m in mutants.MUTANTS]
     assert RECORD["corpus"]["count"] == len(mutants.SPECS)
     assert RECORD["unmutated"] == dict.fromkeys(mutants.CHECKERS, 0) | {"errors": 0}
+    for name, target, _ in mutants.MUTANTS:
+        module, attr = target.split(".")
+        assert hasattr(importlib.import_module(f"buchidet.{module}"), attr), name
+    # the rows share no prefix code, so a row decider that misreads its
+    # prefixes is caught by both lasso columns
+    flagged = {m["name"]: m["flagged"] for m in RECORD["mutants"]}
+    for rows in ("nbw", "drw"):
+        counts = flagged[f"{rows} rows: each prefix read as its first symbol repeated"]
+        assert counts["lassos_profile"] > 0 and counts["lassos_safra"] > 0
 
 
 @pytest.mark.parametrize("mutant, recorded",
