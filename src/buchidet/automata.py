@@ -305,7 +305,7 @@ def nbw_verdicts(a: NBW, prefixes, periods) -> list[int]:
     post, pre, initial, _ = a.mask_tables()
     starts = [reduce(lambda m, s: post[s](m), _sym_ids(a._sym_id, u), initial)
               for u in prefixes]
-    cores, members = _rotations(a.alphabet, tuple(periods))
+    cores, members = _rotations(a.alphabet, tuple(map(tuple, periods)))
     core_wins = [_nbw_period(a, c) for c in cores]
     wins = [reduce(lambda m, s: pre[s](m), reversed(x), core_wins[k])
             for x, k in members]
@@ -461,7 +461,7 @@ def drw_verdicts(d: DRW, prefixes, periods) -> list[int]:
     trans = d.trans
     starts = [reduce(lambda q, s: trans[q][s], _sym_ids(d._sym_id, u), d.initial)
               for u in prefixes]
-    cores, members = _rotations(d.alphabet, tuple(periods))
+    cores, members = _rotations(d.alphabet, tuple(map(tuple, periods)))
     memos = [{} for _ in cores]
     rows = dict.fromkeys(starts, 0)
     for j, (x, k) in enumerate(members):
@@ -509,95 +509,90 @@ def _drw_period(d: DRW, q: int, v: Sequence[int], memo: dict | None = None) -> b
 # -- native text format --------------------------------------------------------
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def _parse_sections(text: str, kind: str):
     """Check the grammar both native formats share: the header, the
     sections, the alphabet, the state names and the ``trans:`` lines.
 
-    Returns ``(alphabet, states, single, trans, pairs, state_ids)``: the
-    declared symbols and state names; ``single`` maps ``states:``,
-    ``initial:`` and ``accepting:`` to their ``(lineno, names)``, or to None
-    when absent; every ``trans:`` line as ``(lineno, src, sym, dst)`` ids;
-    every ``pair:`` line as ``(lineno, tokens)``; and ``state_ids(names,
-    lineno)``, the ids of declared state names, which raises
-    :class:`ParseError` naming the first undeclared one.
+    One pass over the lines files each directive in ``sections``: ``trans:``
+    and ``pair:`` map to lists of ``(lineno, tokens)``, and each single
+    section present to its ``(lineno, tokens)``.  Returns ``(sections, sid,
+    trans)``, with ``sid`` the id of each state name and ``trans`` every
+    ``trans:`` line as ``(lineno, src, sym, dst)`` ids.
     """
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty document")
-    lineno, tokens = lines[0]
-    if tokens != [kind]:
-        raise ParseError(f"expected header {kind!r}", lineno)
-    single = {"alphabet:": None, "states:": None, "initial:": None, "accepting:": None}
-    trans_lines: list[tuple[int, list[str]]] = []
-    pairs: list[tuple[int, list[str]]] = []
-    for lineno, tokens in lines[1:]:
-        key, rest = tokens[0], tokens[1:]
-        if key in single:
-            if single[key] is not None:
-                raise ParseError(f"duplicate {key[:-1]} section", lineno)
-            single[key] = (lineno, rest)
-        elif key == "trans:":
-            trans_lines.append((lineno, rest))
-        elif key == "pair:":
-            pairs.append((lineno, rest))
-        else:
+    sections: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        key = tokens[0]
+        if not sections:  # the first content line is the header
+            if tokens != [kind]:
+                raise ParseError(f"expected header {kind!r}", lineno)
+            sections = {"trans:": [], "pair:": []}
+        elif key in ("trans:", "pair:"):
+            sections[key].append((lineno, tokens[1:]))
+        elif key not in ("alphabet:", "states:", "initial:", "accepting:"):
             raise ParseError(f"unknown directive {key!r}", lineno)
+        elif key in sections:
+            raise ParseError(f"duplicate {key[:-1]} section", lineno)
+        else:
+            sections[key] = (lineno, tokens[1:])
+    if not sections:
+        raise ParseError("empty document")
     for key in ("alphabet:", "states:", "initial:"):
-        if single[key] is None:
+        if key not in sections:
             raise ParseError(f"missing {key[:-1]} section")
-    lineno, alphabet = single.pop("alphabet:")
+    lineno, alphabet = sections["alphabet:"]
     if not alphabet:
         raise ParseError("alphabet must list at least one symbol", lineno)
     if len(set(alphabet)) != len(alphabet):
         raise ParseError("duplicate alphabet symbol", lineno)
     if fault := _separator_fault(alphabet):
         raise ParseError(fault, lineno)
-    lineno, states = single["states:"]
+    lineno, states = sections["states:"]
     if not states:
         raise ParseError("states must list at least one name", lineno)
     if len(set(states)) != len(states):
         raise ParseError("duplicate state name", lineno)
     sid = {s: i for i, s in enumerate(states)}
     aid = {s: i for i, s in enumerate(alphabet)}
-
-    def state_ids(names, lineno):
-        try:
-            return [sid[s] for s in names]
-        except KeyError as err:
-            raise ParseError(f"undeclared state {err.args[0]!r}", lineno) from None
-
     trans = []
-    for lineno, rest in trans_lines:
+    for lineno, rest in sections["trans:"]:
         if len(rest) != 3:
             raise ParseError("trans expects exactly: source symbol target", lineno)
         src, sym, dst = rest
         if sym not in aid:
             raise ParseError(f"undeclared symbol {sym!r}", lineno)
-        try:
-            trans.append((lineno, sid[src], aid[sym], sid[dst]))
-        except KeyError:
-            state_ids((src, dst), lineno)  # raises, naming the undeclared state
-    return alphabet, states, single, trans, pairs, state_ids
+        if src not in sid or dst not in sid:
+            _state_ids(sid, (src, dst), lineno)  # raises
+        trans.append((lineno, sid[src], aid[sym], sid[dst]))
+    return sections, sid, trans
+
+
+def _state_ids(sid: dict, names, lineno: int | None) -> list[int]:
+    """The ids of the state `names` in `sid`; a :class:`ParseError` on
+    `lineno` names the first undeclared one."""
+    for name in names:
+        if name not in sid:
+            raise ParseError(f"undeclared state {name!r}", lineno)
+    return [sid[s] for s in names]
 
 
 _UNWRITABLE = re.compile(r"[\s#]")
 _BAR_STATE = "state name '|' cannot be used in a drw: pair lines split G from B with it"
 
 
-def _check_writable(names: tuple[str, ...]):
-    """Raise ValueError naming the first name the native formats would not
-    read back as itself: an empty one, or one with whitespace or ``#``."""
+def _head(kind: str, alphabet, states, initial) -> list[str]:
+    """The lines a native document opens with, up to ``initial:``.  Raises
+    ValueError naming the first name the reader would not read back as
+    itself: an empty one, or one with whitespace or ``#``."""
+    names = (*alphabet, *states)
     if "" in names or _UNWRITABLE.search("".join(names)):
         bad = next(s for s in names if not s or _UNWRITABLE.search(s))
         raise ValueError(f"name {bad!r} cannot be written: names must be "
                          "nonempty and contain no whitespace or '#'")
+    return [kind, "alphabet: " + " ".join(alphabet), "states: " + " ".join(states),
+            "initial: " + " ".join(states[q] for q in initial)]
 
 
 def parse_nbw(text: str) -> NBW:
@@ -606,55 +601,54 @@ def parse_nbw(text: str) -> NBW:
     The result may still have initial accepting states; callers that need the
     disjointness guarantee run :func:`normalize`.
     """
-    alphabet, states, single, trans, pairs, state_ids = _parse_sections(text, "nbw")
-    if pairs:
-        raise ParseError("pair: lines are not allowed in an nbw document", pairs[0][0])
-    lineno, names = single["initial:"]
+    sections, sid, trans = _parse_sections(text, "nbw")
+    if sections["pair:"]:
+        raise ParseError("pair: lines are not allowed in an nbw document",
+                         sections["pair:"][0][0])
+    lineno, names = sections["initial:"]
     if not names:
         raise ParseError("initial set must be nonempty", lineno)
-    initial = state_ids(names, lineno)
-    lineno, names = single["accepting:"] or (None, [])
-    accepting = state_ids(names, lineno)
-    return NBW(alphabet, states, initial, accepting, [t[1:] for t in trans])
+    initial = _state_ids(sid, names, lineno)
+    lineno, names = sections.get("accepting:", (None, ()))
+    return NBW(sections["alphabet:"][1], sections["states:"][1], initial,
+               _state_ids(sid, names, lineno), [t[1:] for t in trans])
 
 
 def format_nbw(a: NBW) -> str:
-    _check_writable((*a.alphabet, *a.states))
-    lines = ["nbw",
-             "alphabet: " + " ".join(a.alphabet),
-             "states: " + " ".join(a.states),
-             "initial: " + " ".join(a.states[q] for q in a.initial),
-             ("accepting: " + " ".join(a.states[q] for q in a.accepting)).rstrip()]
+    lines = _head("nbw", a.alphabet, a.states, a.initial)
+    lines.append(("accepting: " + " ".join(a.states[q] for q in a.accepting)).rstrip())
     for src, sym, dst in a.edges:
         lines.append(f"trans: {a.states[src]} {a.alphabet[sym]} {a.states[dst]}")
     return "\n".join(lines) + "\n"
 
 
 def parse_drw(text: str) -> DRW:
-    """Parse the native DRW format (single initial state, total transitions)."""
-    alphabet, states, single, trans, pair_lines, state_ids = _parse_sections(text, "drw")
-    if single["accepting:"] is not None:
+    """Parse the native DRW format (single initial state, total transitions).
+    The ``trans:`` lines fill one flat row-major table: a line that finds its
+    cell filled is a duplicate, and the first cell left None is missing."""
+    sections, sid, trans = _parse_sections(text, "drw")
+    if "accepting:" in sections:
         raise ParseError("accepting: is not allowed in a drw document",
-                         single["accepting:"][0])
-    if "|" in states:
-        raise ParseError(_BAR_STATE, single["states:"][0])
-    lineno, names = single["initial:"]
+                         sections["accepting:"][0])
+    if "|" in sid:
+        raise ParseError(_BAR_STATE, sections["states:"][0])
+    lineno, names = sections["initial:"]
     if len(names) != 1:
         raise ParseError("drw requires exactly one initial state", lineno)
-    initial = state_ids(names, lineno)[0]
-    table: list[list[int | None]] = [[None] * len(alphabet) for _ in states]
+    initial = _state_ids(sid, names, lineno)[0]
+    alphabet, states = sections["alphabet:"][1], sections["states:"][1]
+    k = len(alphabet)
+    table = [None] * (len(states) * k)
     for lineno, src, sym, dst in trans:
-        if table[src][sym] is not None:
+        if table[src * k + sym] is not None:
             raise ParseError(
                 f"duplicate transition for {states[src]} {alphabet[sym]}", lineno)
-        table[src][sym] = dst
-    for qi, row in enumerate(table):
-        for si, dst in enumerate(row):
-            if dst is None:
-                raise ParseError(
-                    f"missing transition for {states[qi]} {alphabet[si]}")
+        table[src * k + sym] = dst
+    if None in table:
+        src, sym = divmod(table.index(None), k)
+        raise ParseError(f"missing transition for {states[src]} {alphabet[sym]}")
     by_idx = {}
-    for lineno, rest in pair_lines:
+    for lineno, rest in sections["pair:"]:
         bar = rest.index("|") if "|" in rest else len(rest)
         if len(rest) < 3 or rest[1] != "G" or rest[bar + 1:bar + 2] != ["B"]:
             raise ParseError("pair expects: <idx> G <state>* | B <state>*", lineno)
@@ -664,23 +658,19 @@ def parse_drw(text: str) -> DRW:
             raise ParseError(f"pair index {rest[0]!r} is not an integer", lineno)
         if idx in by_idx:
             raise ParseError(f"duplicate pair index {idx}", lineno)
-        by_idx[idx] = (frozenset(state_ids(rest[2:bar], lineno)),
-                       frozenset(state_ids(rest[bar + 2:], lineno)))
+        by_idx[idx] = (frozenset(_state_ids(sid, rest[2:bar], lineno)),
+                       frozenset(_state_ids(sid, rest[bar + 2:], lineno)))
     if set(by_idx) != set(range(len(by_idx))):
         raise ParseError("pair indices must be contiguous from 0")
     pairs = tuple(by_idx[i] for i in range(len(by_idx)))
     return DRW(tuple(alphabet), tuple(states), initial,
-               tuple(tuple(row) for row in table), pairs)
+               tuple(tuple(table[i:i + k]) for i in range(0, len(table), k)), pairs)
 
 
 def format_drw(d: DRW) -> str:
-    _check_writable((*d.alphabet, *d.states))
+    lines = _head("drw", d.alphabet, d.states, (d.initial,))
     if "|" in d.states:
         raise ValueError(_BAR_STATE)
-    lines = ["drw",
-             "alphabet: " + " ".join(d.alphabet),
-             "states: " + " ".join(d.states),
-             "initial: " + d.states[d.initial]]
     for qi, row in enumerate(d.trans):
         for si, dst in enumerate(row):
             lines.append(f"trans: {d.states[qi]} {d.alphabet[si]} {d.states[dst]}")

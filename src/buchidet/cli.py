@@ -84,9 +84,19 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _gen_spec(args) -> GenSpec:
+    """The GenSpec of the generator flags; a bad value's error names its flag."""
+    try:
+        return GenSpec(args.states, args.alphabet, args.density, args.acc, args.seed)
+    except ValueError as err:
+        field, rest = str(err).split(" ", 1)
+        flag = {"n_states": "--states", "alphabet_size": "--alphabet",
+                "density": "--density", "accepting_fraction": "--acc"}[field]
+        raise ValueError(f"{flag} {rest}") from None
+
+
 def _cmd_gen(args) -> int:
-    spec = GenSpec(args.states, args.alphabet, args.density, args.acc, args.seed)
-    text = format_nbw(gen_nbw(spec))
+    text = format_nbw(gen_nbw(_gen_spec(args)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -102,8 +112,7 @@ def _cmd_check(args) -> int:
     for flag, value, low in bounds:
         if value < low:
             raise ValueError(f"{flag} must be at least {low}")
-    spec = GenSpec(args.states, args.alphabet, args.density, args.acc, args.seed)
-    report = cross_check(spec, args.max_u, args.max_v, args.count,
+    report = cross_check(_gen_spec(args), args.max_u, args.max_v, args.count,
                          max_states=args.max_states, sweep_depth=args.sweep_depth)
     print(f"automata={report.automata} lassos={report.lassos} "
           f"disagreements={len(report.disagreements)} "

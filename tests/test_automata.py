@@ -93,6 +93,51 @@ def test_nbw_roundtrip(two_state_text):
     assert parse_nbw(format_nbw(a)) == a
 
 
+_DIRECTIVES = ("alphabet:", "states:", "initial:", "accepting:", "trans:", "pair:")
+_SOUP = ("nbw", "drw", *_DIRECTIVES, "x", "y", "a", "|", "G", "B", "0", "1", "-1",
+         "#", "a.b")
+_SHARED_LINES = ("alphabet: a", "states: x y", "initial: x", "trans: x a y",
+                 "trans: y a x")
+_SKELETON = {"nbw": _SHARED_LINES + ("accepting: y",),
+             "drw": _SHARED_LINES + ("pair: 0 G y | B x",)}
+
+
+@st.composite
+def token_soups(draw):
+    """A document of one kind: the header and the lines of a two-state
+    automaton in a drawn order, then up to two edits, each blanking a line,
+    inserting a `_SOUP` token or writing one over an argument, then up to
+    two lines of a directive and soup.  Some parse; most hit a fault."""
+    kind = draw(st.sampled_from(("nbw", "drw")))
+    token = st.sampled_from(_SOUP)
+    lines = draw(st.permutations([line.split() for line in _SKELETON[kind]]))
+    for _ in range(draw(st.integers(0, 2))):
+        tokens = lines[draw(st.integers(0, len(lines) - 1))]
+        edit = draw(st.sampled_from(("blank", "insert", "overwrite")))
+        if edit == "blank":
+            tokens.clear()
+        elif edit == "insert":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(token))
+        elif len(tokens) > 1:
+            tokens[draw(st.integers(1, len(tokens) - 1))] = draw(token)
+    extra = st.tuples(st.sampled_from(_DIRECTIVES), st.lists(token, max_size=4))
+    lines += [(key, *rest) for key, rest in draw(st.lists(extra, max_size=2))]
+    return "\n".join([kind, *map(" ".join, lines)]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_soups())
+def test_native_readers_return_or_raise_parse_error(text):
+    """Each reader returns an automaton or raises ParseError, never another
+    exception, and what it returns its writer writes back to the same."""
+    for parse, write in ((parse_nbw, format_nbw), (parse_drw, format_drw)):
+        try:
+            r = parse(text)
+        except ParseError:
+            continue
+        assert parse(write(r)) == r
+
+
 # -- normalization -------------------------------------------------------------
 
 def test_normalize_disjoint_is_identity(two_state):

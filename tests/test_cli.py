@@ -284,3 +284,19 @@ def test_check_count_below_one_is_usage_error(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--count" in captured.err
+
+
+@pytest.mark.parametrize("command", [["gen", "--seed", "1"], ["check", "--count", "1"]],
+                         ids=["gen", "check"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--states", "0", "must be at least 1"),
+    ("--alphabet", "0", "must be at least 1"),
+    ("--density", "0", "must be in (0, 1]"),
+    ("--acc", "2", "must be in [0, 1]"),
+], ids=["states", "alphabet", "density", "acc"])
+def test_generator_flag_errors_name_the_flag(command, flag, value, message, capsys):
+    args = command + (["--states", "2"] if flag != "--states" else []) + [flag, value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {message}\n"

@@ -343,3 +343,15 @@ def test_batch_verdicts_unknown_symbol_and_empty_list():
             with pytest.raises(ValueError) as got:
                 rows_of(aut, [()], periods)
             assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("spec", BATCH_GRID[::4], ids=BATCH_IDS[::4])
+def test_batch_verdicts_take_list_periods_as_tuples(spec):
+    """A period given as a list gets the row of the same period as a tuple,
+    from both deciders, as a list prefix already does."""
+    a = normalize(gen_nbw(spec))
+    prefixes, periods = lasso_axes(enumerate_lassos(a.alphabet, 2, 3))
+    as_lists = [list(v) for v in periods]
+    assert nbw_verdicts(a, prefixes, as_lists) == nbw_verdicts(a, prefixes, periods)
+    for d in (determinize_profile(a), determinize_safra(a)):
+        assert drw_verdicts(d, prefixes, as_lists) == drw_verdicts(d, prefixes, periods)
