@@ -50,13 +50,6 @@ class Lasso:
         u, _, v = text.partition(";")
         return cls(_symbols(u), _symbols(v))
 
-    def unroll(self, length: int) -> tuple[str, ...]:
-        """First `length` symbols of the denoted infinite word."""
-        out = list(self.prefix)
-        while len(out) < length:
-            out.extend(self.period)
-        return tuple(out[:length])
-
     def __str__(self):
         return f"{'.'.join(self.prefix)};{'.'.join(self.period)}"
 
@@ -652,10 +645,10 @@ def parse_drw(text: str) -> DRW:
         bar = rest.index("|") if "|" in rest else len(rest)
         if len(rest) < 3 or rest[1] != "G" or rest[bar + 1:bar + 2] != ["B"]:
             raise ParseError("pair expects: <idx> G <state>* | B <state>*", lineno)
-        try:
-            idx = int(rest[0])
-        except ValueError:
-            raise ParseError(f"pair index {rest[0]!r} is not an integer", lineno)
+        if not (rest[0].isascii() and rest[0].isdigit()):
+            raise ParseError(f"pair index {rest[0]!r} must be a nonnegative "
+                             "integer in ASCII digits", lineno)
+        idx = int(rest[0])
         if idx in by_idx:
             raise ParseError(f"duplicate pair index {idx}", lineno)
         by_idx[idx] = (frozenset(_state_ids(sid, rest[2:bar], lineno)),

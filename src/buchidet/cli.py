@@ -7,6 +7,7 @@ exceeded.  All outputs are byte-deterministic for fixed inputs and seeds.
 import argparse
 import json
 import sys
+from itertools import chain, cycle
 
 from . import __version__
 from .automata import Lasso, format_drw, format_nbw, nbw_member, normalize, \
@@ -15,8 +16,8 @@ from .determinize import determinize_profile, initial_macrostate, sigma_successo
 from .explore import StateLimitExceeded
 from .harness import GenSpec, cross_check, gen_nbw
 from .hoa import format_hoa
-from .labeling import label_levels
-from .run_dag import profile_tree
+from .labeling import initial_labeled, next_labeled
+from .run_dag import initial_level, step_level
 from .safra import determinize_safra
 
 
@@ -63,24 +64,28 @@ def _cmd_trace(args) -> int:
         raise ValueError("--levels must be at least 1")
     aut = _read_nbw(args.infile)
     word = Lasso.parse(args.word)
-    prefix = word.unroll(args.levels - 1)
-    levels = profile_tree(aut, prefix)
-    labeled = label_levels(levels, aut.n) if args.labels else None
-    macro = [initial_macrostate(aut)]
-    for symbol in prefix:
-        macro.append(sigma_successor(aut, macro[-1], symbol))
-    for i, pl in enumerate(levels):
+    for symbol in word.prefix + word.period:  # refuse any unknown symbol first
+        aut.sym_id(symbol)
+    pl, macro = initial_level(aut), initial_macrostate(aut)
+    ll = initial_labeled(pl) if args.labels else None
+    symbols = chain(word.prefix, cycle(word.period))
+    for i in range(args.levels):
+        if i:
+            symbol = next(symbols)
+            pl = step_level(aut, pl, symbol)
+            macro = sigma_successor(aut, macro, symbol)
+            if ll is not None:
+                ll = next_labeled(ll, pl, aut.n)
         for j in range(len(pl.classes)):
             parent = "-" if pl.parents[j] is None else str(pl.parents[j])
             line = (f"level={i} rank={j} f={pl.f_class[j]} parent={parent} "
                     "states={" + ",".join(aut.states[q] for q in pl.classes[j]) + "}")
-            if labeled is not None:
-                ll = labeled[i]
+            if ll is not None:
                 line += (f" gl={ll.gl[j]} lbl={ll.lbl[j]}"
                          f" good={_fmt_set(ll.good)} bad={_fmt_set(ll.bad)}"
                          f" succ={_fmt_set(ll.successful)}")
             print(line)
-        print(_macrostate_line(aut, i, macro[i]))
+        print(_macrostate_line(aut, i, macro))
     return 0
 
 

@@ -15,7 +15,6 @@ and the events follow from the heirs.
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
 
 from .run_dag import ProfileLevel
 
@@ -81,13 +80,3 @@ def next_labeled(prev: LabeledLevel, level: ProfileLevel, n_states: int) -> Labe
                         frozenset(prev.lbl) - frozenset(lbl),
                         frozenset(prev.gl[x] for x in moved),
                         prev.gl_watermark + k - len(uncle))
-
-
-def label_levels(levels: Sequence[ProfileLevel], n_states: int) -> list[LabeledLevel]:
-    """Label a whole level sequence, level 0 first."""
-    if not levels:
-        return []
-    out = [initial_labeled(levels[0])]
-    for level in levels[1:]:
-        out.append(next_labeled(out[-1], level, n_states))
-    return out

@@ -8,7 +8,6 @@ bit.  A node's rank is the rank of its class.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .automata import NBW, state_set_faults
 
@@ -46,14 +45,6 @@ def step_level(a: NBW, prev: ProfileLevel, symbol: str) -> ProfileLevel:
     keys = sorted(members)
     return ProfileLevel(tuple(tuple(members[k]) for k in keys),
                         tuple(p for p, _ in keys), tuple(f for _, f in keys))
-
-
-def profile_tree(a: NBW, prefix: Iterable[str]) -> list[ProfileLevel]:
-    """Class-granular levels 0..len(prefix), parent-linked and rank-ordered."""
-    levels = [initial_level(a)]
-    for symbol in prefix:
-        levels.append(step_level(a, levels[-1], symbol))
-    return levels
 
 
 def check_level(a: NBW, level: ProfileLevel, prev_width: int | None) -> list[str]:

@@ -1,14 +1,14 @@
 """Brute-force reference implementations used only to check the real ones,
-explicit walks over stored run-DAG levels, per-lasso readers of verdict
-rows, an exact DRW language comparison, a flattening of nested Safra
-trees, and a helper that builds test automata from names."""
+whole lists of run-DAG levels and explicit walks over them, per-lasso
+readers of verdict rows, an exact DRW language comparison, a flattening of
+nested Safra trees, and a helper that builds test automata from names."""
 
 import itertools
 from typing import Sequence
 
 from buchidet import DRW, NBW, Lasso, parse_nbw
-from buchidet.labeling import LabeledLevel
-from buchidet.run_dag import ProfileLevel
+from buchidet.labeling import LabeledLevel, initial_labeled, next_labeled
+from buchidet.run_dag import ProfileLevel, initial_level, step_level
 
 
 def nbw(alphabet, states, initial, accepting, transitions) -> NBW:
@@ -19,6 +19,30 @@ def nbw(alphabet, states, initial, accepting, transitions) -> NBW:
              "accepting: " + " ".join(accepting)]
     lines += [f"trans: {src} {sym} {dst}" for src, sym, dst in transitions]
     return parse_nbw("\n".join(lines) + "\n")
+
+
+def unroll(w: Lasso, length: int) -> tuple[str, ...]:
+    """First `length` symbols of the infinite word `w`."""
+    out = list(w.prefix)
+    while len(out) < length:
+        out.extend(w.period)
+    return tuple(out[:length])
+
+
+def profile_tree(a: NBW, prefix) -> list[ProfileLevel]:
+    """Levels 0..len(prefix) of the run DAG, each stepped from the last."""
+    levels = [initial_level(a)]
+    for symbol in prefix:
+        levels.append(step_level(a, levels[-1], symbol))
+    return levels
+
+
+def label_levels(levels: Sequence[ProfileLevel], n_states: int) -> list[LabeledLevel]:
+    """The labeled form of a nonempty level list, level 0 first."""
+    out = [initial_labeled(levels[0])]
+    for level in levels[1:]:
+        out.append(next_labeled(out[-1], level, n_states))
+    return out
 
 
 def preorder(tree) -> tuple:
@@ -136,10 +160,10 @@ def rotation_class(v: tuple) -> tuple[tuple, tuple]:
     ``v^w`` from some shift below |v| on, and x is ``v^w`` up to the first
     such shift."""
     span = 2 * len(v) * len(v)
-    word = Lasso((), v).unroll(len(v) + span)
+    word = unroll(Lasso((), v), len(v) + span)
     shifted = [(length, word[i:i + length], i)
                for i in range(len(v)) for length in range(1, len(v) + 1)
-               if Lasso((), word[i:i + length]).unroll(span) == word[i:i + span]]
+               if unroll(Lasso((), word[i:i + length]), span) == word[i:i + span]]
     _, c, shift = min(shifted)
     return word[:shift], c
 

@@ -13,14 +13,14 @@ import time
 
 import pytest
 
-from buchidet import (CheckReport, GenSpec, Lasso, cross_check, label_levels,
-                      normalize, parse_nbw, profile_tree, sweep_invariants)
+from buchidet import (CheckReport, GenSpec, Lasso, cross_check, normalize,
+                      parse_nbw, sweep_invariants)
 from buchidet.determinize import (Macrostate, determinize_profile,
                                   initial_macrostate, sigma_successor)
 from buchidet.harness import gen_nbw
 
 from conftest import TWO_STATE_TEXT
-from oracles import labels_of_class, profile_strings
+from oracles import label_levels, labels_of_class, profile_strings, profile_tree
 
 LASSO_U, LASSO_V = 3, 4
 STATE_CAP = 10 ** 6

@@ -8,7 +8,7 @@ from buchidet import (DRW, NBW, Lasso, ParseError, RabinCondition,
                       format_drw, format_nbw, nbw_member, normalize,
                       parse_drw, parse_nbw)
 from buchidet.hoa import format_hoa
-from oracles import all_lassos, brute_member, nbw
+from oracles import all_lassos, brute_member, nbw, unroll
 
 
 # -- lasso syntax --------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_lasso_strips_whitespace_around_each_symbol():
 
 
 def test_lasso_unroll():
-    assert Lasso.parse("a;b.c").unroll(5) == ("a", "b", "c", "b", "c")
+    assert unroll(Lasso.parse("a;b.c"), 5) == ("a", "b", "c", "b", "c")
 
 
 # -- parsing -------------------------------------------------------------------
@@ -427,6 +427,12 @@ def test_drw_parse_rejects_duplicate_pair_index():
     assert err.value.line == 7
 
 
+def test_drw_parse_reads_pair_index_digits_as_decimal():
+    d = parse_drw(_DRW_ONE_STATE + "pair: 01 G | B x\npair: 00 G x | B\n")
+    assert d.acceptance == ((frozenset({0}), frozenset()),
+                            (frozenset(), frozenset({0})))
+
+
 def test_drw_parse_requires_contiguous_pair_indices():
     with pytest.raises(ParseError) as err:
         parse_drw(_DRW_ONE_STATE + "pair: 1 G x | B\n")
@@ -434,11 +440,17 @@ def test_drw_parse_requires_contiguous_pair_indices():
     assert err.value.line is None
 
 
+_ASCII_INDEX = "pair index '{}' must be a nonnegative integer in ASCII digits"
+
+
 @pytest.mark.parametrize("pair, message", [
     ("0 G x B", "pair expects: <idx> G <state>* | B <state>*"),
-    ("z G x | B", "pair index 'z' is not an integer"),
+    ("z G x | B", _ASCII_INDEX.format("z")),
     ("0 G x | X", "pair expects: <idx> G <state>* | B <state>*"),
-], ids=["no-bar", "non-integer-index", "X-for-B"])
+    *((f"{tok} G x | B", _ASCII_INDEX.format(tok))
+      for tok in ("+0", "-0", "0_0", "\u0660", "-1")),
+], ids=["no-bar", "non-integer-index", "X-for-B", "plus-zero", "minus-zero",
+        "underscore", "arabic-indic-zero", "negative"])
 def test_drw_parse_checks_pair_syntax(pair, message):
     with pytest.raises(ParseError) as err:
         parse_drw(_DRW_ONE_STATE + f"pair: {pair}\n")

@@ -1,9 +1,16 @@
+import contextlib
+import hashlib
 import json
+import os
+import random
+import tracemalloc
 
 import pytest
 
-from buchidet import parse_drw, parse_nbw
+from buchidet import (GenSpec, Lasso, format_nbw, gen_nbw, normalize, parse_drw,
+                      parse_nbw)
 from buchidet.cli import main
+from oracles import label_levels, profile_tree, unroll
 
 
 @pytest.fixture
@@ -183,6 +190,80 @@ def test_trace_without_labels(two_state_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "level=0 rank=0 f=0 parent=- states={q}"
     assert all("gl=" not in line for line in lines)
+
+
+def test_trace_golden_digest_of_sixty_levels(tmp_path, capsys):
+    path = str(tmp_path / "seed11.nbw")
+    assert main(["gen", "--states", "6", "--alphabet", "3", "--seed", "11",
+                 "--out", path]) == 0
+    assert main(["trace", "--in", path, "--word", "a.b;c.a.b", "--levels", "60",
+                 "--labels"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 293
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "80cba509a032c84f15c68d8dbf34ce3e1ec891d4f25e8f91d29f122de4ea722f"
+
+
+def test_trace_level_lines_match_the_whole_level_lists(tmp_path, capsys):
+    """The streamed level lines carry the classes, parents and labels of
+    the level lists built whole, on 20 seeded automata and words."""
+    rng = random.Random(37)
+    path = tmp_path / "aut.nbw"
+
+    def braces(values):
+        return "{" + ",".join(map(str, values)) + "}"
+    for seed in range(20):
+        text = format_nbw(gen_nbw(GenSpec(rng.randint(2, 6), 3, 0.4, 0.3, seed)))
+        path.write_text(text, encoding="utf-8")
+        a = normalize(parse_nbw(text))
+        word = Lasso(tuple(rng.choices("abc", k=rng.randint(0, 3))),
+                     tuple(rng.choices("abc", k=rng.randint(1, 4))))
+        levels = profile_tree(a, unroll(word, 11))
+        expected = [
+            f"level={i} rank={j} f={pl.f_class[j]} "
+            f"parent={'-' if pl.parents[j] is None else pl.parents[j]} "
+            f"states={braces(a.states[q] for q in pl.classes[j])} "
+            f"gl={ll.gl[j]} lbl={ll.lbl[j]} good={braces(sorted(ll.good))} "
+            f"bad={braces(sorted(ll.bad))} succ={braces(sorted(ll.successful))}"
+            for i, (pl, ll) in enumerate(zip(levels, label_levels(levels, a.n)))
+            for j in range(len(pl.classes))]
+        assert main(["trace", "--in", str(path), "--word", str(word),
+                     "--levels", "12", "--labels"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("level=")] == expected
+        assert len(lines) == len(expected) + 12
+
+
+def test_trace_refuses_an_unknown_symbol_before_any_output(two_state_file, capsys):
+    """The whole word is checked against the alphabet first, as `member`
+    checks it, so the verdict does not depend on --levels."""
+    for levels in ("1", "4"):
+        assert main(["trace", "--in", two_state_file, "--word", "a;a.z",
+                     "--levels", levels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: symbol 'z' not in alphabet\n"
+
+
+def test_trace_memory_does_not_grow_with_levels(tmp_path):
+    """Each level is printed before the next is stepped, so ten times the
+    levels peak at most 256 KiB higher under tracemalloc (about 2.5 KiB
+    more per level when the levels were kept)."""
+    path = tmp_path / "seed3.nbw"
+    path.write_text(format_nbw(gen_nbw(GenSpec(5, 2, 0.5, 0.3, 3))), encoding="utf-8")
+
+    def peak(levels: int) -> int:
+        with open(os.devnull, "w", encoding="utf-8") as sink, \
+                contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["trace", "--in", str(path), "--word", "a;a.b",
+                             "--levels", str(levels), "--labels"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    peak(50)  # fill the caches a first run fills
+    assert peak(500) - peak(50) <= 256 * 1024
 
 
 def test_trace_rejects_levels_before_reading_input(monkeypatch, capsys):

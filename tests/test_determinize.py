@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 import buchidet
-from buchidet import (Lasso, determinize, drw_run_eval, format_drw, label_levels,
-                      nbw_member, normalize, profile_tree)
+from buchidet import (Lasso, determinize, drw_run_eval, format_drw, nbw_member,
+                      normalize)
 from buchidet.determinize import (Macrostate, determinize_profile,
                                   initial_macrostate, sigma_successor,
                                   validate_macrostate)
@@ -17,7 +17,7 @@ from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
 from buchidet.safra import determinize_safra
-from oracles import nbw, preorder
+from oracles import label_levels, nbw, preorder, profile_tree
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -649,8 +649,10 @@ def test_package_has_no_unused_imports_or_private_helpers():
 def test_every_public_package_name_has_a_caller_outside_the_tests():
     """Every public module-level function or class of the package is read
     or imported by another top-level statement of a package module, or by a
-    file under `bench/`.  The re-exports of `__init__.py` and the tests do
-    not count as callers."""
+    file under `bench/`.  Every public method or property of a package class
+    is read as an attribute outside its own definition: by another
+    top-level statement, another statement of its class, or `bench/`.  The
+    re-exports of `__init__.py` and the tests do not count as callers."""
     root = Path(__file__).parents[1]
     bodies = {p.name: _parse(p.stem).body
               for p in sorted((root / "src" / "buchidet").glob("*.py"))
@@ -661,7 +663,7 @@ def test_every_public_package_name_has_a_caller_outside_the_tests():
     for path in sorted((root / "bench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         bench |= _reads(tree) | {imported for *_, imported in _imports(tree)}
-    found, public = [], 0
+    found, public, methods = [], 0, 0
     for name, body in bodies.items():
         for i, stmt in enumerate(body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
@@ -671,4 +673,15 @@ def test_every_public_package_name_has_a_caller_outside_the_tests():
                         not any(stmt.name in names for where, names in uses.items()
                                 if where != (name, i)):
                     found.append(f"{name}:{stmt.lineno}: uncalled {stmt.name}")
-    assert public > 0 and found == []
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            outside = bench.union(*(names for where, names in uses.items()
+                                    if where != (name, i)))
+            for meth in stmt.body:
+                if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_"):
+                    methods += 1
+                    if not any(meth.name in _reads(other) for other in stmt.body
+                               if other is not meth) and meth.name not in outside:
+                        found.append(f"{name}:{meth.lineno}: uncalled "
+                                     f"{stmt.name}.{meth.name}")
+    assert public > 0 and methods > 0 and found == []

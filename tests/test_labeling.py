@@ -1,11 +1,12 @@
 import pytest
 
-from buchidet import label_levels, normalize, profile_tree
+from buchidet import normalize
 from buchidet.determinize import Macrostate, validate_macrostate
 from buchidet.harness import GenSpec, gen_nbw
 from buchidet.labeling import initial_labeled, next_labeled
 from buchidet.run_dag import ProfileLevel, initial_level
-from oracles import descendant_ranks, first_classes, labels_of_class
+from oracles import (descendant_ranks, first_classes, label_levels, labels_of_class,
+                     profile_tree)
 
 
 def fig_labeled(two_state, word=("a", "b", "b")):
@@ -147,10 +148,6 @@ def test_bounded_and_global_labels_partition_alike():
 def test_initial_labeled_rejects_multi_class():
     with pytest.raises(ValueError):
         initial_labeled(ProfileLevel(((0,), (1,)), (None, None), (0, 0)))
-
-
-def test_label_levels_of_no_levels():
-    assert label_levels([], 2) == []
 
 
 def test_free_label_pool_exhaustion_is_caught(two_state):

@@ -18,7 +18,7 @@ from buchidet import (NBW, GenSpec, Lasso, determinize_profile, determinize_safr
                       harness, nbw_member, nbw_verdicts, normalize)
 from buchidet.automata import _nbw_period, _rotations
 import mutants
-from oracles import brute_member, lasso_axes, per_lasso, rotation_class
+from oracles import brute_member, lasso_axes, per_lasso, rotation_class, unroll
 
 SIZES = (1, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17)
 ALPHABET = ("a", "b")
@@ -219,7 +219,7 @@ def test_rotation_class_spells_the_same_word(case):
     c = cores[0]
     x_syms, c_syms = (tuple(alphabet[i] for i in w) for w in (x, c))
     length = len(x) + 2 * len(v) * len(c)
-    assert Lasso(x_syms, c_syms).unroll(length) == Lasso((), v).unroll(length)
+    assert unroll(Lasso(x_syms, c_syms), length) == unroll(Lasso((), v), length)
     turns = [c[i:] + c[:i] for i in range(len(c))]
     assert min(turns) == c and turns.count(c) == 1
     assert len(x) < len(c)

@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from buchidet import check_level, normalize, profile_tree
+from buchidet import check_level, normalize
 from buchidet.harness import GenSpec, gen_nbw
 from buchidet.run_dag import ProfileLevel, initial_level, step_level
-from oracles import brute_ranks, nbw, profile_strings
+from oracles import brute_ranks, nbw, profile_strings, profile_tree
 
 
 def node_ranks(pl):

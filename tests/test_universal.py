@@ -8,7 +8,8 @@ from functools import cache
 from buchidet import (NBW, determinize_profile, determinize_safra,
                       initial_macrostate, safra_initial, safra_successor,
                       sigma_successor)
-from universal import relation_letter, universal_nbw
+from oracles import drw_equivalent
+from universal import relation_letter, universal_classes, universal_nbw
 
 universal = cache(universal_nbw)
 
@@ -52,3 +53,32 @@ def test_both_steps_read_a_letter_only_through_its_relation():
                     assert step(a, x, s) == step(u, x, h[s])
                     steps += 1
     assert steps > 1000  # 1,607 at this seed
+
+
+# (n, I, F): profile states and pairs, Safra states and pairs, the highest
+# label and the distinct (classes, cousin) preorder pairs of the profile DRW
+UNIVERSAL_N2 = {
+    (1, (0,), ()): (3, 0, 3, 0, 0, 2),
+    (2, (0,), ()): (5, 0, 5, 0, 0, 4),
+    (2, (0,), (1,)): (21, 3, 11, 2, 2, 5),
+    (2, (0, 1), ()): (5, 0, 5, 0, 0, 4),
+}
+
+
+def test_universal_automata_up_to_two_states():
+    """Every class of U(n, I, F) for n ≤ 2: both DRWs have the pinned sizes
+    and accept the same language, so by the premise above profile ≡ Safra
+    on every NBW whose normalized form has at most two states."""
+    assert [len(universal_classes(n)) for n in (1, 2, 3)] == [1, 3, 6]
+    got = {}
+    for n in (1, 2):
+        for initial, accepting in universal_classes(n):
+            u = universal(n, initial, accepting)
+            profile, safra = determinize_profile(u), determinize_safra(u)
+            assert drw_equivalent(profile, safra)
+            got[n, initial, accepting] = (
+                len(profile.states), len(profile.acceptance),
+                len(safra.states), len(safra.acceptance),
+                max(max(m.labels, default=0) for m in profile.payloads),
+                len({(m.classes, m.cousin) for m in profile.payloads}))
+    assert got == UNIVERSAL_N2

@@ -20,6 +20,14 @@ def universal_nbw(n: int, initial, accepting) -> NBW:
                initial, accepting, edges)
 
 
+def universal_classes(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """One (I, F) per class up to renaming states, I nonempty and F disjoint
+    from it as `normalize` requires: I = {0..i-1} and F = {i..i+f-1} for
+    each size pair, so 1, 3 and 6 classes for n = 1, 2 and 3."""
+    return [(tuple(range(i)), tuple(range(i, i + f)))
+            for i in range(1, n + 1) for f in range(n - i + 1)]
+
+
 def relation_letter(a: NBW, symbol: str) -> str:
     """h(symbol): the letter of U(a.n, ·, ·) whose relation is the edges of
     `symbol` in `a`."""
