@@ -16,14 +16,13 @@ from .determinize import Macrostate, determinize_profile, initial_macrostate, \
 from .explore import StateLimitExceeded
 from .harness import CheckReport, GenSpec, check_automaton, cross_check, \
     enumerate_lassos, gen_nbw, sweep_invariants
-from .labeling import LabeledLevel
 from .run_dag import ProfileLevel, check_level, initial_level, step_level
 from .safra import SafraTree, determinize_safra, safra_initial, safra_successor
 
 __all__ = [
     "DRW", "NBW", "Lasso", "ParseError", "RabinCondition", "Macrostate",
-    "SafraTree", "LabeledLevel", "ProfileLevel", "GenSpec",
-    "CheckReport", "StateLimitExceeded", "parse_nbw", "parse_drw", "format_nbw",
+    "SafraTree", "ProfileLevel", "GenSpec", "CheckReport",
+    "StateLimitExceeded", "parse_nbw", "parse_drw", "format_nbw",
     "format_drw", "normalize", "nbw_member", "drw_run_eval", "nbw_verdicts",
     "drw_verdicts", "initial_level", "step_level", "check_level",
     "initial_macrostate", "sigma_successor", "determinize_profile",

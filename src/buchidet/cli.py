@@ -16,7 +16,6 @@ from .determinize import determinize_profile, initial_macrostate, sigma_successo
 from .explore import StateLimitExceeded
 from .harness import GenSpec, cross_check, gen_nbw
 from .hoa import format_hoa
-from .labeling import initial_labeled, next_labeled
 from .run_dag import initial_level, step_level
 from .safra import determinize_safra
 
@@ -66,24 +65,21 @@ def _cmd_trace(args) -> int:
     word = Lasso.parse(args.word)
     for symbol in word.prefix + word.period:  # refuse any unknown symbol first
         aut.sym_id(symbol)
-    pl, macro = initial_level(aut), initial_macrostate(aut)
-    ll = initial_labeled(pl) if args.labels else None
+    lv, macro = initial_level(aut), initial_macrostate(aut)
     symbols = chain(word.prefix, cycle(word.period))
     for i in range(args.levels):
         if i:
             symbol = next(symbols)
-            pl = step_level(aut, pl, symbol)
+            lv = step_level(aut, lv, symbol)
             macro = sigma_successor(aut, macro, symbol)
-            if ll is not None:
-                ll = next_labeled(ll, pl, aut.n)
-        for j in range(len(pl.classes)):
-            parent = "-" if pl.parents[j] is None else str(pl.parents[j])
-            line = (f"level={i} rank={j} f={pl.f_class[j]} parent={parent} "
-                    "states={" + ",".join(aut.states[q] for q in pl.classes[j]) + "}")
-            if ll is not None:
-                line += (f" gl={ll.gl[j]} lbl={ll.lbl[j]}"
-                         f" good={_fmt_set(ll.good)} bad={_fmt_set(ll.bad)}"
-                         f" succ={_fmt_set(ll.successful)}")
+        for j in range(len(lv.classes)):
+            parent = "-" if lv.parents[j] is None else str(lv.parents[j])
+            line = (f"level={i} rank={j} f={lv.f_class[j]} parent={parent} "
+                    "states={" + ",".join(aut.states[q] for q in lv.classes[j]) + "}")
+            if args.labels:
+                line += (f" gl={lv.gl[j]} lbl={lv.lbl[j]}"
+                         f" good={_fmt_set(lv.good)} bad={_fmt_set(lv.bad)}"
+                         f" succ={_fmt_set(lv.successful)}")
             print(line)
         print(_macrostate_line(aut, i, macro))
     return 0

@@ -17,8 +17,8 @@ The invariant sweep rebuilds each word's macrostate from the run-DAG side
 and compares it with the payload of the state the word reaches in the
 profile DRW, walking the DRW's transitions: the same DRW whose lasso
 verdicts the check compares.  Its step, `_sweep_step`, depends only on the
-word's view (labeled level, DRW state, walk) and the symbol, so it checks
-each distinct step once and names its faults under every word that takes it.
+word's view (level, DRW state, walk) and the symbol, so it checks each
+distinct step once and names its faults under every word that takes it.
 """
 
 import random
@@ -30,7 +30,6 @@ from .automata import DRW, NBW, Lasso, drw_verdicts, format_nbw, nbw_verdicts, \
     normalize
 from .determinize import Macrostate, determinize_profile, validate_macrostate
 from .explore import StateLimitExceeded
-from .labeling import initial_labeled, next_labeled
 from .run_dag import check_level, initial_level, step_level
 from .safra import SafraTree, determinize_safra, validate_safra_tree
 
@@ -108,77 +107,76 @@ def _require_payloads(drw: DRW, kind: type, need: str):
 # -- invariant sweeps ----------------------------------------------------------
 
 
-def _level_faults(a: NBW, lab, prev_width: int | None, m: Macrostate) -> list[str]:
-    """How the macrostate `m` differs from the labeled level `lab`, field by
-    field, then the faults of its level (`prev_width` None at the root)."""
-    pl, msgs = lab.base, []
-    if m.classes != pl.classes:
-        msgs.append(f"macrostate classes {m.classes} != levels {pl.classes}")
-    if m.labels != lab.lbl:
-        msgs.append(f"macrostate labels {m.labels} != level labels {lab.lbl}")
-    if m.cousin != lab.cousin:
+def _level_faults(a: NBW, lv, prev_width: int | None, m: Macrostate) -> list[str]:
+    """How the macrostate `m` differs from the level `lv`, field by field,
+    then the faults of the level (`prev_width` None at the root)."""
+    msgs = []
+    if m.classes != lv.classes:
+        msgs.append(f"macrostate classes {m.classes} != levels {lv.classes}")
+    if m.labels != lv.lbl:
+        msgs.append(f"macrostate labels {m.labels} != level labels {lv.lbl}")
+    if m.cousin != lv.cousin:
         msgs.append("macrostate cousin order differs from the level order")
-    if m.good != lab.good:
-        msgs.append(f"macrostate good {sorted(m.good)} != level {sorted(lab.good)}")
-    if m.bad != lab.bad:
-        msgs.append(f"macrostate bad {sorted(m.bad)} != level {sorted(lab.bad)}")
-    return msgs + check_level(a, pl, prev_width)
+    if m.good != lv.good:
+        msgs.append(f"macrostate good {sorted(m.good)} != level {sorted(lv.good)}")
+    if m.bad != lv.bad:
+        msgs.append(f"macrostate bad {sorted(m.bad)} != level {sorted(lv.bad)}")
+    return msgs + check_level(a, lv, prev_width)
 
 
 def _sweep_step(a: NBW, drw: DRW, view, symbol: str):
     """The view after one more symbol, and the faults of that step.
 
-    A view is (labeled level, DRW state, walk): the run-DAG level is the
-    labeled level's `base`, and the walk is a tuple of (label, ranks) pairs.
+    A view is (level, DRW state, walk), the walk a tuple of (label, ranks)
+    pairs.
     """
-    lab, q, walk = view
-    pl2 = step_level(a, lab.base, symbol)
-    lab2 = next_labeled(lab, pl2, a.n)
+    lv, q, walk = view
+    lv2 = step_level(a, lv, symbol)
     q2 = drw.trans[q][a.sym_id(symbol)]
     # a label's walk that has emptied stays empty: drop its entry
     walk2 = {g: row for g, ranks in walk
-             if (row := frozenset(j for j, p in enumerate(pl2.parents)
+             if (row := frozenset(j for j, p in enumerate(lv2.parents)
                                   if p in ranks))}
     msgs = []
     # per-level injectivity of the global labeling
-    if len(set(lab2.gl)) != len(lab2.gl):
-        msgs.append(f"duplicate global labels {lab2.gl}")
+    if len(set(lv2.gl)) != len(lv2.gl):
+        msgs.append(f"duplicate global labels {lv2.gl}")
     # a surviving label must have been in use on the previous level
-    for g in lab2.gl:
-        if g < lab.gl_watermark and g not in lab.gl:
+    for g in lv2.gl:
+        if g < lv.gl_watermark and g not in lv.gl:
             msgs.append(f"label {g} reappeared after vanishing")
     # an inherited label sits on the minimal class of its walk
-    for j, g in enumerate(lab2.gl):
+    for j, g in enumerate(lv2.gl):
         lowest = min(walk2.get(g, ()), default=None)
-        if g < lab.gl_watermark and lowest != j:
+        if g < lv.gl_watermark and lowest != j:
             msgs.append(f"label {g} sits on class {j}, descendant walk "
                         f"says {lowest}")
     # a class has inherited labels iff it is some walk's minimum
     lmd_hits = {min(r) for r in walk2.values()}
-    inherited = {j for j, g in enumerate(lab2.gl) if g < lab.gl_watermark}
+    inherited = {j for j, g in enumerate(lv2.gl) if g < lv.gl_watermark}
     if lmd_hits != inherited:
         msgs.append(f"label-carrying classes {sorted(lmd_hits)} != "
                     f"classes with inherited labels {sorted(inherited)}")
     # a fresh label's walk starts at the first class that carries it
-    for j, g in enumerate(lab2.gl):
-        if g >= lab.gl_watermark:
+    for j, g in enumerate(lv2.gl):
+        if g >= lv.gl_watermark:
             walk2.setdefault(g, frozenset({j}))
     # the whole cousin order is the descendant walk of each label
-    pairs = {(j, b) for j, g in enumerate(lab2.gl) for b in walk2.get(g, ())}
-    if pairs != lab2.cousin:
-        msgs.append(f"cousin pairs {sorted(lab2.cousin ^ pairs)} differ "
+    pairs = {(j, b) for j, g in enumerate(lv2.gl) for b in walk2.get(g, ())}
+    if pairs != lv2.cousin:
+        msgs.append(f"cousin pairs {sorted(lv2.cousin ^ pairs)} differ "
                     "from the descendant walk")
-    msgs += _level_faults(a, lab2, len(lab.base.classes), drw.payloads[q2])
-    return (lab2, q2, tuple(walk2.items())), msgs
+    msgs += _level_faults(a, lv2, len(lv.classes), drw.payloads[q2])
+    return (lv2, q2, tuple(walk2.items())), msgs
 
 
 def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str]:
     """Walk every word up to `depth` and cross-check all three views.
 
-    Along each word the labeled levels, whose bases are the run-DAG levels,
-    are extended together with a walk of the classes descending from each
-    label's birth class, while the word is followed through the transitions
-    of `drw`, the profile DRW of `a` (built here when None).
+    Along each word the labeled run-DAG level is stepped together with a
+    walk of the classes descending from each label's birth class, while the
+    word is followed through the transitions of `drw`, the profile DRW of
+    `a` (built here when None).
     The sweep checks each level once, where it makes it, with
     :func:`check_level`; the label laws (per-level injectivity,
     persistence, each inherited label on the minimal class of its walk, the
@@ -200,10 +198,10 @@ def sweep_invariants(a: NBW, depth: int = 4, drw: DRW | None = None) -> list[str
                          f"{a.alphabet}")
     _require_payloads(drw, Macrostate, "the sweep needs a DRW with one "
                       "macrostate payload per state")
-    lab0 = initial_labeled(initial_level(a))
+    lv0 = initial_level(a)
     out = [f"word=<empty>: {msg}"
-           for msg in _level_faults(a, lab0, None, drw.payloads[drw.initial])]
-    view0 = (lab0, drw.initial, ((0, frozenset({0})),))
+           for msg in _level_faults(a, lv0, None, drw.payloads[drw.initial])]
+    view0 = (lv0, drw.initial, ((0, frozenset({0})),))
     # The words still to check, each with the view of the word it extends,
     # popped so that a word is checked just before its extensions, in symbol order.
     pending = [((symbol,), view0) for symbol in reversed(a.alphabet) if depth]

@@ -22,7 +22,6 @@ import importlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from buchidet import Lasso, drw_run_eval, harness, nbw_member, normalize
@@ -135,15 +134,24 @@ def _every_start_wins(period):
     return mutant
 
 
-def _reversed_classes(step):
-    """The sweep's level step listing the classes of every level with two
-    or more in reverse rank order, parents and acceptance bits alike."""
-    def mutant(a, prev, symbol):
-        pl = step(a, prev, symbol)
-        if len(pl.classes) < 2:
-            return pl
-        return replace(pl, classes=pl.classes[::-1], parents=pl.parents[::-1],
-                       f_class=pl.f_class[::-1])
+def _reversed_classes(slice_):
+    """The level step's slice listing the classes of every level with two or
+    more in reverse rank order, parents and acceptance bits alike."""
+    def mutant(*args):
+        classes, parents, f_class = slice_(*args)
+        if len(classes) < 2:
+            return classes, parents, f_class
+        return classes[::-1], parents[::-1], f_class[::-1]
+    return mutant
+
+
+def _core_for_every_period(rotations):
+    """The rotation map reading every period as its rotation class core:
+    each member becomes ``((), k)``, so the row deciders drop the rotation
+    offset of every period that is not already its class's core."""
+    def mutant(alphabet, periods):
+        cores, members = rotations(alphabet, periods)
+        return cores, tuple(((), k) for _, k in members)
     return mutant
 
 
@@ -184,7 +192,7 @@ MUTANTS = [
     ("nbw: dead start mask accepted", "harness.nbw_verdicts", _dead_start_accepted),
     ("nbw: every start wins once some state does", "automata._nbw_period",
      _every_start_wins),
-    ("levels: classes in reverse rank order", "harness.step_level",
+    ("levels: classes in reverse rank order", "run_dag._slice",
      _reversed_classes),
     ("profile: a class lists its first state twice", "determinize._shape",
      _first_class_twice),
@@ -194,6 +202,8 @@ MUTANTS = [
      "harness.nbw_verdicts", _prefix_by_first_symbol),
     ("drw rows: each prefix read as its first symbol repeated",
      "harness.drw_verdicts", _prefix_by_first_symbol),
+    ("rows: each period read as its rotation class core", "automata._rotations",
+     _core_for_every_period),
 ]
 
 

@@ -7,7 +7,6 @@ import itertools
 from typing import Sequence
 
 from buchidet import DRW, NBW, Lasso, parse_nbw
-from buchidet.labeling import LabeledLevel, initial_labeled, next_labeled
 from buchidet.run_dag import ProfileLevel, initial_level, step_level
 
 
@@ -30,19 +29,12 @@ def unroll(w: Lasso, length: int) -> tuple[str, ...]:
 
 
 def profile_tree(a: NBW, prefix) -> list[ProfileLevel]:
-    """Levels 0..len(prefix) of the run DAG, each stepped from the last."""
+    """Labeled levels 0..len(prefix) of the run DAG, each stepped from the
+    last."""
     levels = [initial_level(a)]
     for symbol in prefix:
         levels.append(step_level(a, levels[-1], symbol))
     return levels
-
-
-def label_levels(levels: Sequence[ProfileLevel], n_states: int) -> list[LabeledLevel]:
-    """The labeled form of a nonempty level list, level 0 first."""
-    out = [initial_labeled(levels[0])]
-    for level in levels[1:]:
-        out.append(next_labeled(out[-1], level, n_states))
-    return out
 
 
 def preorder(tree) -> tuple:
@@ -190,7 +182,7 @@ def profile_strings(levels: Sequence[ProfileLevel]) -> list[tuple[str, ...]]:
     return out
 
 
-def first_classes(labeled: Sequence[LabeledLevel]) -> dict:
+def first_classes(labeled: Sequence[ProfileLevel]) -> dict:
     """Birth coordinates (level, rank) of every global label that ever occurs."""
     firsts: dict = {}
     for i, ll in enumerate(labeled):
@@ -200,7 +192,7 @@ def first_classes(labeled: Sequence[LabeledLevel]) -> dict:
     return firsts
 
 
-def descendant_ranks(labeled: Sequence[LabeledLevel], m: int, i: int) -> frozenset:
+def descendant_ranks(labeled: Sequence[ProfileLevel], m: int, i: int) -> frozenset:
     """Ranks at level `i` of the classes descending from where label `m` was
     born, by explicit walk over the stored levels."""
     firsts = first_classes(labeled)
@@ -211,17 +203,17 @@ def descendant_ranks(labeled: Sequence[LabeledLevel], m: int, i: int) -> frozens
         return frozenset()
     ranks = {born_rank}
     for lvl in range(born_level + 1, i + 1):
-        base = labeled[lvl].base
-        ranks = {j for j in range(len(base.classes)) if base.parents[j] in ranks}
+        level = labeled[lvl]
+        ranks = {j for j in range(len(level.classes)) if level.parents[j] in ranks}
     return frozenset(ranks)
 
 
-def labels_of_class(labeled: Sequence[LabeledLevel], i: int, class_rank: int) -> frozenset:
+def labels_of_class(labeled: Sequence[ProfileLevel], i: int, class_rank: int) -> frozenset:
     """Global labels, born on earlier levels, whose minimal descendant at
     level `i` is the class of the given rank."""
     if not 0 <= i < len(labeled):
         raise ValueError(f"level {i} out of range")
-    if not 0 <= class_rank < len(labeled[i].base.classes):
+    if not 0 <= class_rank < len(labeled[i].classes):
         raise ValueError(f"rank {class_rank} out of range at level {i}")
     firsts = first_classes(labeled)
     out = set()

@@ -20,7 +20,7 @@ from buchidet.determinize import (Macrostate, determinize_profile,
 from buchidet.harness import gen_nbw
 
 from conftest import TWO_STATE_TEXT
-from oracles import label_levels, labels_of_class, profile_strings, profile_tree
+from oracles import labels_of_class, profile_strings, profile_tree
 
 LASSO_U, LASSO_V = 3, 4
 STATE_CAP = 10 ** 6
@@ -89,11 +89,10 @@ def test_labeled_tree_golden_trace(two_state):
     labels (0 / 0,1 / 0,2 / 0,3)."""
     start = time.perf_counter()
     levels = profile_tree(two_state, ["a", "b", "b"])
-    lab = label_levels(levels, two_state.n)
     ok = profile_strings(levels) == [
         ("0",), ("00", "01"), ("010", "011"), ("0110", "0111")]
-    ok = ok and [ll.gl for ll in lab] == [(0,), (0, 1), (0, 2), (0, 3)]
-    printed = [sorted(labels_of_class(lab, i, j))
+    ok = ok and [lv.gl for lv in levels] == [(0,), (0, 1), (0, 2), (0, 3)]
+    printed = [sorted(labels_of_class(levels, i, j))
                for i in range(4) for j in range(len(levels[i].classes))]
     ok = ok and printed == [[], [0], [], [0, 1], [], [0, 1, 2], []]
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ import pytest
 from buchidet import (GenSpec, Lasso, format_nbw, gen_nbw, normalize, parse_drw,
                       parse_nbw)
 from buchidet.cli import main
-from oracles import label_levels, profile_tree, unroll
+from oracles import profile_tree, unroll
 
 
 @pytest.fixture
@@ -218,15 +218,14 @@ def test_trace_level_lines_match_the_whole_level_lists(tmp_path, capsys):
         a = normalize(parse_nbw(text))
         word = Lasso(tuple(rng.choices("abc", k=rng.randint(0, 3))),
                      tuple(rng.choices("abc", k=rng.randint(1, 4))))
-        levels = profile_tree(a, unroll(word, 11))
         expected = [
-            f"level={i} rank={j} f={pl.f_class[j]} "
-            f"parent={'-' if pl.parents[j] is None else pl.parents[j]} "
-            f"states={braces(a.states[q] for q in pl.classes[j])} "
-            f"gl={ll.gl[j]} lbl={ll.lbl[j]} good={braces(sorted(ll.good))} "
-            f"bad={braces(sorted(ll.bad))} succ={braces(sorted(ll.successful))}"
-            for i, (pl, ll) in enumerate(zip(levels, label_levels(levels, a.n)))
-            for j in range(len(pl.classes))]
+            f"level={i} rank={j} f={lv.f_class[j]} "
+            f"parent={'-' if lv.parents[j] is None else lv.parents[j]} "
+            f"states={braces(a.states[q] for q in lv.classes[j])} "
+            f"gl={lv.gl[j]} lbl={lv.lbl[j]} good={braces(sorted(lv.good))} "
+            f"bad={braces(sorted(lv.bad))} succ={braces(sorted(lv.successful))}"
+            for i, lv in enumerate(profile_tree(a, unroll(word, 11)))
+            for j in range(len(lv.classes))]
         assert main(["trace", "--in", str(path), "--word", str(word),
                      "--levels", "12", "--labels"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 import buchidet
-from buchidet import (Lasso, determinize, drw_run_eval, format_drw, nbw_member,
-                      normalize)
+from buchidet import (NBW, Lasso, determinize, drw_run_eval, format_drw,
+                      nbw_member, normalize)
 from buchidet.determinize import (Macrostate, determinize_profile,
                                   initial_macrostate, sigma_successor,
                                   validate_macrostate)
@@ -17,7 +17,7 @@ from buchidet.harness import GenSpec, enumerate_lassos, gen_nbw
 from buchidet.hoa import format_hoa
 from buchidet.run_dag import initial_level, step_level
 from buchidet.safra import determinize_safra
-from oracles import label_levels, nbw, preorder, profile_tree
+from oracles import nbw, preorder, profile_tree
 
 Q, P = 0, 1
 FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -268,13 +268,12 @@ def test_macrostate_matches_level_view():
         for word in [("a", "b", "a", "b", "b", "a", "a", "b"),
                      ("b", "a", "a", "a", "b", "b", "b", "a")]:
             levels = profile_tree(aut, word)
-            lab = label_levels(levels, aut.n)
             for i, m in enumerate(walk(aut, word)):
                 assert m.classes == levels[i].classes
-                assert m.labels == lab[i].lbl
-                assert m.cousin == lab[i].cousin
-                assert m.good == lab[i].good
-                assert m.bad == lab[i].bad
+                assert m.labels == levels[i].lbl
+                assert m.cousin == levels[i].cousin
+                assert m.good == levels[i].good
+                assert m.bad == levels[i].bad
 
 
 def test_determinization_is_deterministic(two_state):
@@ -537,15 +536,14 @@ def _imported_from(name: str, module: str) -> set:
 
 
 def test_macrostate_and_level_views_stay_independent():
-    """The sweep compares the macrostate step with the run-DAG and labeling
-    step; that check only means something while neither uses the other."""
-    assert not _imported_modules("determinize") & {"labeling", "run_dag"}
-    assert "determinize" not in _imported_modules("labeling")
+    """The sweep compares the macrostate step with the labeled level step;
+    that check only means something while neither uses the other."""
+    assert "run_dag" not in _imported_modules("determinize")
     assert "determinize" not in _imported_modules("run_dag")
-    # the sweep checks the label step against its own descendant walk, so it
-    # takes nothing else from labeling
-    assert _imported_from("harness", "labeling") <= {"initial_labeled",
-                                                     "next_labeled"}
+    # the sweep checks the level step against its own descendant walk, so it
+    # takes nothing else from run_dag
+    assert _imported_from("harness", "run_dag") <= {"initial_level",
+                                                    "step_level", "check_level"}
     # Safra is the baseline that judges the profile construction, so the
     # two share only the automaton model, the explorer and the pair rule,
     # which lives in the explorer and imports neither construction
@@ -596,6 +594,22 @@ def test_safra_reads_automata_only_through_mask_tables():
              if isinstance(n, ast.Attribute)}
     assert reads & {"succ", "pred", "acc"} == set()
     assert "mask_tables" in reads
+
+
+def test_profile_and_level_steps_read_automata_only_through_edge_lists():
+    """The macrostate step and the labeled level step read a letter only
+    through `succ`, `pred` and `acc`: neither reads `mask_tables`, the
+    image primitive that Safra and the membership deciders share, so a
+    fault in those tables cannot reach every decider at once.  Of the
+    automaton's members, only its name tables, initial set and size are
+    read besides."""
+    members = set(NBW.__slots__) | {name for name in vars(NBW)
+                                    if not name.startswith("__")}
+    plain = {"alphabet", "states", "initial", "n", "sym_id", "needs_normalization"}
+    for module in ("run_dag", "determinize"):
+        reads = {n.attr for n in ast.walk(_parse(module))
+                 if isinstance(n, ast.Attribute)}
+        assert reads & (members - plain) == {"succ", "pred", "acc"}, module
 
 
 def test_verdict_rows_share_only_the_rotation_map_and_symbol_lookup():

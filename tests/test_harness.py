@@ -136,7 +136,7 @@ def test_sweep_flags_consistent_cousin_corruption(two_state, monkeypatch):
     def cut(step):
         return lambda *args: reflexive(step(*args))
 
-    monkeypatch.setattr(harness, "next_labeled", cut(harness.next_labeled))
+    monkeypatch.setattr(harness, "step_level", cut(harness.step_level))
     drw = determinize_profile(two_state)
     drw = replace(drw, payloads=tuple(map(reflexive, drw.payloads)))
     out = sweep_invariants(two_state, 3, drw)
@@ -147,13 +147,13 @@ def test_sweep_flags_consistent_cousin_corruption(two_state, monkeypatch):
 
 def _sweep_with_global_labels(a, monkeypatch, corrupt, depth):
     """The sweep of `a` with each new level's global labels replaced by
-    `corrupt(prev, gl)`, where `prev` is the labeled level before it."""
-    step = harness.next_labeled
+    `corrupt(prev, gl)`, where `prev` is the level before it."""
+    step = harness.step_level
 
-    def corrupted(prev, level, n_states):
-        lab = step(prev, level, n_states)
-        return replace(lab, gl=corrupt(prev, lab.gl))
-    monkeypatch.setattr(harness, "next_labeled", corrupted)
+    def corrupted(aut, prev, symbol):
+        lv = step(aut, prev, symbol)
+        return replace(lv, gl=corrupt(prev, lv.gl))
+    monkeypatch.setattr(harness, "step_level", corrupted)
     return sweep_invariants(a, depth)
 
 

@@ -1,45 +1,43 @@
 import pytest
 
-from buchidet import normalize
+from buchidet import normalize, run_dag
 from buchidet.determinize import Macrostate, validate_macrostate
 from buchidet.harness import GenSpec, gen_nbw
-from buchidet.labeling import initial_labeled, next_labeled
-from buchidet.run_dag import ProfileLevel, initial_level
-from oracles import (descendant_ranks, first_classes, label_levels, labels_of_class,
-                     profile_tree)
+from buchidet.run_dag import initial_level, step_level
+from oracles import descendant_ranks, first_classes, labels_of_class, profile_tree
 
 
-def fig_labeled(two_state, word=("a", "b", "b")):
-    levels = profile_tree(two_state, word)
-    return levels, label_levels(levels, two_state.n)
+def fig_labeled(two_state):
+    """The labeled levels of the reference trace, on the prefix abb."""
+    return profile_tree(two_state, ("a", "b", "b"))
 
 
 def test_reference_trace_global_labels(two_state):
-    _, lab = fig_labeled(two_state)
+    lab = fig_labeled(two_state)
     assert [ll.gl for ll in lab] == [(0,), (0, 1), (0, 2), (0, 3)]
 
 
 def test_reference_trace_bounded_labels(two_state):
-    _, lab = fig_labeled(two_state)
+    lab = fig_labeled(two_state)
     assert [ll.lbl for ll in lab] == [(0,), (0, 1), (0, 2), (0, 1)]
     assert [sorted(ll.good) for ll in lab] == [[], [], [0], [0]]
     assert [sorted(ll.bad) for ll in lab] == [[], [], [1], [2]]
 
 
 def test_reference_trace_label_sets(two_state):
-    _, lab = fig_labeled(two_state)
+    lab = fig_labeled(two_state)
     printed = [sorted(labels_of_class(lab, i, j))
-               for i in range(4) for j in range(len(lab[i].base.classes))]
+               for i in range(4) for j in range(len(lab[i].classes))]
     assert printed == [[], [0], [], [0, 1], [], [0, 1, 2], []]
 
 
 def test_reference_trace_successful(two_state):
-    _, lab = fig_labeled(two_state)
+    lab = fig_labeled(two_state)
     assert [sorted(ll.successful) for ll in lab] == [[], [], [0], [0]]
 
 
 def test_labels_of_class_range_checks(two_state):
-    _, lab = fig_labeled(two_state)
+    lab = fig_labeled(two_state)
     with pytest.raises(ValueError):
         labels_of_class(lab, 9, 0)
     with pytest.raises(ValueError):
@@ -47,8 +45,7 @@ def test_labels_of_class_range_checks(two_state):
 
 
 def test_single_chain_never_successful(det_chain):
-    levels = profile_tree(det_chain, ["a"] * 5)
-    lab = label_levels(levels, det_chain.n)
+    lab = profile_tree(det_chain, ["a"] * 5)
     for ll in lab:
         assert ll.gl == (0,)
         assert ll.successful == frozenset()
@@ -57,12 +54,11 @@ def test_single_chain_never_successful(det_chain):
 
 
 def test_dead_level_marks_all_labels_bad(two_state):
-    levels = profile_tree(two_state, ["b"])                    # q dies on b
-    lab = label_levels(levels, two_state.n)
-    assert lab[1].base.classes == ()
+    lab = profile_tree(two_state, ["b"])                       # q dies on b
+    assert lab[1].classes == ()
     assert sorted(lab[1].bad) == [0]
     assert lab[1].good == frozenset() == lab[1].successful
-    longer = label_levels(profile_tree(two_state, ["b", "a"]), two_state.n)
+    longer = profile_tree(two_state, ["b", "a"])
     assert longer[2].bad == frozenset()                  # sink stays quiet
 
 
@@ -81,15 +77,14 @@ def test_label_laws_on_random_corpus():
         for word in [(), ("a",), ("a", "b"), ("b", "b", "a"),
                      ("a", "b", "a", "b"), ("b", "a", "a", "b", "a"),
                      ("a",) * 6, ("a", "b") * 3]:
-            levels = profile_tree(aut, word)
-            lab = label_levels(levels, aut.n)
+            lab = profile_tree(aut, word)
             firsts = first_classes(lab)
             for i, ll in enumerate(lab):
                 assert len(set(ll.gl)) == len(ll.gl)
                 assert len(set(ll.lbl)) == len(ll.lbl)
                 assert all(0 <= m <= 2 * aut.n for m in ll.lbl)
                 assert validate_macrostate(aut, Macrostate(
-                    ll.base.classes, ll.lbl, ll.cousin, ll.good, ll.bad)) == []
+                    ll.classes, ll.lbl, ll.cousin, ll.good, ll.bad)) == []
                 # a label present away from its birth level was present on
                 # the previous level too
                 for m in ll.gl:
@@ -107,8 +102,7 @@ def test_nephew_shortcut_matches_descendant_walk():
     for aut in _corpus(count=15):
         for word in [("a", "b", "a", "b", "a", "b", "a", "b"),
                      ("b", "b", "a", "a", "b", "a", "b", "b")]:
-            levels = profile_tree(aut, word)
-            lab = label_levels(levels, aut.n)
+            lab = profile_tree(aut, word)
             for i, ll in enumerate(lab):
                 for j, m in enumerate(ll.gl):
                     ranks = descendant_ranks(lab, m, i)
@@ -120,8 +114,7 @@ def test_empty_labels_iff_no_uncles():
     for aut in _corpus(count=15):
         for word in [("a", "b", "b", "a", "a", "b"),
                      ("b", "a", "b", "a", "b", "a")]:
-            levels = profile_tree(aut, word)
-            lab = label_levels(levels, aut.n)
+            lab = profile_tree(aut, word)
             for i in range(1, len(lab)):
                 for j, m in enumerate(lab[i].gl):
                     assert bool(labels_of_class(lab, i, j)) == (m in lab[i - 1].gl)
@@ -133,8 +126,7 @@ def test_bounded_and_global_labels_partition_alike():
     label threads."""
     for aut in _corpus(count=10):
         word = ("a", "b", "a", "a", "b", "b", "a")
-        levels = profile_tree(aut, word)
-        lab = label_levels(levels, aut.n)
+        lab = profile_tree(aut, word)
         for i in range(1, len(lab)):
             prev, cur = lab[i - 1], lab[i]
             for j, (g, b) in enumerate(zip(cur.gl, cur.lbl)):
@@ -145,20 +137,17 @@ def test_bounded_and_global_labels_partition_alike():
                     assert prev.gl.index(g) == prev.lbl.index(b)
 
 
-def test_initial_labeled_rejects_multi_class():
-    with pytest.raises(ValueError):
-        initial_labeled(ProfileLevel(((0,), (1,)), (None, None), (0, 0)))
-
-
-def test_free_label_pool_exhaustion_is_caught(two_state):
-    """A level with more fresh classes than free labels means the state
-    count argument is broken; the label step refuses it rather than reuse a
+def test_free_label_pool_exhaustion_is_caught(two_state, monkeypatch):
+    """A slice with more fresh classes than free labels means the state
+    count argument is broken; the level step refuses it rather than reuse a
     label.  Class 0 inherits the root's label 0, the others are fresh."""
-    def level(width):
-        return ProfileLevel(((0,),) * width, (0,) * width, (0,) * width)
+    def width(k):
+        return lambda a, prev, symbol: (((0,),) * k, (0,) * k, (0,) * k)
 
-    lab0 = initial_labeled(initial_level(two_state))
+    lv0 = initial_level(two_state)
     pool = 2 * two_state.n + 1
-    assert next_labeled(lab0, level(pool), two_state.n).lbl == tuple(range(pool))
+    monkeypatch.setattr(run_dag, "_slice", width(pool))
+    assert step_level(two_state, lv0, "a").lbl == tuple(range(pool))
+    monkeypatch.setattr(run_dag, "_slice", width(pool + 1))
     with pytest.raises(AssertionError, match="free-label pool exhausted"):
-        next_labeled(lab0, level(pool + 1), two_state.n)
+        step_level(two_state, lv0, "a")

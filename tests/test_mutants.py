@@ -58,7 +58,7 @@ def test_sweep_replays_its_messages_under_a_level_mutant(corpus, monkeypatch):
     def counted(*args):
         steps.append(args)
         return step(*args)
-    # the mutant wraps the counter, and leaves it in place on exit
+    # the counter wraps the whole level step, the mutant only its slice
     monkeypatch.setattr(harness, "step_level", counted)
     with mutants.active(mutant):
         found = [sweep_invariants(a, mutants.DEPTH) for a in automata]

@@ -4,7 +4,7 @@ import pytest
 
 from buchidet import check_level, normalize
 from buchidet.harness import GenSpec, gen_nbw
-from buchidet.run_dag import ProfileLevel, initial_level, step_level
+from buchidet.run_dag import initial_level, step_level
 from oracles import brute_ranks, nbw, profile_strings, profile_tree
 
 
@@ -47,9 +47,9 @@ def test_step_level_fig(two_state):
 def test_step_level_empty(two_state):
     pl0 = initial_level(two_state)
     dead = step_level(two_state, pl0, "b")          # q has no b-transition
-    assert dead == ProfileLevel((), (), ())
+    assert (dead.classes, dead.parents, dead.f_class) == ((), (), ())
     deader = step_level(two_state, dead, "a")
-    assert deader == ProfileLevel((), (), ())
+    assert deader == replace(dead, bad=frozenset())
 
 
 def test_profile_tree_fig_matches_reference_trace(two_state):
@@ -100,7 +100,8 @@ def test_check_level_invariants_flags_corruption(two_state):
     assert level_faults(two_state, twins) == [
         "class 0 acceptance bit is inconsistent", "parent 1 has 2 children with f=1"]
     wide = list(levels)
-    wide[1] = ProfileLevel(((0,), (1,), (2,)), (0, 0, 0), (0, 1, 0))
+    wide[1] = replace(levels[1], classes=((0,), (1,), (2,)), parents=(0, 0, 0),
+                      f_class=(0, 1, 0))
     assert level_faults(two_state, wide) == [
         "state id 2 out of range", "parent 0 has 2 children with f=0",
         "class order disagrees with (parent, f) order"]
