@@ -17,6 +17,7 @@ rows' independent reference.
 """
 
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -506,23 +507,39 @@ def _parse_sections(text: str, kind: str):
     """Check the grammar both native formats share: the header, the
     sections, the alphabet, the state names and the ``trans:`` lines.
 
-    One pass over the lines files each directive in ``sections``: ``trans:``
-    and ``pair:`` map to lists of ``(lineno, tokens)``, and each single
-    section present to its ``(lineno, tokens)``.  Returns ``(sections, sid,
-    trans)``, with ``sid`` the id of each state name and ``trans`` every
-    ``trans:`` line as ``(lineno, src, sym, dst)`` ids.
+    One pass over the lines files each directive in ``sections``: ``pair:``
+    maps to a list of ``(lineno, tokens)``, and each single section present
+    to its ``(lineno, tokens)``.  Once ``alphabet:`` and ``states:`` are
+    both read, each ``trans:`` line becomes ids as soon as it is split, and
+    the first fault among those lines waits until every fault that comes
+    before it in the order of README "File formats" is checked.  Earlier
+    ``trans:`` lines wait as tokens.  Returns ``(sections, sid, trans)``,
+    with ``sid`` the id of each state name and ``trans`` one flat array
+    holding ``lineno, src, sym, dst`` for each ``trans:`` line in order.
     """
     sections: dict = {}
+    held = []  # the trans: lines read before both alphabet: and states:
+    trans = array("q")
+    pending = aid = sid = None  # pending: the first faulty streamed line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         key = tokens[0]
-        if not sections:  # the first content line is the header
+        if key == "trans:" and sid is not None:
+            if pending is None:
+                try:  # _trans_ids, inline on the path every line takes
+                    _, src, sym, dst = tokens
+                    trans.extend((lineno, sid[src], aid[sym], sid[dst]))
+                except (ValueError, KeyError):
+                    pending = tokens, lineno
+        elif not sections:  # the first content line is the header
             if tokens != [kind]:
                 raise ParseError(f"expected header {kind!r}", lineno)
-            sections = {"trans:": [], "pair:": []}
-        elif key in ("trans:", "pair:"):
+            sections = {"pair:": []}
+        elif key == "trans:":
+            held.append((lineno, tokens))
+        elif key == "pair:":
             sections[key].append((lineno, tokens[1:]))
         elif key not in ("alphabet:", "states:", "initial:", "accepting:"):
             raise ParseError(f"unknown directive {key!r}", lineno)
@@ -530,6 +547,9 @@ def _parse_sections(text: str, kind: str):
             raise ParseError(f"duplicate {key[:-1]} section", lineno)
         else:
             sections[key] = (lineno, tokens[1:])
+            if sid is None and "alphabet:" in sections and "states:" in sections:
+                aid = {s: i for i, s in enumerate(sections["alphabet:"][1])}
+                sid = {s: i for i, s in enumerate(sections["states:"][1])}
     if not sections:
         raise ParseError("empty document")
     for key in ("alphabet:", "states:", "initial:"):
@@ -547,19 +567,27 @@ def _parse_sections(text: str, kind: str):
         raise ParseError("states must list at least one name", lineno)
     if len(set(states)) != len(states):
         raise ParseError("duplicate state name", lineno)
-    sid = {s: i for i, s in enumerate(states)}
-    aid = {s: i for i, s in enumerate(alphabet)}
-    trans = []
-    for lineno, rest in sections["trans:"]:
-        if len(rest) != 3:
-            raise ParseError("trans expects exactly: source symbol target", lineno)
-        src, sym, dst = rest
-        if sym not in aid:
-            raise ParseError(f"undeclared symbol {sym!r}", lineno)
-        if src not in sid or dst not in sid:
-            _state_ids(sid, (src, dst), lineno)  # raises
-        trans.append((lineno, sid[src], aid[sym], sid[dst]))
+    if held:
+        head = array("q")
+        for lineno, tokens in held:
+            head.extend(_trans_ids(aid, sid, tokens, lineno))
+        trans = head + trans
+    if pending:
+        _trans_ids(aid, sid, *pending)  # raises
     return sections, sid, trans
+
+
+def _trans_ids(aid: dict, sid: dict, tokens: list, lineno: int) -> tuple:
+    """``(lineno, src, sym, dst)`` for the tokens of a ``trans:`` line; a
+    :class:`ParseError` on `lineno` names its first fault."""
+    if len(tokens) != 4:
+        raise ParseError("trans expects exactly: source symbol target", lineno)
+    _, src, sym, dst = tokens
+    if sym not in aid:
+        raise ParseError(f"undeclared symbol {sym!r}", lineno)
+    if src not in sid or dst not in sid:
+        _state_ids(sid, (src, dst), lineno)  # raises
+    return lineno, sid[src], aid[sym], sid[dst]
 
 
 def _state_ids(sid: dict, names, lineno: int | None) -> list[int]:
@@ -603,8 +631,10 @@ def parse_nbw(text: str) -> NBW:
         raise ParseError("initial set must be nonempty", lineno)
     initial = _state_ids(sid, names, lineno)
     lineno, names = sections.get("accepting:", (None, ()))
+    ids, rows = tuple(sid.values()), iter(trans)
+    edges = [(ids[src], sym, ids[dst]) for _, src, sym, dst in zip(rows, rows, rows, rows)]
     return NBW(sections["alphabet:"][1], sections["states:"][1], initial,
-               _state_ids(sid, names, lineno), [t[1:] for t in trans])
+               _state_ids(sid, names, lineno), edges)
 
 
 def format_nbw(a: NBW) -> str:
@@ -612,7 +642,8 @@ def format_nbw(a: NBW) -> str:
     lines.append(("accepting: " + " ".join(a.states[q] for q in a.accepting)).rstrip())
     for src, sym, dst in a.edges:
         lines.append(f"trans: {a.states[src]} {a.alphabet[sym]} {a.states[dst]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_drw(text: str) -> DRW:
@@ -632,11 +663,13 @@ def parse_drw(text: str) -> DRW:
     alphabet, states = sections["alphabet:"][1], sections["states:"][1]
     k = len(alphabet)
     table = [None] * (len(states) * k)
-    for lineno, src, sym, dst in trans:
+    # the table holds sid's own ints, one per state, not the array's copies
+    ids, rows = tuple(sid.values()), iter(trans)
+    for lineno, src, sym, dst in zip(rows, rows, rows, rows):
         if table[src * k + sym] is not None:
             raise ParseError(
                 f"duplicate transition for {states[src]} {alphabet[sym]}", lineno)
-        table[src * k + sym] = dst
+        table[src * k + sym] = ids[dst]
     if None in table:
         src, sym = divmod(table.index(None), k)
         raise ParseError(f"missing transition for {states[src]} {alphabet[sym]}")
@@ -671,4 +704,5 @@ def format_drw(d: DRW) -> str:
         tokens = ["pair:", str(idx), "G", *(d.states[q] for q in sorted(g)),
                   "|", "B", *(d.states[q] for q in sorted(b))]
         lines.append(" ".join(tokens))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

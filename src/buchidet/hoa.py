@@ -43,5 +43,5 @@ def format_hoa(d: DRW) -> str:
         lines.append(f"State: {i}{heads[m]}")
         for s in range(n_ap):
             lines.append(f"[{letters[s]}] {d.trans[i][s]}")
-    lines.append("--END--")
-    return "\n".join(lines) + "\n"
+    lines += ["--END--", ""]
+    return "\n".join(lines)
