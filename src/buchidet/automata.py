@@ -510,35 +510,40 @@ def _parse_sections(text: str, kind: str):
     One pass over the lines files each directive in ``sections``: ``pair:``
     maps to a list of ``(lineno, tokens)``, and each single section present
     to its ``(lineno, tokens)``.  Once ``alphabet:`` and ``states:`` are
-    both read, each ``trans:`` line becomes ids as soon as it is split, and
-    the first fault among those lines waits until every fault that comes
-    before it in the order of README "File formats" is checked.  Earlier
-    ``trans:`` lines wait as tokens.  Returns ``(sections, sid, trans)``,
-    with ``sid`` the id of each state name and ``trans`` one flat array
-    holding ``lineno, src, sym, dst`` for each ``trans:`` line in order.
+    both read, each ``trans:`` line becomes ids as soon as it is split;
+    earlier ``trans:`` lines wait as tokens until then.  The first faulty
+    ``trans:`` line waits until every fault that comes before it in the
+    order of README "File formats" is checked.  Returns ``(sections, sid,
+    trans)``, with ``sid`` the id of each state name and ``trans`` one flat
+    array holding ``lineno, src, sym, dst`` for each ``trans:`` line in
+    order.
     """
     sections: dict = {}
     held = []  # the trans: lines read before both alphabet: and states:
     trans = array("q")
-    pending = aid = sid = None  # pending: the first faulty streamed line
+    pending = aid = sid = None  # pending: the first faulty trans: line
+
+    def take(tokens: list, lineno: int) -> None:
+        nonlocal pending
+        if pending is None:
+            try:
+                trans.extend(_trans_ids(aid, sid, tokens, lineno))
+            except ParseError:
+                pending = tokens, lineno
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         key = tokens[0]
         if key == "trans:" and sid is not None:
-            if pending is None:
-                try:  # _trans_ids, inline on the path every line takes
-                    _, src, sym, dst = tokens
-                    trans.extend((lineno, sid[src], aid[sym], sid[dst]))
-                except (ValueError, KeyError):
-                    pending = tokens, lineno
+            take(tokens, lineno)
         elif not sections:  # the first content line is the header
             if tokens != [kind]:
                 raise ParseError(f"expected header {kind!r}", lineno)
             sections = {"pair:": []}
         elif key == "trans:":
-            held.append((lineno, tokens))
+            held.append((tokens, lineno))
         elif key == "pair:":
             sections[key].append((lineno, tokens[1:]))
         elif key not in ("alphabet:", "states:", "initial:", "accepting:"):
@@ -550,6 +555,9 @@ def _parse_sections(text: str, kind: str):
             if sid is None and "alphabet:" in sections and "states:" in sections:
                 aid = {s: i for i, s in enumerate(sections["alphabet:"][1])}
                 sid = {s: i for i, s in enumerate(sections["states:"][1])}
+                for line in held:
+                    take(*line)
+                held = None
     if not sections:
         raise ParseError("empty document")
     for key in ("alphabet:", "states:", "initial:"):
@@ -567,11 +575,6 @@ def _parse_sections(text: str, kind: str):
         raise ParseError("states must list at least one name", lineno)
     if len(set(states)) != len(states):
         raise ParseError("duplicate state name", lineno)
-    if held:
-        head = array("q")
-        for lineno, tokens in held:
-            head.extend(_trans_ids(aid, sid, tokens, lineno))
-        trans = head + trans
     if pending:
         _trans_ids(aid, sid, *pending)  # raises
     return sections, sid, trans
