@@ -27,7 +27,8 @@ def _fmt_set(values) -> str:
 def _macrostate_line(aut, i, m) -> str:
     cls = ",".join("{" + ",".join(aut.states[q] for q in group) + "}^"
                    + str(m.labels[j]) for j, group in enumerate(m.classes))
-    cousin = ",".join(f"({x},{y})" for x, y in sorted(m.cousin))
+    cousin = ",".join(f"({x},{y})" for x, row in enumerate(m.cousin)
+                      for y in sorted(row))
     return (f"macro level={i} classes=[{cls}] cousin=[{cousin}] "
             f"G={_fmt_set(m.good)} B={_fmt_set(m.bad)}")
 

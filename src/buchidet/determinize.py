@@ -2,12 +2,12 @@
 
 A macrostate carries the set of currently alive states, the linear preorder
 induced by their acceptance histories (stored as rank-ordered classes), one
-label per class from the pool {0..2n}, a second "cousin" preorder whose row x
-holds the classes that descend from the birth class of x's label, and the
-good/bad label events that feed the Rabin condition.  Successors are defined
-declaratively from the rows: a new class inherits the label of its minimal
-uncle, whose heir it is, and the events follow from the heirs.  No tree
-surgery is involved.
+label per class from the pool {0..2n}, a second "cousin" preorder stored as
+its rows (row x holds the classes that descend from the birth class of x's
+label), and the good/bad label events that feed the Rabin condition.
+Successors are defined declaratively from the rows: a new class inherits the
+label of its minimal uncle, whose heir it is, and the events follow from the
+heirs.  No tree surgery is involved.
 
 A step has two parts.  `_shape` is its label-free part: the new classes
 and cousin order, each new class's inheriting uncle and the uncles whose
@@ -40,14 +40,14 @@ class Macrostate:
 
     `classes` lists the preorder's equivalence classes smallest-first, each a
     sorted tuple of state ids; `labels` gives the class labels in the same
-    order; `cousin` holds rank pairs (x, b), and row x = {b : (x, b) in
-    cousin} holds the classes that descend from the birth class of x's label.
+    order; `cousin` holds one row per class, and row x, `cousin[x]`, holds
+    the ranks of the classes that descend from the birth class of x's label.
     Two macrostates are equal iff these canonical fields are equal.
     """
 
     classes: tuple[tuple[int, ...], ...]
     labels: tuple[int, ...]
-    cousin: frozenset
+    cousin: tuple[frozenset[int], ...]
     good: frozenset
     bad: frozenset
 
@@ -57,13 +57,13 @@ def initial_macrostate(a: NBW) -> Macrostate:
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
     return Macrostate((tuple(sorted(a.initial)),), (0,),
-                      frozenset({(0, 0)}), frozenset(), frozenset())
+                      (frozenset({0}),), frozenset(), frozenset())
 
 
 def _shape(a: NBW, classes, cousin, sym: int):
     """The label-free part of a step, a function of (classes, cousin, sym).
 
-    Returns the new classes, the new cousin pairs, for each new class the
+    Returns the new classes, the new cousin rows, for each new class the
     old rank of the uncle it inherits its label from (None for a fresh
     label), and the old ranks whose labels turn good.
     """
@@ -80,27 +80,24 @@ def _shape(a: NBW, classes, cousin, sym: int):
     parent2 = [kk[0] for kk in order]
     f2 = [kk[1] for kk in order]
 
-    # row x: the old classes that descend from the birth class of x's label.
-    # The nephew of x is the first new class whose parent lies in row x, and
-    # the uncles of j are the old classes whose nephew is j.  j inherits the
-    # label of its minimal uncle, whose heir it is, and its cousins are the
-    # classes whose parent lies in the row of any of its uncles.
-    rows = [set() for _ in classes]
-    for x, b in cousin:
-        rows[x].add(b)
+    # row x = cousin[x]: the old classes that descend from the birth class of
+    # x's label.  The nephew of x is the first new class whose parent lies in
+    # row x, and the uncles of j are the old classes whose nephew is j.  j
+    # inherits the label of its minimal uncle, whose heir it is, and its
+    # cousins are the classes whose parent lies in the row of any of its uncles.
     uncle: dict[int, int] = {}  # heir -> its minimal uncle
     reach = [set() for _ in classes2]
-    for x, row in enumerate(rows):
+    for x, row in enumerate(cousin):
         for j, p in enumerate(parent2):
             if p in row:
                 uncle.setdefault(j, x)
                 reach[j] |= row
                 break
-    pairs = frozenset((j, j2) for j, row in enumerate(reach)
-                      for j2, p in enumerate(parent2) if j2 == j or p in row)
+    rows = tuple(frozenset(j2 for j2, p in enumerate(parent2) if j2 == j or p in row)
+                 for j, row in enumerate(reach))
     # good: the uncles whose heir changed parent or turned accepting
     good = tuple(x for j, x in uncle.items() if parent2[j] != x or f2[j])
-    return (classes2, pairs, tuple(uncle.get(j) for j in range(len(classes2))),
+    return (classes2, rows, tuple(uncle.get(j) for j in range(len(classes2))),
             good)
 
 
@@ -141,9 +138,9 @@ def sigma_successor(a: NBW, m: Macrostate, symbol: str) -> Macrostate:
     names all labels alive before; the empty macrostate loops on itself with
     no further events, acting as the rejecting sink.
     """
-    classes2, pairs, heirs, good = _shape(a, m.classes, m.cousin, a.sym_id(symbol))
+    classes2, rows, heirs, good = _shape(a, m.classes, m.cousin, a.sym_id(symbol))
     labels2, good_mask, bad_mask = _apply_labels(a, m.labels, heirs, good)
-    return Macrostate(classes2, labels2, pairs, _label_set(good_mask),
+    return Macrostate(classes2, labels2, rows, _label_set(good_mask),
                       _label_set(bad_mask))
 
 
@@ -156,9 +153,9 @@ def _preorders(a: NBW, max_states: int):
     marks = []  # (heirs, good) per step, in the order `explore` calls it
 
     def step(pair, sym: int):
-        classes2, pairs, heirs, good = _shape(a, *pair, sym)
+        classes2, rows, heirs, good = _shape(a, *pair, sym)
         marks.append((heirs, good))
-        return classes2, pairs
+        return classes2, rows
 
     m0 = initial_macrostate(a)
     pre, table = explore((m0.classes, m0.cousin), step, k, max_states)
@@ -197,23 +194,23 @@ def determinize_profile(a: NBW, max_states: int = 10 ** 6) -> DRW:
 
 def _preorder_faults(a: NBW, classes, cousin) -> tuple[list[str], list[str]]:
     """The faults of a preorder pair: those of its classes, and those of its
-    cousin order (range, class order, reflexivity, transitivity)."""
+    cousin order: range and class order, reflexivity, then transitivity,
+    each kind row by row, by (x, y)."""
     out = []
     k = len(classes)
-    for x, y in cousin:
-        if not (0 <= x < k and 0 <= y < k):
-            out.append(f"cousin pair ({x},{y}) out of range")
-        elif x > y:
-            out.append(f"cousin pair ({x},{y}) contradicts the class order")
+    for x, row in enumerate(cousin):
+        for y in sorted(row):
+            if not (x < k and 0 <= y < k):
+                out.append(f"cousin pair ({x},{y}) out of range")
+            elif x > y:
+                out.append(f"cousin pair ({x},{y}) contradicts the class order")
     for x in range(k):
-        if (x, x) not in cousin:
+        if x >= len(cousin) or x not in cousin[x]:
             out.append(f"cousin relation misses reflexive pair ({x},{x})")
-    rows: dict[int, set] = {}
-    for x, y in cousin:
-        rows.setdefault(x, set()).add(y)
-    for x, y in cousin:
-        for z in sorted(rows.get(y, set()) - rows[x]):
-            out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
+    for x, row in enumerate(cousin):
+        for y in sorted(row):
+            for z in sorted(cousin[y] - row if 0 <= y < len(cousin) else ()):
+                out.append(f"cousin relation not transitive: ({x},{y}),({y},{z})")
     return state_set_faults(a, classes, lambda j: f"class {j}"), out
 
 

@@ -162,10 +162,11 @@ def _sweep_step(a: NBW, drw: DRW, view, symbol: str):
         if g >= lv.gl_watermark:
             walk2.setdefault(g, frozenset({j}))
     # the whole cousin order is the descendant walk of each label
-    pairs = {(j, b) for j, g in enumerate(lv2.gl) for b in walk2.get(g, ())}
-    if pairs != lv2.cousin:
-        msgs.append(f"cousin pairs {sorted(lv2.cousin ^ pairs)} differ "
-                    "from the descendant walk")
+    rows = tuple(walk2.get(g, frozenset()) for g in lv2.gl)
+    if rows != lv2.cousin:
+        diff = sorted((j, b) for j, (row, walked) in enumerate(zip(lv2.cousin, rows))
+                      for b in row ^ walked)
+        msgs.append(f"cousin pairs {diff} differ from the descendant walk")
     msgs += _level_faults(a, lv2, len(lv.classes), drw.payloads[q2])
     return (lv2, q2, tuple(walk2.items())), msgs
 

@@ -30,8 +30,9 @@ class ProfileLevel:
     """One level of the class tree: classes in rank order with parent links
     and acceptance bits, both labelings and the cousin order.
 
-    `cousin` holds rank pairs (a, b) meaning class b descends from the class
-    where the label of class a was born; it is reflexive and transitive.
+    `cousin` holds one row per class: row a, `cousin[a]`, holds the ranks of
+    the classes that descend from the class where the label of class a was
+    born; the order is reflexive and transitive.
     `gl_watermark` is the next unused global label (internal bookkeeping so a
     successor level can be computed without global lookback).
     """
@@ -41,7 +42,7 @@ class ProfileLevel:
     f_class: tuple[int, ...]
     gl: tuple[int, ...]
     lbl: tuple[int, ...]
-    cousin: frozenset
+    cousin: tuple[frozenset[int], ...]
     good: frozenset
     bad: frozenset
     successful: frozenset
@@ -54,7 +55,7 @@ def initial_level(a: NBW) -> ProfileLevel:
     if a.needs_normalization:
         raise ValueError("automaton must be normalized first")
     return ProfileLevel((tuple(sorted(a.initial)),), (None,), (0,), (0,), (0,),
-                        frozenset({(0, 0)}), frozenset(), frozenset(),
+                        (frozenset({0}),), frozenset(), frozenset(),
                         frozenset(), 1)
 
 
@@ -82,18 +83,15 @@ def step_level(a: NBW, prev: ProfileLevel, symbol: str) -> ProfileLevel:
     """The labeled level after `prev` on `symbol`: its slice, then its labels.
 
     The nephew of an old class x is the first new class whose parent lies in
-    row x; x is an uncle of its nephew.  A class inherits both labels of its
-    minimal uncle, whose heir it is, and its cousins are the classes whose
-    parent lies in that uncle's row.  The other classes get fresh labels in
-    rank order, global ones from the watermark and bounded ones from the pool
-    left free by the previous level.
+    row x, `prev.cousin[x]`; x is an uncle of its nephew.  A class inherits
+    both labels of its minimal uncle, whose heir it is, and its row holds
+    itself and the classes whose parent lies in that uncle's row.  The other
+    classes get fresh labels in rank order, global ones from the watermark
+    and bounded ones from the pool left free by the previous level.
     """
     classes, parents, f_class = _slice(a, prev, symbol)
-    rows = [set() for _ in prev.classes]
-    for x, b in prev.cousin:
-        rows[x].add(b)
     uncle: dict[int, int] = {}  # heir -> its minimal uncle
-    for x, row in enumerate(rows):
+    for x, row in enumerate(prev.cousin):
         j = next((j for j, p in enumerate(parents) if p in row), None)
         if j is not None:
             uncle.setdefault(j, x)
@@ -104,10 +102,11 @@ def step_level(a: NBW, prev: ProfileLevel, symbol: str) -> ProfileLevel:
     fresh_gl, fresh_lbl = count(prev.gl_watermark), iter(pool)
     gl = tuple(prev.gl[uncle[j]] if j in uncle else next(fresh_gl) for j in range(k))
     lbl = tuple(prev.lbl[uncle[j]] if j in uncle else next(fresh_lbl) for j in range(k))
-    pairs = {(j, j2) for j in range(k) for j2, p in enumerate(parents)
-             if j2 == j or (j in uncle and p in rows[uncle[j]])}
+    cousin = tuple(frozenset(j2 for j2, p in enumerate(parents)
+                             if j2 == j or (j in uncle and p in prev.cousin[uncle[j]]))
+                   for j in range(k))
     moved = [x for j, x in uncle.items() if parents[j] != x or f_class[j] == 1]
-    return ProfileLevel(classes, parents, f_class, gl, lbl, frozenset(pairs),
+    return ProfileLevel(classes, parents, f_class, gl, lbl, cousin,
                         frozenset(prev.lbl[x] for x in moved),
                         frozenset(prev.lbl) - frozenset(lbl),
                         frozenset(prev.gl[x] for x in moved),

@@ -62,9 +62,9 @@ def test_determinized_run_golden_trace(two_state):
     labels 0/1 then 0/2 then 0/1 on the two singleton classes, the cousin
     pair between them, good {0} from step 2 on, and bad {1} then {2}."""
     start = time.perf_counter()
-    full = frozenset({(0, 0), (0, 1), (1, 1)})
+    full = (frozenset({0, 1}), frozenset({1}))
     expected = [
-        Macrostate(((0,),), (0,), frozenset({(0, 0)}), frozenset(), frozenset()),
+        Macrostate(((0,),), (0,), (frozenset({0}),), frozenset(), frozenset()),
         Macrostate(((0,), (1,)), (0, 1), full, frozenset(), frozenset()),
         Macrostate(((0,), (1,)), (0, 2), full, frozenset({0}), frozenset({1})),
         Macrostate(((0,), (1,)), (0, 1), full, frozenset({0}), frozenset({2})),

@@ -20,7 +20,7 @@ from buchidet.safra import determinize_safra
 from oracles import nbw, preorder, profile_tree
 
 Q, P = 0, 1
-FULL2 = frozenset({(0, 0), (0, 1), (1, 1)})
+FULL2 = (frozenset({0, 1}), frozenset({1}))
 
 
 def walk(aut, word):
@@ -37,7 +37,7 @@ def parent_of(pl):
 
 def test_initial_macrostate(two_state):
     m = initial_macrostate(two_state)
-    assert m == Macrostate(((Q,),), (0,), frozenset({(0, 0)}),
+    assert m == Macrostate(((Q,),), (0,), (frozenset({0}),),
                            frozenset(), frozenset())
 
 
@@ -46,7 +46,7 @@ def test_initial_macrostate_two_states():
     m = initial_macrostate(a)
     assert m.classes == ((0, 1),)
     assert m.labels == (0,)
-    assert m.cousin == frozenset({(0, 0)})
+    assert m.cousin == (frozenset({0}),)
 
 
 def test_initial_macrostate_requires_normalization(selfloop_accepting):
@@ -61,7 +61,7 @@ def test_reference_macrostate_trace(two_state):
     the accepting branch cycles through fresh labels 1 and 2, and from the
     second step on label 0 is good while the dropped label is bad."""
     q0, q1, q2, q3 = walk(two_state, "abb")
-    assert q0 == Macrostate(((Q,),), (0,), frozenset({(0, 0)}),
+    assert q0 == Macrostate(((Q,),), (0,), (frozenset({0}),),
                             frozenset(), frozenset())
     assert q1 == Macrostate(((Q,), (P,)), (0, 1), FULL2,
                             frozenset(), frozenset())
@@ -109,7 +109,7 @@ def test_dead_run_falls_into_sink(two_state):
     assert gone.classes == ()
     assert gone.bad == frozenset({0})
     sink = sigma_successor(two_state, gone, "a")
-    assert sink == Macrostate((), (), frozenset(), frozenset(), frozenset())
+    assert sink == Macrostate((), (), (), frozenset(), frozenset())
     assert sigma_successor(two_state, sink, "b") == sink
 
 
@@ -169,24 +169,40 @@ def test_every_reachable_macrostate_is_valid():
 def test_validate_macrostate_flags_bad_cousin_relation():
     a = nbw(["a"], ["x", "y", "z"], ["x"], [], [])
 
-    def faults(cousin):
-        m = Macrostate(((0,), (1,), (2,)), (0, 1, 2), frozenset(cousin),
+    def faults(*rows):
+        m = Macrostate(((0,), (1,), (2,)), (0, 1, 2), tuple(map(frozenset, rows)),
                        frozenset(), frozenset())
         return validate_macrostate(a, m)
 
-    refl = {(0, 0), (1, 1), (2, 2)}
-    assert faults(refl | {(0, 1), (1, 2), (0, 2)}) == []
-    assert faults({(0, 0), (2, 2), (0, 2)}) == [
+    closed = ({0, 1, 2}, {1, 2}, {2})
+    assert faults(*closed) == []
+    assert faults({0, 2}, set(), {2}) == [
         "cousin relation misses reflexive pair (1,1)"]
-    assert faults(refl | {(0, 1), (1, 2)}) == [
+    assert faults({0, 1}, {1, 2}, {2}) == [
         "cousin relation not transitive: (0,1),(1,2)"]
-    assert faults(refl | {(1, 0)}) == [
+    assert faults({0}, {0, 1}, {2}) == [
         "cousin pair (1,0) contradicts the class order"]
-    assert faults(refl | {(0, 1), (1, 0)}) == [
+    assert faults({0, 1}, {0, 1}, {2}) == [
         "cousin pair (1,0) contradicts the class order"]
+    # a fourth row, past the three classes: the pair (3,0)
+    assert faults(*closed, {0}) == [
+        "cousin pair (3,0) out of range",
+        "cousin relation not transitive: (3,0),(0,1)",
+        "cousin relation not transitive: (3,0),(0,2)"]
+    # no last row: the pair (2,2) is missing
+    assert faults(*closed[:2]) == [
+        "cousin relation misses reflexive pair (2,2)"]
+    # several faults come row by row: range and order faults by (x, y),
+    # then transitivity faults by (x, y)
+    assert faults({0, 5}, {0, 1}, {1, 2}) == [
+        "cousin pair (0,5) out of range",
+        "cousin pair (1,0) contradicts the class order",
+        "cousin pair (2,1) contradicts the class order",
+        "cousin relation not transitive: (1,0),(0,5)",
+        "cousin relation not transitive: (2,1),(1,0)"]
 
 
-_VALID_M = Macrostate(((0,), (1, 2)), (0, 1), frozenset({(0, 0), (0, 1), (1, 1)}),
+_VALID_M = Macrostate(((0,), (1, 2)), (0, 1), (frozenset({0, 1}), frozenset({1})),
                      frozenset({1}), frozenset({0}))
 
 
@@ -199,7 +215,8 @@ _VALID_M = Macrostate(((0,), (1, 2)), (0, 1), frozenset({(0, 0), (0, 1), (1, 1)}
     ({"labels": (0,)}, "labels and classes differ in length"),
     ({"labels": (1, 1)}, "labels are not distinct across classes"),
     ({"labels": (0, 7)}, "label 7 outside the pool"),
-    ({"cousin": _VALID_M.cousin | {(0, 2)}}, "cousin pair (0,2) out of range"),
+    ({"cousin": (frozenset({0, 1, 2}), frozenset({1}))},
+     "cousin pair (0,2) out of range"),
     ({"good": frozenset({7})}, "event label 7 outside the pool"),
     ({"bad": frozenset({1})}, "good and bad label sets overlap"),
 ], ids=["empty-class", "unsorted-class", "repeated-state", "overlapping-classes",
@@ -217,10 +234,9 @@ def test_validate_macrostate_shares_preorder_faults_by_the_whole_pair():
     sharing one `seen` dict, each is judged on its own, in either order,
     and every call returns its own list."""
     a = nbw(["a"], ["x", "y", "z"], ["x"], [], [])
-    classes, refl = ((0,), (1,), (2,)), {(0, 0), (1, 1), (2, 2)}
-    closed = Macrostate(classes, (0, 1, 2), frozenset(refl | {(0, 1), (1, 2), (0, 2)}),
-                        frozenset(), frozenset())
-    open_ = replace(closed, cousin=frozenset(refl | {(0, 1), (1, 2)}))
+    rows = (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2}))
+    closed = Macrostate(((0,), (1,), (2,)), (0, 1, 2), rows, frozenset(), frozenset())
+    open_ = replace(closed, cousin=(frozenset({0, 1}),) + rows[1:])
     fault = ["cousin relation not transitive: (0,1),(1,2)"]
     for order in ((closed, open_), (open_, closed)):
         seen = {}
@@ -235,9 +251,14 @@ def _field_corruptions(a, m):
     """`m` and five copies, each with one field corrupted."""
     k, top = len(m.classes), 2 * a.n + 1
     twice = ((m.classes[0][:1] + m.classes[0],) + m.classes[1:]) if k else ((0,),)
+    if k:  # row k-1 gains class 0, then row 0 loses it
+        skewed = [row | {0} if x == k - 1 else row for x, row in enumerate(m.cousin)]
+        skewed[0] -= {0}
+    else:  # the sink has no row to skew: it gets one past its classes
+        skewed = [frozenset({0})]
     return [m, replace(m, classes=twice),
-            replace(m, cousin=m.cousin | {(k, 0)}),
-            replace(m, cousin=(m.cousin | {(k - 1, 0)}) - {(0, 0)}),
+            replace(m, cousin=m.cousin + (frozenset({0}),)),
+            replace(m, cousin=tuple(skewed)),
             replace(m, labels=m.labels[::-1] + (top,)),
             replace(m, good=m.good | m.bad | {top})]
 
@@ -430,7 +451,8 @@ def test_free_label_pool_exhaustion_is_caught_on_both_paths(two_state, monkeypat
     count argument is broken; the one-step path and the label exploration
     over the preorder automaton both refuse it rather than reuse a label."""
     def fresh(count):
-        return lambda a, classes, cousin, sym: (((0,),) * count, frozenset(),
+        return lambda a, classes, cousin, sym: (((0,),) * count,
+                                                (frozenset(),) * count,
                                                 (None,) * count, ())
 
     m0 = initial_macrostate(two_state)
@@ -479,8 +501,9 @@ def test_whole_drw_golden_digest():
         "671a20f5acdf09144b91e8c4800c20c9e1f0df4c2fa2604f2b25c3315a22f310"
     assert _sha256(format_drw(safra)) == \
         "14e99f701015843aae67995ed1f75de61744b939cad6224fb79f0a026af88be1"
-    fields = "".join(repr((m.classes, m.labels, sorted(m.cousin), sorted(m.good),
-                           sorted(m.bad))) for m in profile.payloads)
+    fields = "".join(repr((m.classes, m.labels,
+                           [(x, y) for x, row in enumerate(m.cousin) for y in sorted(row)],
+                           sorted(m.good), sorted(m.bad))) for m in profile.payloads)
     assert _sha256(fields) == \
         "04467b6c792f6b8de300fdbe7ba0eed8c95e3197fd69723c8e5f7e1a17feb52c"
     assert _sha256(_flat_payloads(safra)) == \
